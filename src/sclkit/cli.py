@@ -14,7 +14,7 @@ from .rdf import Iri, parse_turtle, serialize_turtle, TurtleError
 from .shacl import Document, DocumentError, document_from_graph, document_to_graph
 from .scl import normalize, pretty
 from .translate import TranslationError, tau, tau_inverse
-from .semantics import SemanticsMode, validate
+from .semantics import SemanticsMode, validation_witness
 from .decide import (
     DecisionError,
     SatResult,
@@ -22,8 +22,7 @@ from .decide import (
     bounded_sat,
     check_containment,
     classify,
-    emit_smtlib,
-    emit_tptp,
+    emit,
     shape_containment,
     template_sat,
 )
@@ -63,15 +62,11 @@ def cmd_validate(args) -> int:
     g = _read_graph(args.graph)
     m = _read_document(args.doc)
     mode = SemanticsMode(args.mode)
-    valid = validate(g, m, mode)
+    witness = validation_witness(g, m, mode)
+    valid = witness is not None
     payload = {"result": valid, "mode": mode.value}
     if valid:
-        from .semantics import iter_faithful
-        from .shacl import eliminate_xone
-
-        witness = next(iter_faithful(g, eliminate_xone(m), mode.total), None)
-        if witness is not None:
-            payload["witness_assignment"] = witness.to_json()
+        payload["witness_assignment"] = witness.to_json()
     _emit_report(args, payload, f"valid={'true' if valid else 'false'} ({mode.value})")
     return EXIT_OK
 
@@ -94,19 +89,6 @@ def cmd_untranslate(args) -> int:
     return EXIT_OK
 
 
-def _verdict_payload(verdict) -> dict:
-    # the report schema keys: verdict, complexity, fmp, witnesses[]
-    return {
-        "verdict": verdict.decidability,
-        "complexity": verdict.complexity,
-        "fmp": verdict.fmp,
-        "witnesses": list(verdict.witnesses),
-        "features": sorted(verdict.features.flags),
-        "recursive": verdict.features.recursive,
-        "semantics": "total",
-    }
-
-
 def cmd_classify(args) -> int:
     m = _read_document(args.doc)
     verdict = classify(tau(m))
@@ -114,7 +96,7 @@ def cmd_classify(args) -> int:
             f"recursive={'true' if verdict.features.recursive else 'false'} "
             f"decidability={verdict.decidability} "
             f"complexity={verdict.complexity or '-'} fmp={verdict.fmp}")
-    _emit_report(args, _verdict_payload(verdict), text)
+    _emit_report(args, verdict.to_json(), text)
     return EXIT_OK
 
 
@@ -122,7 +104,7 @@ def cmd_sat(args) -> int:
     m = _read_document(args.doc)
     mode = SemanticsMode(args.mode)
     result = bounded_sat(m, mode, _budget(args))
-    payload = {**_verdict_payload(classify(tau(m))), **result.to_json()}
+    payload = {**classify(tau(m)).to_json(), **result.to_json()}
     text = f"satisfiable={result.status}"
     if result.is_sat and result.witness_graph is not None:
         text += f" (witness: {len(result.witness_graph)} triples)"
@@ -187,8 +169,7 @@ def cmd_emit(args) -> int:
         ax = naive_axiomatisation(phi).sentence
     elif args.axioms == "bounded":
         ax = bounded_axiomatisation(phi).sentence
-    out = emit_smtlib(phi, ax) if args.format == "smtlib2" else emit_tptp(phi, ax)
-    print(out, end="")
+    print(emit(args.format, phi, ax), end="")
     return EXIT_OK
 
 

@@ -5,12 +5,16 @@ Two search routines live here: a graph-level search that enumerates candidate
 data graphs and runs the validator, and an uninterpreted-model search that
 grounds sentences over a bounded domain into CNF and runs a small DPLL
 solver (filters become free monadic predicates there).
+
+Both prover formats, SMT-LIB 2 and TPTP FOF, come from one encoder: a single
+walker fixes the first-order reading of a sentence, and a small syntax class
+per format renders connectives, quantifiers, symbols and the file framing.
 """
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional
 
 from .rdf import Graph, Iri, Literal, RDF_TYPE, Term, Triple, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING, term_key, triple_key
@@ -59,7 +63,7 @@ from .scl import (
     features_of,
     walk_psi,
 )
-from .semantics import Assignment, SemanticsMode, validate
+from .semantics import Assignment, SemanticsMode, validate, validation_witness
 from .translate import tau
 
 
@@ -92,10 +96,11 @@ class Verdict:
     features: FeatureSet
 
     def to_json(self) -> dict:
+        """The report schema of `sclkit classify --json`."""
         return {
             "features": sorted(self.features.flags),
             "recursive": self.features.recursive,
-            "decidability": self.decidability,
+            "verdict": self.decidability,
             "complexity": self.complexity,
             "fmp": self.fmp,
             "witnesses": list(self.witnesses),
@@ -328,10 +333,8 @@ def bounded_sat(m: sh.Document, mode: SemanticsMode, budget: SearchBudget,
     for g in candidate_graphs(m, budget):
         if deadline.expired():
             return SatResult("unknown", reason="time budget exhausted")
-        if validate(g, m, mode):
-            from .semantics import iter_faithful
-
-            sigma = next(iter_faithful(g, m, mode.total), None)
+        sigma = validation_witness(g, m, mode)
+        if sigma is not None:
             return SatResult("sat", witness_graph=g, witness_assignment=sigma)
     if complete_size is not None and budget.max_triples >= complete_size:
         verdict = classify(tau(m))
@@ -347,16 +350,12 @@ def check_satisfiability(m: sh.Document, mode: SemanticsMode, budget: SearchBudg
     sentence satisfiability, cautious modes run the full assignment check
     inside the validator.  For the brave modes of a transitive-closure-free
     document an external-prover encoding can be attached on request."""
-    result = bounded_sat(m, mode, budget, complete_size)
-    if encoding is not None:
-        if not mode.brave:
-            raise DecisionError("prover encodings cover the brave modes only")
-        phi = tau(sh.eliminate_xone(m))
-        text = emit_smtlib(phi) if encoding == "smtlib2" else emit_tptp(phi)
-        result = SatResult(result.status, result.witness_graph, result.witness_assignment,
-                           result.witness_node, result.exhaustive, result.approximate,
-                           result.reason, encoding=text)
-    return result
+    if encoding is None:
+        return bounded_sat(m, mode, budget, complete_size)
+    if not mode.brave:
+        raise DecisionError("prover encodings cover the brave modes only")
+    text = emit(encoding, tau(sh.eliminate_xone(m)))
+    return replace(bounded_sat(m, mode, budget, complete_size), encoding=text)
 
 
 def _rename_apart(m: sh.Document, taken: set, suffix: str) -> sh.Document:
@@ -415,8 +414,7 @@ def check_containment(m1: sh.Document, m2: sh.Document, mode: SemanticsMode,
         if sh.is_recursive(m1) or sh.is_recursive(m2):
             raise DecisionError("the containment sentence exists for non-recursive pairs only")
         phi, negated = containment_sentence(m1, m2)
-        emit = emit_smtlib if encoding == "smtlib2" else emit_tptp
-        encoded = emit(phi, negated_target_disjunction=negated)
+        encoded = emit(encoding, phi, negated_target_disjunction=negated)
     consts = sh.document_constants(m2)
     rels = sh.document_relation_names(m2)
     for g in candidate_graphs(m1, budget, extra_constants=consts, extra_relations=rels):
@@ -862,148 +860,241 @@ def scl_bounded_sat(sentence: SclSentence, budget: SearchBudget,
 _COUNT_CAP = 64
 
 
-class _SymbolTable:
-    def __init__(self, quote: bool):
-        self.quote = quote
-        self.names: dict = {}
+class _SmtLib:
+    """SMT-LIB 2 rendering: one uninterpreted sort `T`, quoted symbols."""
+
+    var_prefix = "x"
+    true = "true"
+
+    def symbol(self, kind: str, hint: str, k: int) -> str:
+        # a quoted symbol may contain neither `|` nor `\`
+        text = hint.replace("|", "_").replace("\\", "_")
+        return f"|{kind}:{text}|" if k == 1 else f"|{kind}:{text}_{k}|"
+
+    def app(self, f: str, *args: str) -> str:
+        return f"({f} {' '.join(args)})"
+
+    def conj(self, items: list) -> str:
+        return f"(and {' '.join(items)})"
+
+    def disj(self, items: list) -> str:
+        return f"(or {' '.join(items)})" if items else "false"
+
+    def neg(self, a: str) -> str:
+        return f"(not {a})"
+
+    def eq(self, a: str, b: str) -> str:
+        return f"(= {a} {b})"
+
+    iff = eq
+
+    def implies(self, a: str, b: str) -> str:
+        return f"(=> {a} {b})"
+
+    def exists(self, vs: list, body: str) -> str:
+        binds = " ".join(f"({v} T)" for v in vs)
+        return f"(exists ({binds}) {body})"
+
+    def forall(self, vs: list, body: str) -> str:
+        binds = " ".join(f"({v} T)" for v in vs)
+        return f"(forall ({binds}) {body})"
+
+    def distinct(self, terms: list) -> list:
+        """Conjuncts stating that the terms denote pairwise distinct elements."""
+        return [f"(distinct {' '.join(terms)})"] if len(terms) > 1 else []
+
+    def document(self, symbols: dict, distinct: list, formulas: list, uses_order: bool) -> str:
+        lines = ["(set-logic UF)", "(declare-sort T 0)"]
+        arity = {"c": "() T", "sh": "(T) Bool", "f": "(T) Bool", "r": "(T T) Bool"}
+        for (kind, _key), name in sorted(symbols.items(), key=lambda kv: kv[1]):
+            lines.append(f"(declare-fun {name} {arity[kind]})")
+        if uses_order:
+            lines.append("(declare-fun lt (T T) Bool)")
+            lines.append("(declare-fun le (T T) Bool)")
+        lines.extend(f"(assert {f})" for f in distinct + formulas)
+        lines.append("(check-sat)")
+        return "\n".join(lines) + "\n"
+
+
+class _Tptp:
+    """TPTP FOF rendering: lower-case alphanumeric symbols, upper-case variables."""
+
+    var_prefix = "X"
+    true = "$true"
+
+    def symbol(self, kind: str, hint: str, k: int) -> str:
+        base = "".join(ch if ch.isalnum() else "_" for ch in hint).lower().strip("_") or "x"
+        return f"{kind}_{base}" if k == 1 else f"{kind}_{base}_{k}"
+
+    def app(self, f: str, *args: str) -> str:
+        return f"{f}({','.join(args)})"
+
+    def conj(self, items: list) -> str:
+        return f"({' & '.join(items)})"
+
+    def disj(self, items: list) -> str:
+        return f"({' | '.join(items)})" if items else "$false"
+
+    def neg(self, a: str) -> str:
+        return f"~({a})"
+
+    def eq(self, a: str, b: str) -> str:
+        return f"({a} = {b})"
+
+    def iff(self, a: str, b: str) -> str:
+        return f"({a} <=> {b})"
+
+    def implies(self, a: str, b: str) -> str:
+        return f"({a} => {b})"
+
+    def exists(self, vs: list, body: str) -> str:
+        return f"(? [{','.join(vs)}] : {body})"
+
+    def forall(self, vs: list, body: str) -> str:
+        return f"(! [{','.join(vs)}] : {body})"
+
+    def distinct(self, terms: list) -> list:
+        """Conjuncts stating that the terms denote pairwise distinct elements."""
+        return [f"({a} != {b})" for a, b in itertools.combinations(terms, 2)]
+
+    def document(self, symbols: dict, distinct: list, formulas: list, uses_order: bool) -> str:
+        lines = ["% shapes-constraint-logic sentence in FOF"]
+        if distinct:
+            lines.append(f"fof(distinct_constants, axiom, {self.conj(distinct)}).")
+        lines.extend(f"fof(ax{i}, axiom, {f})." for i, f in enumerate(formulas))
+        return "\n".join(lines) + "\n"
+
+
+class _Emitter:
+    """The first-order reading of a sentence, rendered by a format's syntax:
+    counting quantifiers expand to distinct witnesses, at-most axioms to
+    pigeonhole clauses, order atoms to free `lt`/`le` predicates."""
+
+    def __init__(self, syntax):
+        self.s = syntax
+        self.names: dict = {}  # (kind, key) -> symbol
         self.used: set = set()
-
-    def of(self, kind: str, key, hint: str) -> str:
-        full = (kind, key)
-        if full in self.names:
-            return self.names[full]
-        if self.quote:
-            name = f"|{kind}:{hint}|".replace("\\", "_")
-        else:
-            base = "".join(ch if ch.isalnum() else "_" for ch in hint).lower().strip("_") or "x"
-            name = f"{kind}_{base}"
-            k = 2
-            while name in self.used:
-                name = f"{kind}_{base}_{k}"
-                k += 1
-        self.used.add(name)
-        self.names[full] = name
-        return name
-
-
-def _check_emittable(sentence: SclSentence) -> None:
-    for axiom in sentence.axioms:
-        if isinstance(axiom, (ConstraintAxiom, AtMostAxiom)):
-            for node in walk_psi(axiom.body):
-                if isinstance(node, (PsiExists, PsiCount, PsiDisjoint, PsiEquals, PsiOrder)):
-                    from .scl import walk_pi
-
-                    for step in walk_pi(node.path):
-                        if isinstance(step, PiStar):
-                            raise DecisionError(
-                                "transitive closure is not first-order expressible; "
-                                "refusing to emit"
-                            )
-                if isinstance(node, PsiCount) and node.n > _COUNT_CAP:
-                    raise DecisionError(f"counting bound {node.n} exceeds the emission cap {_COUNT_CAP}")
-        if isinstance(axiom, AtMostAxiom) and axiom.n > _COUNT_CAP:
-            raise DecisionError(f"counting bound {axiom.n} exceeds the emission cap {_COUNT_CAP}")
-
-
-class _SmtEmitter:
-    def __init__(self, sentence: SclSentence):
-        self.sentence = sentence
-        self.sym = _SymbolTable(quote=True)
         self.fresh = 0
+        self.uses_order = False
 
     def var(self) -> str:
         self.fresh += 1
-        return f"x{self.fresh}"
+        return f"{self.s.var_prefix}{self.fresh}"
+
+    def symbol(self, kind: str, key, hint: str) -> str:
+        full = (kind, key)
+        if full not in self.names:
+            # distinct keys may render alike; number the later ones apart
+            k = 1
+            while self.s.symbol(kind, hint, k) in self.used:
+                k += 1
+            self.names[full] = name = self.s.symbol(kind, hint, k)
+            self.used.add(name)
+        return self.names[full]
 
     def const(self, t: Term) -> str:
-        return self.sym.of("c", t, repr(t))
+        return self.symbol("c", t, repr(t))
 
     def shape(self, name: Iri) -> str:
-        return self.sym.of("sh", name, name.value)
+        return self.symbol("sh", name, name.value)
 
     def filt(self, atom) -> str:
-        return self.sym.of("f", atom, atom.describe())
+        return self.symbol("f", atom, atom.describe())
 
     def rel(self, name: Term) -> str:
-        return self.sym.of("r", name, name.value if isinstance(name, Iri) else repr(name))
+        return self.symbol("r", name, name.value if isinstance(name, Iri) else repr(name))
 
     def rel_atom(self, rel: RelAtom, x: str, y: str) -> str:
         if rel.inverted:
             x, y = y, x
-        return f"({self.rel(rel.name)} {x} {y})"
+        return self.s.app(self.rel(rel.name), x, y)
 
     def pi(self, pi: Pi, x: str, y: str) -> str:
+        s = self.s
         if isinstance(pi, RelStep):
             return self.rel_atom(pi.rel, x, y)
         if isinstance(pi, PiSeq):
             z = self.var()
-            return f"(exists (({z} T)) (and {self.pi(pi.left, x, z)} {self.pi(pi.right, z, y)}))"
+            return s.exists([z], s.conj([self.pi(pi.left, x, z), self.pi(pi.right, z, y)]))
         if isinstance(pi, PiZeroOrOne):
-            return f"(or (= {x} {y}) {self.pi(pi.inner, x, y)})"
+            return s.disj([s.eq(x, y), self.pi(pi.inner, x, y)])
         if isinstance(pi, PiAlt):
-            return f"(or {self.pi(pi.left, x, y)} {self.pi(pi.right, x, y)})"
-        raise DecisionError("transitive closure reached the emitter")
+            return s.disj([self.pi(pi.left, x, y), self.pi(pi.right, x, y)])
+        raise DecisionError("transitive closure is not first-order expressible; refusing to emit")
 
     def psi(self, psi: Psi, x: str) -> str:
+        s = self.s
         if isinstance(psi, PsiTop):
-            return "true"
+            return s.true
         if isinstance(psi, PsiNot):
-            return f"(not {self.psi(psi.inner, x)})"
+            return s.neg(self.psi(psi.inner, x))
         if isinstance(psi, PsiAnd):
-            return f"(and {self.psi(psi.left, x)} {self.psi(psi.right, x)})"
+            return s.conj([self.psi(psi.left, x), self.psi(psi.right, x)])
         if isinstance(psi, PsiEq):
-            return f"(= {x} {self.const(psi.constant)})"
+            return s.eq(x, self.const(psi.constant))
         if isinstance(psi, PsiFilter):
-            return f"({self.filt(psi.atom)} {x})"
+            return s.app(self.filt(psi.atom), x)
         if isinstance(psi, PsiShape):
-            return f"({self.shape(psi.rel.name)} {x})"
+            return s.app(self.shape(psi.rel.name), x)
         if isinstance(psi, PsiExists):
             y = self.var()
-            return f"(exists (({y} T)) (and {self.pi(psi.path, x, y)} {self.psi(psi.body, y)}))"
+            return s.exists([y], s.conj([self.pi(psi.path, x, y), self.psi(psi.body, y)]))
         if isinstance(psi, PsiCount):
+            _check_cap(psi.n)
             ys = [self.var() for _ in range(psi.n)]
-            binds = " ".join(f"({y} T)" for y in ys)
-            distinct = f"(distinct {' '.join(ys)}) " if len(ys) > 1 else ""
-            body = " ".join(f"(and {self.pi(psi.path, x, y)} {self.psi(psi.body, y)})" for y in ys)
-            return f"(exists ({binds}) (and {distinct}{body}))"
+            witnesses = [s.conj([self.pi(psi.path, x, y), self.psi(psi.body, y)]) for y in ys]
+            return s.exists(ys, s.conj(s.distinct(ys) + witnesses))
         if isinstance(psi, PsiDisjoint):
             y = self.var()
-            return (f"(not (exists (({y} T)) (and {self.pi(psi.path, x, y)} "
-                    f"{self.rel_atom(psi.rel, x, y)})))")
+            return s.neg(s.exists([y], s.conj([self.pi(psi.path, x, y),
+                                               self.rel_atom(psi.rel, x, y)])))
         if isinstance(psi, PsiEquals):
             y = self.var()
-            return (f"(forall (({y} T)) (= {self.pi(psi.path, x, y)} "
-                    f"{self.rel_atom(psi.rel, x, y)}))")
+            return s.forall([y], s.iff(self.pi(psi.path, x, y), self.rel_atom(psi.rel, x, y)))
         y, z = self.var(), self.var()
+        self.uses_order = True
         cmp_sym = {"<": "lt", "<=": "le", ">": "lt", ">=": "le"}[psi.op]
         a, b = (y, z) if psi.op in ("<", "<=") else (z, y)
-        return (f"(forall (({y} T) ({z} T)) (=> (and {self.pi(psi.path, x, y)} "
-                f"{self.rel_atom(psi.rel, x, z)}) ({cmp_sym} {a} {b})))")
+        premise = s.conj([self.pi(psi.path, x, y), self.rel_atom(psi.rel, x, z)])
+        return s.forall([y, z], s.implies(premise, s.app(cmp_sym, a, b)))
 
     def axiom(self, axiom: Axiom) -> str:
+        s = self.s
         if isinstance(axiom, TargetNodeAxiom):
-            return f"({self.shape(axiom.shape.name)} {self.const(axiom.constant)})"
+            return s.app(self.shape(axiom.shape.name), self.const(axiom.constant))
         if isinstance(axiom, TargetClassAxiom):
             x = self.var()
-            return (f"(forall (({x} T)) (=> ({self.rel(RDF_TYPE)} {x} {self.const(axiom.cls)}) "
-                    f"({self.shape(axiom.shape.name)} {x})))")
-        if isinstance(axiom, TargetSubjectsAxiom):
+            return s.forall([x], s.implies(s.app(self.rel(RDF_TYPE), x, self.const(axiom.cls)),
+                                           s.app(self.shape(axiom.shape.name), x)))
+        if isinstance(axiom, (TargetSubjectsAxiom, TargetObjectsAxiom)):
             x, y = self.var(), self.var()
-            return (f"(forall (({x} T) ({y} T)) (=> ({self.rel(axiom.rel)} {x} {y}) "
-                    f"({self.shape(axiom.shape.name)} {x})))")
-        if isinstance(axiom, TargetObjectsAxiom):
-            x, y = self.var(), self.var()
-            return (f"(forall (({x} T) ({y} T)) (=> ({self.rel(axiom.rel)} {y} {x}) "
-                    f"({self.shape(axiom.shape.name)} {x})))")
+            edge = (x, y) if isinstance(axiom, TargetSubjectsAxiom) else (y, x)
+            return s.forall([x, y], s.implies(s.app(self.rel(axiom.rel), *edge),
+                                              s.app(self.shape(axiom.shape.name), x)))
         if isinstance(axiom, ConstraintAxiom):
             x = self.var()
-            return (f"(forall (({x} T)) (= ({self.shape(axiom.shape.name)} {x}) "
-                    f"{self.psi(axiom.body, x)}))")
+            return s.forall([x], s.iff(s.app(self.shape(axiom.shape.name), x),
+                                       self.psi(axiom.body, x)))
+        _check_cap(axiom.n)
         ys = [self.var() for _ in range(axiom.n + 1)]
-        binds = " ".join(f"({y} T)" for y in ys)
-        bodies = " ".join(self.psi(axiom.body, y) for y in ys)
-        pairs = " ".join(f"(= {a} {b})" for a, b in itertools.combinations(ys, 2))
-        return f"(forall ({binds}) (=> (and {bodies}) (or {pairs})))"
+        bodies = s.conj([self.psi(axiom.body, y) for y in ys])
+        return s.forall(ys, s.implies(bodies, s.disj([s.eq(a, b) for a, b in
+                                                      itertools.combinations(ys, 2)])))
+
+    def document(self, phi: SclSentence, axiomatisation: Optional[SclSentence],
+                 negated_target_disjunction: Optional[tuple]) -> str:
+        sentence = phi.conjoin(axiomatisation) if axiomatisation is not None else phi
+        formulas = [self.axiom(a) for a in sentence.axioms]
+        if negated_target_disjunction is not None:
+            formulas.append(self.s.disj([self.s.neg(self.axiom(a))
+                                         for a in negated_target_disjunction]))
+        consts = [self.const(c) for c in sorted(constants_of(sentence), key=term_key)]
+        return self.s.document(self.names, self.s.distinct(consts), formulas, self.uses_order)
+
+
+def _check_cap(n: int) -> None:
+    if n > _COUNT_CAP:
+        raise DecisionError(f"counting bound {n} exceeds the emission cap {_COUNT_CAP}")
 
 
 def emit_smtlib(phi: SclSentence, axiomatisation: Optional[SclSentence] = None,
@@ -1013,135 +1104,19 @@ def emit_smtlib(phi: SclSentence, axiomatisation: Optional[SclSentence] = None,
     `negated_target_disjunction` adds the containment-refutation disjunct:
     at least one of the given target axioms must fail.
     """
-    sentence = phi.conjoin(axiomatisation) if axiomatisation is not None else phi
-    _check_emittable(sentence)
-    em = _SmtEmitter(sentence)
-    asserts = [em.axiom(a) for a in sentence.axioms]
-    if negated_target_disjunction is not None:
-        negated = " ".join(f"(not {em.axiom(a)})" for a in negated_target_disjunction)
-        asserts.append(f"(or {negated})" if negated else "false")
-    lines = ["(set-logic UF)", "(declare-sort T 0)"]
-    consts = [em.const(c) for c in sorted(constants_of(sentence), key=term_key)]
-    decls = []
-    for (kind, _key), name in sorted(em.sym.names.items(), key=lambda kv: kv[1]):
-        if kind == "c":
-            decls.append(f"(declare-fun {name} () T)")
-        elif kind in ("sh", "f"):
-            decls.append(f"(declare-fun {name} (T) Bool)")
-        else:
-            decls.append(f"(declare-fun {name} (T T) Bool)")
-    if any(isinstance(n, PsiOrder) for a in sentence.axioms if hasattr(a, "body")
-           for n in walk_psi(a.body)):
-        decls.append("(declare-fun lt (T T) Bool)")
-        decls.append("(declare-fun le (T T) Bool)")
-    lines.extend(decls)
-    if len(consts) > 1:
-        lines.append(f"(assert (distinct {' '.join(consts)}))")
-    lines.extend(f"(assert {a})" for a in asserts)
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"
-
-
-class _TptpEmitter(_SmtEmitter):
-    def __init__(self, sentence: SclSentence):
-        super().__init__(sentence)
-        self.sym = _SymbolTable(quote=False)
-
-    def var(self) -> str:
-        self.fresh += 1
-        return f"X{self.fresh}"
-
-    def rel_atom(self, rel: RelAtom, x: str, y: str) -> str:
-        if rel.inverted:
-            x, y = y, x
-        return f"{self.rel(rel.name)}({x},{y})"
-
-    def pi(self, pi: Pi, x: str, y: str) -> str:
-        if isinstance(pi, RelStep):
-            return self.rel_atom(pi.rel, x, y)
-        if isinstance(pi, PiSeq):
-            z = self.var()
-            return f"(? [{z}] : ({self.pi(pi.left, x, z)} & {self.pi(pi.right, z, y)}))"
-        if isinstance(pi, PiZeroOrOne):
-            return f"(({x} = {y}) | {self.pi(pi.inner, x, y)})"
-        if isinstance(pi, PiAlt):
-            return f"({self.pi(pi.left, x, y)} | {self.pi(pi.right, x, y)})"
-        raise DecisionError("transitive closure reached the emitter")
-
-    def psi(self, psi: Psi, x: str) -> str:
-        if isinstance(psi, PsiTop):
-            return "$true"
-        if isinstance(psi, PsiNot):
-            return f"~({self.psi(psi.inner, x)})"
-        if isinstance(psi, PsiAnd):
-            return f"({self.psi(psi.left, x)} & {self.psi(psi.right, x)})"
-        if isinstance(psi, PsiEq):
-            return f"({x} = {self.const(psi.constant)})"
-        if isinstance(psi, PsiFilter):
-            return f"{self.filt(psi.atom)}({x})"
-        if isinstance(psi, PsiShape):
-            return f"{self.shape(psi.rel.name)}({x})"
-        if isinstance(psi, PsiExists):
-            y = self.var()
-            return f"(? [{y}] : ({self.pi(psi.path, x, y)} & {self.psi(psi.body, y)}))"
-        if isinstance(psi, PsiCount):
-            ys = [self.var() for _ in range(psi.n)]
-            distinct = " & ".join(f"({a} != {b})" for a, b in itertools.combinations(ys, 2))
-            body = " & ".join(f"({self.pi(psi.path, x, y)} & {self.psi(psi.body, y)})" for y in ys)
-            inner = f"{distinct} & {body}" if distinct else body
-            return f"(? [{','.join(ys)}] : ({inner}))"
-        if isinstance(psi, PsiDisjoint):
-            y = self.var()
-            return f"~(? [{y}] : ({self.pi(psi.path, x, y)} & {self.rel_atom(psi.rel, x, y)}))"
-        if isinstance(psi, PsiEquals):
-            y = self.var()
-            return f"(! [{y}] : ({self.pi(psi.path, x, y)} <=> {self.rel_atom(psi.rel, x, y)}))"
-        y, z = self.var(), self.var()
-        cmp_sym = {"<": "lt", "<=": "le", ">": "lt", ">=": "le"}[psi.op]
-        a, b = (y, z) if psi.op in ("<", "<=") else (z, y)
-        return (f"(! [{y},{z}] : (({self.pi(psi.path, x, y)} & {self.rel_atom(psi.rel, x, z)}) "
-                f"=> {cmp_sym}({a},{b})))")
-
-    def axiom(self, axiom: Axiom) -> str:
-        if isinstance(axiom, TargetNodeAxiom):
-            return f"{self.shape(axiom.shape.name)}({self.const(axiom.constant)})"
-        if isinstance(axiom, TargetClassAxiom):
-            x = self.var()
-            return (f"(! [{x}] : ({self.rel(RDF_TYPE)}({x},{self.const(axiom.cls)}) "
-                    f"=> {self.shape(axiom.shape.name)}({x})))")
-        if isinstance(axiom, TargetSubjectsAxiom):
-            x, y = self.var(), self.var()
-            return (f"(! [{x},{y}] : ({self.rel(axiom.rel)}({x},{y}) "
-                    f"=> {self.shape(axiom.shape.name)}({x})))")
-        if isinstance(axiom, TargetObjectsAxiom):
-            x, y = self.var(), self.var()
-            return (f"(! [{x},{y}] : ({self.rel(axiom.rel)}({y},{x}) "
-                    f"=> {self.shape(axiom.shape.name)}({x})))")
-        if isinstance(axiom, ConstraintAxiom):
-            x = self.var()
-            return (f"(! [{x}] : ({self.shape(axiom.shape.name)}({x}) "
-                    f"<=> {self.psi(axiom.body, x)}))")
-        ys = [self.var() for _ in range(axiom.n + 1)]
-        bodies = " & ".join(self.psi(axiom.body, y) for y in ys)
-        pairs = " | ".join(f"({a} = {b})" for a, b in itertools.combinations(ys, 2))
-        return f"(! [{','.join(ys)}] : (({bodies}) => ({pairs})))"
+    return _Emitter(_SmtLib()).document(phi, axiomatisation, negated_target_disjunction)
 
 
 def emit_tptp(phi: SclSentence, axiomatisation: Optional[SclSentence] = None,
               negated_target_disjunction: Optional[tuple] = None) -> str:
     """TPTP FOF encoding of the sentence (and optional filter axiomatisation)."""
-    sentence = phi.conjoin(axiomatisation) if axiomatisation is not None else phi
-    _check_emittable(sentence)
-    em = _TptpEmitter(sentence)
-    formulas = [em.axiom(a) for a in sentence.axioms]
-    if negated_target_disjunction is not None:
-        negated = " | ".join(f"~({em.axiom(a)})" for a in negated_target_disjunction)
-        formulas.append(f"({negated})" if negated else "$false")
-    lines = ["% shapes-constraint-logic sentence in FOF"]
-    consts = [em.const(c) for c in sorted(constants_of(sentence), key=term_key)]
-    if len(consts) > 1:
-        distinct = " & ".join(f"({a} != {b})" for a, b in itertools.combinations(consts, 2))
-        lines.append(f"fof(distinct_constants, axiom, ({distinct})).")
-    for i, f in enumerate(formulas):
-        lines.append(f"fof(ax{i}, axiom, {f}).")
-    return "\n".join(lines) + "\n"
+    return _Emitter(_Tptp()).document(phi, axiomatisation, negated_target_disjunction)
+
+
+def emit(fmt: str, phi: SclSentence, axiomatisation: Optional[SclSentence] = None,
+         negated_target_disjunction: Optional[tuple] = None) -> str:
+    """The prover encoding in the named format, `smtlib2` or `tptp`."""
+    emitters = {"smtlib2": emit_smtlib, "tptp": emit_tptp}
+    if fmt not in emitters:
+        raise DecisionError(f"unknown prover encoding {fmt!r}; expected smtlib2 or tptp")
+    return emitters[fmt](phi, axiomatisation, negated_target_disjunction)

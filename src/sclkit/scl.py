@@ -245,12 +245,6 @@ def walk_pi(pi: Pi) -> Iterator[Pi]:
         yield from walk_pi(pi.inner)
 
 
-def paths_of(psi: Psi) -> Iterator[Pi]:
-    for node in walk_psi(psi):
-        if isinstance(node, (PsiExists, PsiCount, PsiDisjoint, PsiEquals, PsiOrder)):
-            yield node.path
-
-
 def shape_rels_of(sentence: SclSentence) -> set[ShapeRel]:
     rels: set[ShapeRel] = set()
     for axiom in sentence.axioms:

@@ -474,24 +474,27 @@ def _targets_satisfied(g: Graph, m: sh.Document, sigma: Assignment) -> bool:
     return True
 
 
-def validate(g: Graph, m: sh.Document, mode: SemanticsMode, use_fast_path: bool = True) -> bool:
-    """Validity of the graph under one of the four extended semantics."""
+def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
+                       use_fast_path: bool = True) -> Optional[Assignment]:
+    """The first faithful assignment (targets included) when the graph is
+    valid under the mode, else None: the stratified assignment for a
+    non-recursive document, the first `iter_faithful` solution otherwise."""
     m = sh.eliminate_xone(m)
     if use_fast_path and not sh.is_recursive(m):
         rho = stratified_assignment(g, m)
-        return _targets_satisfied(g, m, rho)
-    exists_faithful = next(iter_faithful(g, m, mode.total), None) is not None
-    if mode.brave:
-        return exists_faithful
-    if not exists_faithful:
-        return False
+        return rho if _targets_satisfied(g, m, rho) else None
+    first = next(iter_faithful(g, m, mode.total), None)
+    if first is None or mode.brave:
+        return first
     # the universally quantified assignments are scoped to (G, M): they cover
     # the node-target constants even though the checked document drops targets
-    base = sh.strip_targets(m)
-    return all(
-        _targets_satisfied(g, m, sigma)
-        for sigma in iter_faithful(g, base, mode.total, extra_nodes=nodes_of(g, m))
-    )
+    others = iter_faithful(g, sh.strip_targets(m), mode.total, extra_nodes=nodes_of(g, m))
+    return first if all(_targets_satisfied(g, m, sigma) for sigma in others) else None
+
+
+def validate(g: Graph, m: sh.Document, mode: SemanticsMode, use_fast_path: bool = True) -> bool:
+    """Validity of the graph under one of the four extended semantics."""
+    return validation_witness(g, m, mode, use_fast_path) is not None
 
 
 def sentence_holds(phi, g: Graph, sigma: Assignment) -> bool:

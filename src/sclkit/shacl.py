@@ -851,6 +851,13 @@ def document_to_graph(m: Document) -> Graph:
         pending.append(Shape(name, (), None, c))
         return name
 
+    def conjuncts(c: Constraint) -> Iterator[Constraint]:
+        if isinstance(c, And):
+            for item in c.items:
+                yield from conjuncts(item)
+        else:
+            yield c
+
     def emit_constraint(subject: Term, c: Constraint, path: Optional[PathExpr] = None) -> None:
         if isinstance(c, Top):
             return
@@ -910,7 +917,11 @@ def document_to_graph(m: Document) -> Graph:
                 triples.append(Triple(subject, sh("ignoredProperties"), emit_list(c.ignored)))
             return
         if isinstance(c, AllValues):
-            emit_constraint(subject, c.inner, None)
+            if any(isinstance(i, HasValue) for i in conjuncts(c.inner)):
+                # a bare sh:hasValue on a property shape reads back as SomeValues
+                triples.append(Triple(subject, sh("node"), ref_of(c.inner)))
+            else:
+                emit_constraint(subject, c.inner, None)
             return
         if isinstance(c, SomeValues):
             if isinstance(c.inner, HasValue):

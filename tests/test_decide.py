@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -280,6 +281,83 @@ def test_emit_refuses_transitive_closure_and_large_counts():
 def test_emit_trivial_sentence():
     out = emit_smtlib(SclSentence(()))
     assert "(check-sat)" in out
+
+
+_DECLARATION = re.compile(r"\(declare-fun (\|[^|\\]*\||lt|le) \((T( T)?)?\) (T|Bool)\)")
+
+
+def _quoted_symbols(smt):
+    """The quoted symbols in order, checking that parentheses outside them
+    balance."""
+    depth, symbols, i = 0, [], 0
+    while i < len(smt):
+        if smt[i] == "|":
+            end = smt.index("|", i + 1)
+            symbols.append(smt[i:end + 1])
+            i = end
+        elif smt[i] in "()":
+            depth += 1 if smt[i] == "(" else -1
+            assert depth >= 0, "unbalanced parentheses"
+        i += 1
+    assert depth == 0, "unbalanced parentheses"
+    return symbols
+
+
+def _assert_well_formed(smt, tptp):
+    assert "(or )" not in smt and "(and )" not in smt
+    declared = set()
+    for line in smt.splitlines():
+        if line.startswith("(declare-fun"):
+            assert _DECLARATION.fullmatch(line), line
+            declared.add(line.split(" ")[1])
+    assert set(_quoted_symbols(smt)) <= declared
+    for line in tptp.splitlines()[1:]:
+        assert line.startswith("fof(") and line.endswith(")."), line
+        assert "()" not in line, line
+        for opening, closing in ("()", "[]"):
+            depth = 0
+            for ch in line:
+                depth += (ch == opening) - (ch == closing)
+                assert depth >= 0, line
+            assert depth == 0, line
+
+
+def test_emitted_text_is_well_formed():
+    from pathlib import Path
+    from sclkit.filters import bounded_axiomatisation, naive_axiomatisation
+
+    fixture = Path(__file__).parent / "fixtures" / "filtered.ttl"
+    docs = [sh.document_from_graph(parse_turtle(fixture.read_text()))]
+    rng = random.Random(43)
+    docs += [random_document(rng, max_shapes=3, max_count=3) for _ in range(30)]
+    for m in docs:
+        phi = tau(sh.eliminate_xone(m))
+        for ax in (None, naive_axiomatisation(phi).sentence, bounded_axiomatisation(phi).sentence):
+            _assert_well_formed(emit_smtlib(phi, ax), emit_tptp(phi, ax))
+
+
+def test_emit_keeps_constants_apart_that_quote_alike():
+    m = doc(':s a sh:NodeShape ; sh:targetNode :a ; sh:in ( "x|y" "x_y" ) .')
+    out = emit_smtlib(tau(m))
+    _assert_well_formed(out, emit_tptp(tau(m)))
+    declared = [line.split(" ")[1] for line in out.splitlines()
+                if line.startswith('(declare-fun |c:"')]
+    assert len(declared) == 2 and len(set(declared)) == 2
+    assert all("|" not in name[1:-1] for name in declared)
+    distinct = next(line for line in out.splitlines() if line.startswith("(assert (distinct"))
+    assert all(name in distinct for name in declared)
+
+
+def test_emit_unknown_format_is_an_error():
+    from sclkit.decide import check_satisfiability, emit
+
+    with pytest.raises(DecisionError, match="unknown prover encoding"):
+        emit("smt", SclSentence(()))
+    m = doc(":s a sh:NodeShape ; sh:targetNode :a .")
+    with pytest.raises(DecisionError, match="unknown prover encoding"):
+        check_containment(m, m, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="smt")
+    with pytest.raises(DecisionError, match="unknown prover encoding"):
+        check_satisfiability(m, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="smt")
 
 
 def test_bounded_sat_agrees_with_prune_free_oracle():

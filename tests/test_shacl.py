@@ -164,12 +164,17 @@ def test_document_serialization_roundtrip_semantic():
     from sclkit.semantics import SemanticsMode, validate
     from sclkit.corpus import random_graph
 
+    # sh:hasValue under AllValues: every value is :n1, not just some
+    all_values_has = sh.Document((sh.Shape(
+        iri("s"), (sh.NodeTarget(iri("n0")),), sh.PredPath(iri("p")),
+        sh.AllValues(sh.And((sh.HasValue(iri("n1")), sh.Top())))),))
+    pinned = parse_turtle(PRE + ":n0 :p :n1 , :n2 .")
+    cases = [(all_values_has, pinned)]
     rng = random.Random(11)
-    for _ in range(25):
-        m = random_document(rng, max_shapes=3)
+    for i in range(40):
+        m = random_document(rng, max_shapes=3, recursive=i % 4 == 0)
+        cases += [(m, random_graph(rng, max_nodes=3)) for _ in range(2)]
+    for m, g in cases:
         back = sh.document_from_graph(sh.document_to_graph(m))
-        for _ in range(2):
-            g = random_graph(rng, max_nodes=3)
-            assert validate(g, m, SemanticsMode.BRAVE_TOTAL) == validate(
-                g, back, SemanticsMode.BRAVE_TOTAL
-            )
+        for mode in SemanticsMode:
+            assert validate(g, m, mode) == validate(g, back, mode), (m, mode)
