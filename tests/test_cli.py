@@ -108,6 +108,25 @@ def test_shape_contains(capsys):
     assert "shape-contained=unknown" in out  # no witness against self-containment
 
 
+def test_template_sat_json_is_hash_seed_independent():
+    import subprocess
+    import sys
+
+    import sclkit
+
+    src = os.path.dirname(os.path.dirname(sclkit.__file__))
+    argv = [sys.executable, "-m", "sclkit.cli", "--json", "template-sat",
+            "--doc", fx("count-contradiction.ttl"), "--template", "http://ex/T"]
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert done.returncode == 2, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["reason"] == "no model within budget"
+
+
 def test_axiomatise(capsys):
     code, out, _ = run(capsys, "axiomatise", "--doc", fx("filtered.ttl"), "--mode", "bounded")
     assert code == 0

@@ -217,6 +217,22 @@ def test_shape_containment_examples():
     assert different.is_sat  # a witness node conforms to one but not the other
 
 
+def test_count_contradiction_with_two_targets_is_refuted_quickly():
+    import time
+    from pathlib import Path
+
+    fixture = Path(__file__).parent / "fixtures" / "count-contradiction.ttl"
+    m = sh.document_from_graph(parse_turtle(fixture.read_text()))
+    t = m.shape(iri("T"))
+    rest = sh.Document(tuple(s for s in m.shapes if s.name != t.name))
+    start = time.perf_counter()
+    results = [template_sat(rest, t.name, t.constraint, BUDGET, path=t.path),
+               shape_containment(m, iri("T"), iri("A"), SemanticsMode.BRAVE_TOTAL, BUDGET)]
+    assert time.perf_counter() - start < 5.0
+    for r in results:
+        assert r.status == "unknown" and r.reason == "no model within budget"
+
+
 def test_constraint_satisfiability_examples():
     empty = sh.Document(())
     assert constraint_satisfiability(empty, sh.Top(), SemanticsMode.BRAVE_TOTAL, BUDGET).is_sat
@@ -286,25 +302,31 @@ def test_emit_trivial_sentence():
 _DECLARATION = re.compile(r"\(declare-fun (\|[^|\\]*\||lt|le) \((T( T)?)?\) (T|Bool)\)")
 
 
+_SMT_TOKEN = re.compile(r"\|[^|]*\||[()]|[^\s()|]+|\|")
+
+
 def _quoted_symbols(smt):
     """The quoted symbols in order, checking that parentheses outside them
-    balance."""
-    depth, symbols, i = 0, [], 0
-    while i < len(smt):
-        if smt[i] == "|":
-            end = smt.index("|", i + 1)
-            symbols.append(smt[i:end + 1])
-            i = end
-        elif smt[i] in "()":
-            depth += 1 if smt[i] == "(" else -1
-            assert depth >= 0, "unbalanced parentheses"
-        i += 1
-    assert depth == 0, "unbalanced parentheses"
+    balance and that every `and`/`or` has at least two arguments."""
+    symbols, stack = [], [[]]
+    for tok in _SMT_TOKEN.findall(smt):
+        assert tok != "|", "unterminated quoted symbol"
+        if tok == "(":
+            stack.append([])
+        elif tok == ")":
+            assert len(stack) > 1, "unbalanced parentheses"
+            items = stack.pop()
+            assert items[:1] not in (["and"], ["or"]) or len(items) > 2, items
+            stack[-1].append(items)
+        else:
+            if tok.startswith("|"):
+                symbols.append(tok)
+            stack[-1].append(tok)
+    assert len(stack) == 1, "unbalanced parentheses"
     return symbols
 
 
 def _assert_well_formed(smt, tptp):
-    assert "(or )" not in smt and "(and )" not in smt
     declared = set()
     for line in smt.splitlines():
         if line.startswith("(declare-fun"):
@@ -451,7 +473,8 @@ def test_containment_encoding_attached():
     m2 = doc(":s a sh:NodeShape ; sh:targetClass :C .")
     r = check_containment(m2, m1, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="smtlib2")
     assert r.is_sat and r.encoding is not None
-    assert "(or (not" in r.encoding and "(check-sat)" in r.encoding
+    # the one target axiom of m1 is refuted: a one-item disjunction is the item
+    assert "(assert (not (forall" in r.encoding and "(check-sat)" in r.encoding
     tp = check_containment(m1, m2, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="tptp")
     assert "fof(" in tp.encoding
 

@@ -4,6 +4,7 @@ the two satisfiability searches against each other."""
 import itertools
 import random
 import re
+import time
 
 from sclkit.automata import compile_pattern
 from sclkit.decide import SearchBudget, _Cnf, _dpll, bounded_sat, scl_bounded_sat
@@ -23,18 +24,65 @@ def _truth_table_sat(n_vars, clauses):
 
 def test_dpll_agrees_with_truth_tables():
     rng = random.Random(101)
-    for _ in range(400):
-        n = rng.randint(1, 7)
-        clauses = []
-        for _ in range(rng.randint(1, 14)):
-            width = rng.randint(1, 3)
-            clause = tuple(rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(width))
-            clauses.append(clause)
-        model = _dpll(n, clauses)
-        expected = _truth_table_sat(n, clauses)
-        assert (model is not None) == expected
-        if model is not None:
-            assert all(any((model[abs(l)]) == (l > 0) for l in c) for c in clauses)
+    outcomes = set()
+    # (instances, most variables, widest clause, most clauses per variable)
+    for count, max_vars, max_width, density in ((400, 7, 3, 2), (300, 10, 5, 6)):
+        for _ in range(count):
+            n = rng.randint(1, max_vars)
+            clauses = []
+            for _ in range(rng.randint(1, density * n)):
+                width = rng.randint(1, max_width)
+                clause = tuple(rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(width))
+                clauses.append(clause)
+            model = _dpll(n, clauses)
+            expected = _truth_table_sat(n, clauses)
+            assert (model is not None) == expected
+            outcomes.add(expected)
+            if model is not None:
+                assert all(any((model[abs(l)]) == (l > 0) for l in c) for c in clauses)
+    assert outcomes == {False, True}
+
+
+def _pigeonhole(pigeons, holes):
+    var = lambda p, h: p * holes + h + 1
+    clauses = [tuple(var(p, h) for h in range(holes)) for p in range(pigeons)]
+    clauses += [(-var(p, h), -var(q, h)) for h in range(holes)
+                for p, q in itertools.combinations(range(pigeons), 2)]
+    return pigeons * holes, clauses
+
+
+def test_dpll_refutes_pigeonhole_quickly():
+    # six pigeons, five holes: unsat, and hard for a solver that learns nothing
+    start = time.perf_counter()
+    assert _dpll(*_pigeonhole(6, 5)) is None
+    assert time.perf_counter() - start < 2.0
+    n, clauses = _pigeonhole(6, 6)
+    model = _dpll(n, clauses)
+    assert model is not None
+    assert all(any(model[abs(l)] == (l > 0) for l in c) for c in clauses)
+
+
+def test_cardinality_encodings_match_brute_force():
+    # every count of true literals, mixed polarities, both polarities of the
+    # reified at-least literal, and the asserted at-most form
+    for size in range(7):
+        for n in range(size + 2):
+            cnf = _Cnf()
+            xs = [cnf.new_var() for _ in range(size)]
+            lits = [x if i % 2 == 0 else -x for i, x in enumerate(xs)]
+            g = cnf.at_least(n, lits)
+            at_most = _Cnf()
+            ys = [at_most.new_var() for _ in range(size)]
+            at_most.assert_at_most(n, [y if i % 2 == 0 else -y for i, y in enumerate(ys)])
+            for bits in itertools.product((False, True), repeat=size):
+                fixed = [(x if b else -x,) for x, b in zip(xs, bits)]
+                true_count = sum(b == (i % 2 == 0) for i, b in enumerate(bits))
+                holds = true_count >= n
+                assert (_dpll(cnf.n_vars, cnf.clauses + fixed + [(g,)]) is not None) == holds
+                assert (_dpll(cnf.n_vars, cnf.clauses + fixed + [(-g,)]) is not None) != holds
+                fixed = [(y if b else -y,) for y, b in zip(ys, bits)]
+                assert ((_dpll(at_most.n_vars, at_most.clauses + fixed) is not None)
+                        == (true_count <= n)), (size, n, bits)
 
 
 def test_cnf_helpers_reify_correctly():
