@@ -25,7 +25,6 @@ from .semantics import (
     gamma_assignment,
     gamma_transform,
     is_faithful,
-    iter_faithful,
     sentence_holds,
     stratified_assignment,
     validate,

@@ -774,7 +774,6 @@ class _Grounder:
                             for k in range(d)
                         ]
                         self.pi_memo[("starv", id(pi), level, a, b)] = self.cnf.or_([prev] + hops)
-        levels = max(1, len(self.domain).bit_length())
         return self.pi_memo[("starv", id(pi), levels, i, j)]
 
     def psi(self, psi: Psi, i: int) -> int:

@@ -177,6 +177,9 @@ def nodes_of(g: Graph, document=None) -> frozenset:
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
+MAX_NESTING = 128
+
+
 class TurtleError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} at line {line}, column {column}")
@@ -295,6 +298,7 @@ class _Parser:
         self.triples: list[Triple] = []
         self._blank_counter = 0
         self._blank_map: dict[str, Blank] = {}
+        self.depth = 0  # open brackets around the current position
 
     # Blank labels are skolemised per parse; source labels are not preserved.
     def fresh_blank(self) -> Blank:
@@ -364,6 +368,8 @@ class _Parser:
 
     def node(self, allow_literal: bool) -> Term:
         ch = self.lex.peek()
+        if not ch:
+            raise self.lex.error("unexpected end of input")
         if ch == "<":
             iri = self.lex.read_iriref()
             if not _is_absolute(iri):
@@ -373,15 +379,15 @@ class _Parser:
             self.lex.take("_:")
             label = self.lex.take_while(_is_pname_char)
             return self.named_blank(label)
-        if ch == "[":
-            self.lex.take("[")
-            b = self.fresh_blank()
-            if self.lex.peek() != "]":
-                self.predicate_object_list(b)
-            self.lex.take("]")
-            return b
-        if ch == "(":
-            return self.collection()
+        if ch in "[(":
+            # one bound on bracket nesting keeps every recursive walker over
+            # the parsed document inside Python's recursion limit
+            if self.depth == MAX_NESTING:
+                raise self.lex.error(f"brackets nested deeper than {MAX_NESTING}")
+            self.depth += 1
+            out = self.collection() if ch == "(" else self.blank_node()
+            self.depth -= 1
+            return out
         if ch in "\"'":
             return self.literal()
         if ch.isdigit() or ch in "+-":
@@ -402,6 +408,14 @@ class _Parser:
         if name == "true" or name == "false":
             return Literal(name, XSD_BOOLEAN)
         raise self.lex.error(f"unexpected token {name or ch!r}")
+
+    def blank_node(self) -> Blank:
+        self.lex.take("[")
+        b = self.fresh_blank()
+        if self.lex.peek() != "]":
+            self.predicate_object_list(b)
+        self.lex.take("]")
+        return b
 
     def collection(self) -> Term:
         self.lex.take("(")

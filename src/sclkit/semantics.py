@@ -1,6 +1,9 @@
 """Three-valued constraint evaluation, faithful assignments, the four
-validation semantics, the stratified fast path for non-recursive documents,
-and the partial-to-total document transformation.
+validation semantics, and the partial-to-total document transformation.
+
+Validation takes the stratified assignment for a non-recursive document and
+otherwise asks the CDCL solver of `decide` about one CNF encoding of the
+faithful assignments over the fixed graph.
 
 Constraints are evaluated through their logic translation: one strong-Kleene
 evaluator over unary formulae covers every constraint kind.  Shape atoms are
@@ -11,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Optional
 
 from .rdf import Graph, Iri, RDF_TYPE, Term, nodes_of, term_key
 from . import shacl as sh
@@ -167,6 +170,15 @@ def target_holds(g: Graph, t: sh.TargetDecl, node: Term) -> bool:
     return bool(g.subjects(t.rel, node))
 
 
+def _targeted_pairs(g: Graph, m: sh.Document, nodes) -> list:
+    return [(node, shape.name) for shape in m.shapes for t in shape.targets
+            for node in nodes if target_holds(g, t, node)]
+
+
+def _targets_satisfied(g: Graph, m: sh.Document, sigma: Assignment) -> bool:
+    return all(sigma.sign(*pair) is True for pair in _targeted_pairs(g, m, sigma.nodes))
+
+
 class EvalContext:
     """Evaluator over one graph; path results and ground subformula values
     are cached, shape atoms are read through a mutable sign lookup."""
@@ -175,7 +187,7 @@ class EvalContext:
         self.g = g
         self.compiled = compiled
         self.filter_eval = filter_eval
-        self.sign = {}  # (Term, Iri) -> bool, mutated by the search
+        self.sign = {}  # (Term, Iri) -> bool, read by shape atoms
         self._paths: dict = {}
         self._ground_vals: dict = {}
 
@@ -321,11 +333,7 @@ def is_faithful(g: Graph, sigma: Assignment, m: sh.Document) -> bool:
                 return False
             if (s is False) != (v is FALSE):
                 return False
-        for t in shape.targets:
-            for node in sigma.nodes:
-                if target_holds(g, t, node) and sigma.sign(node, shape.name) is not True:
-                    return False
-    return True
+    return _targets_satisfied(g, m, sigma)
 
 
 def stratified_assignment(g: Graph, m: sh.Document) -> Assignment:
@@ -358,138 +366,81 @@ def stratified_assignment(g: Graph, m: sh.Document) -> Assignment:
     return Assignment(nodes, m.names(), ctx.sign)
 
 
-# --- faithful-assignment search ------------------------------------------------
-
-_UNSET_FINAL = "undef"
-
-
-class _Search:
-    """Backtracking enumeration of faithful assignments with constraint
-    propagation; deterministic, lexicographically least solution first."""
-
-    def __init__(self, g: Graph, m: sh.Document, total: bool, extra_nodes=()):
-        self.m = m
-        self.total = total
-        self.compiled = compile_document(m)
-        self.ctx = EvalContext(g, self.compiled)
-        self.nodes = sorted(nodes_of(g, m) | frozenset(extra_nodes), key=term_key)
-        self.shapes = sorted(m.names(), key=lambda i: i.value)
-        self.pairs = [(n, s) for n in self.nodes for s in self.shapes]
-        self.g = g
-        self.targeted = set()
-        for shape in m.shapes:
-            for t in shape.targets:
-                for node in self.nodes:
-                    if target_holds(g, t, node):
-                        self.targeted.add((node, shape.name))
-
-    def value(self, pair) -> Truth:
-        node, name = pair
-        return self.ctx.eval(self.compiled.bodies[name], node)
-
-    def propagate(self, state: dict) -> bool:
-        """Force signs implied by the current information; false on conflict."""
-        changed = True
-        while changed:
-            changed = False
-            for pair in self.pairs:
-                cur = state.get(pair)
-                v = self.value(pair)
-                if cur is None:
-                    if v is TRUE:
-                        state[pair] = True
-                        self.ctx.sign[pair] = True
-                        changed = True
-                    elif v is FALSE:
-                        if pair in self.targeted:
-                            return False
-                        state[pair] = False
-                        self.ctx.sign[pair] = False
-                        changed = True
-                elif cur is True and v is FALSE:
-                    return False
-                elif cur is False and v is TRUE:
-                    return False
-                elif cur == _UNSET_FINAL and v is not UNDEF:
-                    return False
-                if pair in self.targeted and state.get(pair) in (False, _UNSET_FINAL):
-                    return False
-        return True
-
-    def verify(self, state: dict) -> bool:
-        for pair in self.pairs:
-            v = self.value(pair)
-            cur = state.get(pair)
-            if cur is True and v is not TRUE:
-                return False
-            if cur is False and v is not FALSE:
-                return False
-            if cur == _UNSET_FINAL and v is not UNDEF:
-                return False
-            if pair in self.targeted and cur is not True:
-                return False
-        return True
-
-    def solutions(self) -> Iterator[Assignment]:
-        yield from self._solve({})
-
-    def _solve(self, state: dict) -> Iterator[Assignment]:
-        state = dict(state)
-        self._load(state)
-        if not self.propagate(state):
-            return
-        unassigned = [p for p in self.pairs if p not in state]
-        if not unassigned:
-            if self.verify(state):
-                yield Assignment(self.nodes, self.shapes,
-                                 {p: v for p, v in state.items() if isinstance(v, bool)})
-            return
-        pair = unassigned[0]
-        choices = (True, False) if self.total else (True, False, _UNSET_FINAL)
-        for choice in choices:
-            if pair in self.targeted and choice is not True:
-                continue
-            child = dict(state)
-            child[pair] = choice
-            yield from self._solve(child)
-
-    def _load(self, state: dict) -> None:
-        self.ctx.sign = {p: v for p, v in state.items() if isinstance(v, bool)}
-
-
-def iter_faithful(g: Graph, m: sh.Document, total: bool,
-                  extra_nodes=()) -> Iterator[Assignment]:
-    """All assignments faithful for (g, m), targets included; partial or
-    total per the flag.  Deterministic order.  `extra_nodes` widens the node
-    scope (used when assignments must cover another document's targets)."""
-    yield from _Search(g, sh.eliminate_xone(m), total, extra_nodes).solutions()
-
-
-def _targets_satisfied(g: Graph, m: sh.Document, sigma: Assignment) -> bool:
-    for shape in m.shapes:
-        for t in shape.targets:
-            for node in sigma.nodes:
-                if target_holds(g, t, node) and sigma.sign(node, shape.name) is not True:
-                    return False
-    return True
-
+# --- validation as satisfiability --------------------------------------------------
 
 def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
                        use_fast_path: bool = True) -> Optional[Assignment]:
-    """The first faithful assignment (targets included) when the graph is
-    valid under the mode, else None: the stratified assignment for a
-    non-recursive document, the first `iter_faithful` solution otherwise."""
+    """A faithful assignment (targets included) when the graph is valid under
+    the mode, else None.
+
+    A non-recursive document takes the stratified assignment.  Otherwise each
+    (node, shape) pair gets an "is true" and an "is false" variable, every
+    shape body is grounded over the fixed graph to a strong-Kleene pair of
+    literals, and faithfulness ties the two.  Brave validity is one SAT call
+    with the targeted pairs asserted true; cautious validity adds a refutation
+    of "some targeted pair is not true" over the target-free assignments of
+    the same (nodes(G, M), shapes(M)) scope."""
+    from .decide import _Cnf, _dpll
+
     m = sh.eliminate_xone(m)
     if use_fast_path and not sh.is_recursive(m):
         rho = stratified_assignment(g, m)
         return rho if _targets_satisfied(g, m, rho) else None
-    first = next(iter_faithful(g, m, mode.total), None)
-    if first is None or mode.brave:
-        return first
-    # the universally quantified assignments are scoped to (G, M): they cover
-    # the node-target constants even though the checked document drops targets
-    others = iter_faithful(g, sh.strip_targets(m), mode.total, extra_nodes=nodes_of(g, m))
-    return first if all(_targets_satisfied(g, m, sigma) for sigma in others) else None
+    compiled = compile_document(m)
+    ctx = EvalContext(g, compiled)
+    cnf = _Cnf()
+    nodes = sorted(nodes_of(g, m), key=term_key)
+    shapes = sorted(m.names(), key=lambda i: i.value)
+    var = {}
+    for pair in ((n, s) for n in nodes for s in shapes):
+        t, f = var[pair] = (cnf.new_var(), cnf.new_var())
+        cnf.add(-t, -f)
+        if mode.total:
+            cnf.add(t, f)
+    memo: dict = {}
+
+    def ground(psi: Psi, node: Term) -> tuple:
+        """The (is true, is false) literals of a formula at a node."""
+        if id(psi) in compiled.ground:
+            return (cnf.TRUE, cnf.FALSE) if ctx.eval(psi, node) is TRUE else (cnf.FALSE, cnf.TRUE)
+        key = (id(psi), node)
+        if key in memo:
+            return memo[key]
+        if isinstance(psi, PsiShape):
+            out = var[(node, psi.rel.name)]
+        elif isinstance(psi, PsiNot):
+            out = ground(psi.inner, node)[::-1]
+        elif isinstance(psi, PsiAnd):
+            (lt, lf), (rt, rf) = ground(psi.left, node), ground(psi.right, node)
+            out = (cnf.and_([lt, rt]), cnf.or_([lf, rf]))
+        else:  # PsiExists or PsiCount over the path's successors
+            succ = [ground(psi.body, y)
+                    for y in sorted(ctx.eval_path(psi.path, node), key=term_key)]
+            n = psi.n if isinstance(psi, PsiCount) else 1
+            out = (cnf.at_least(n, [t for t, _ in succ]),
+                   -cnf.at_least(n, [-f for _, f in succ]))
+        memo[key] = out
+        return out
+
+    for (node, name), signs in var.items():
+        for v, b in zip(signs, ground(compiled.bodies[name], node)):
+            cnf.add(-v, b)
+            cnf.add(v, -b)
+    targeted = _targeted_pairs(g, m, nodes)
+    model = _dpll(cnf.n_vars, cnf.clauses + [(var[p][0],) for p in targeted])
+    if model is None:
+        return None
+    if not mode.brave:
+        # no target-free faithful assignment may leave a targeted pair
+        # non-true; the scope covers node-target constants the graph lacks
+        some_not_true = tuple(-var[p][0] for p in targeted)
+        if _dpll(cnf.n_vars, cnf.clauses + [some_not_true]) is not None:
+            return None
+    sigma = Assignment(nodes, shapes, {pair: bool(model[t]) for pair, (t, f) in var.items()
+                                       if model[t] or model[f]})
+    if not is_faithful(g, sigma, m):
+        raise SemanticsError("solver model is not a faithful assignment")
+    return sigma
 
 
 def validate(g: Graph, m: sh.Document, mode: SemanticsMode, use_fast_path: bool = True) -> bool:
@@ -565,27 +516,59 @@ def gamma_neg_name(name: Iri) -> Iri:
     return Iri(GAMMA_NEG_NS + name.value)
 
 
+def _split_literal(name: Iri, value: bool) -> sh.Constraint:
+    """"name is true" (value true) or "name is false" over the split names."""
+    pos, neg = sh.Ref(gamma_pos_name(name)), sh.Ref(gamma_neg_name(name))
+    return sh.And((pos, sh.Not(neg))) if value else sh.And((sh.Not(pos), neg))
+
+
 class _GammaRewriter:
     def __init__(self):
         self.aux: dict = {}
         self.aux_shapes: list = []
 
-    def _aux_for(self, ref: Iri, siblings: tuple) -> Iri:
-        key = (ref, siblings)
+    def _aux_for(self, ref: Iri, siblings: tuple, conform: bool) -> Iri:
+        """A shape for qualified values that conform (true for `ref`, false
+        for every sibling) or, with `conform` false, that do not violate."""
+        key = (ref, siblings, conform)
         if key in self.aux:
             return self.aux[key]
         name = Iri(f"{GAMMA_AUX_NS}{len(self.aux)}")
-        parts = [sh.And((sh.Ref(gamma_pos_name(ref)), sh.Not(sh.Ref(gamma_neg_name(ref)))))]
-        for sib in siblings:
-            parts.append(sh.And((sh.Not(sh.Ref(gamma_pos_name(sib))), sh.Ref(gamma_neg_name(sib)))))
+        if conform:
+            parts = [_split_literal(ref, True)] + [_split_literal(s, False) for s in siblings]
+        else:
+            parts = [sh.Not(_split_literal(ref, False))] + [
+                sh.Not(_split_literal(s, True)) for s in siblings]
         constraint = parts[0] if len(parts) == 1 else sh.And(tuple(parts))
         self.aux[key] = name
         self.aux_shapes.append(sh.Shape(name, (), None, constraint))
         return name
 
+    def _qualified(self, c: sh.QualifiedValue, positive: bool) -> sh.Constraint:
+        def conform():
+            return self._aux_for(c.ref, c.siblings, True)
+
+        def permit():
+            return self._aux_for(c.ref, c.siblings, False)
+
+        parts = []
+        if c.min_count is not None and c.min_count >= 1:
+            # true: min values conform; false: fewer than min do not violate
+            parts.append(sh.QualifiedValue(conform(), c.min_count) if positive
+                         else sh.Not(sh.QualifiedValue(permit(), c.min_count)))
+        if c.max_count is not None:
+            # true: at most max do not violate; false: more than max conform
+            parts.append(sh.QualifiedValue(permit(), None, c.max_count) if positive
+                         else sh.QualifiedValue(conform(), c.max_count + 1))
+        if not parts:
+            return sh.Top() if positive else sh.Not(sh.Top())
+        if len(parts) == 1:
+            return parts[0]
+        return sh.And(tuple(parts)) if positive else sh.Or(tuple(parts))
+
     def pos(self, c: sh.Constraint) -> sh.Constraint:
         if isinstance(c, sh.Ref):
-            return sh.And((sh.Ref(gamma_pos_name(c.name)), sh.Not(sh.Ref(gamma_neg_name(c.name)))))
+            return _split_literal(c.name, True)
         if isinstance(c, sh.Not):
             return self.neg(c.inner)
         if isinstance(c, sh.And):
@@ -597,14 +580,14 @@ class _GammaRewriter:
         if isinstance(c, sh.SomeValues):
             return sh.SomeValues(self.pos(c.inner))
         if isinstance(c, sh.QualifiedValue):
-            return sh.QualifiedValue(self._aux_for(c.ref, c.siblings), c.min_count, c.max_count, ())
+            return self._qualified(c, True)
         if isinstance(c, sh.Xone):
             raise SemanticsError("eliminate xone before the partial-to-total rewrite")
         return c
 
     def neg(self, c: sh.Constraint) -> sh.Constraint:
         if isinstance(c, sh.Ref):
-            return sh.And((sh.Not(sh.Ref(gamma_pos_name(c.name))), sh.Ref(gamma_neg_name(c.name))))
+            return _split_literal(c.name, False)
         if isinstance(c, sh.Not):
             return self.pos(c.inner)
         if isinstance(c, sh.And):
@@ -616,15 +599,7 @@ class _GammaRewriter:
         if isinstance(c, sh.SomeValues):
             return sh.AllValues(self.neg(c.inner))
         if isinstance(c, sh.QualifiedValue):
-            aux = self._aux_for(c.ref, c.siblings)
-            parts = []
-            if c.min_count is not None and c.min_count >= 1:
-                parts.append(sh.Not(sh.QualifiedValue(aux, c.min_count, None, ())))
-            if c.max_count is not None:
-                parts.append(sh.QualifiedValue(aux, c.max_count + 1, None, ()))
-            if not parts:
-                return sh.Not(sh.Top())
-            return parts[0] if len(parts) == 1 else sh.Or(tuple(parts))
+            return self._qualified(c, False)
         if isinstance(c, sh.Xone):
             raise SemanticsError("eliminate xone before the partial-to-total rewrite")
         return sh.Not(c)

@@ -127,6 +127,64 @@ def test_template_sat_json_is_hash_seed_independent():
     assert json.loads(outs[0])["reason"] == "no model within budget"
 
 
+def test_deep_nesting_is_an_error_not_a_crash(tmp_path):
+    import subprocess
+    import sys
+
+    import sclkit
+
+    pre = "@prefix : <http://ex/> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+    shapes = tmp_path / "deep.ttl"
+    shapes.write_text(pre + ":s a sh:NodeShape ; sh:targetNode :a ; sh:not "
+                      + "[ sh:not " * 1200 + ":t" + " ]" * 1200 + " .")
+    src = os.path.dirname(os.path.dirname(sclkit.__file__))
+    argv = [sys.executable, "-m", "sclkit.cli", "validate",
+            "--graph", fx("fig1-graph.ttl"), "--doc", str(shapes)]
+    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 1
+    assert "nested deeper" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_deepest_accepted_nesting_runs_every_command(capsys, tmp_path):
+    from sclkit.rdf import MAX_NESTING
+
+    pre = "@prefix : <http://ex/> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+    half = MAX_NESTING // 2
+    documents = {
+        "not": ":s a sh:NodeShape ; sh:targetNode :a ; sh:not "
+               + "[ sh:not " * MAX_NESTING + ":s" + " ]" * MAX_NESTING + " .",
+        "property": ":s a sh:NodeShape ; sh:targetNode :a ; sh:property "
+                    + "[ sh:path :p ; sh:node [ sh:property " * (half - 1)
+                    + "[ sh:path [ sh:zeroOrMorePath :p ] ; sh:node :s ]"
+                    + " ] ]" * (half - 1) + " .",
+    }
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(pre + ":a :p :b . :b :p :a .")
+    budget = ("--fresh", "0", "--triples", "1", "--seconds", "0.2")
+    for name, body in documents.items():
+        doc = tmp_path / f"{name}.ttl"
+        doc.write_text(pre + body + " :T a sh:NodeShape ; sh:node :s .")
+        d = str(doc)
+        commands = [
+            ("validate", "--graph", str(graph), "--doc", d, "--mode", "cautious-partial"),
+            ("translate", "--normalize", "--doc", d),
+            ("untranslate", "--doc", d),
+            ("classify", "--doc", d),
+            ("sat", "--doc", d, "--mode", "brave-partial") + budget,
+            ("contains", "--doc1", d, "--doc2", d) + budget,
+            ("template-sat", "--doc", d, "--template", "http://ex/T",
+             "--mode", "brave-partial") + budget,
+            ("axiomatise", "--doc", d, "--mode", "bounded"),
+            ("emit", "--doc", d, "--format", "tptp"),
+        ]
+        for argv in commands:
+            code, _, err = run(capsys, "--json", *argv)
+            assert code in (0, 1, 2), (name, argv)
+            assert "nested deeper" not in err
+
+
 def test_axiomatise(capsys):
     code, out, _ = run(capsys, "axiomatise", "--doc", fx("filtered.ttl"), "--mode", "bounded")
     assert code == 0

@@ -5,6 +5,7 @@ from sclkit.rdf import (
     Graph,
     Iri,
     Literal,
+    MAX_NESTING,
     RDF_FIRST,
     RDF_NIL,
     RDF_REST,
@@ -77,6 +78,22 @@ def test_syntax_errors_carry_position():
     assert "line" in str(err.value)
     with pytest.raises(TurtleError, match="undefined prefix"):
         parse_turtle(":s ex:p :o .")
+    for truncated in ("<a> <b>", ":s :p ", ":s :p [ :q", ":s :p :o , "):
+        with pytest.raises(TurtleError):
+            parse_turtle(PRE + truncated)
+
+
+def test_bracket_nesting_is_bounded():
+    def nested(depth, open_, close):
+        return PRE + ":s :p " + open_ * depth + ":o" + close * depth + " ."
+
+    assert len(parse_turtle(nested(MAX_NESTING, "[ :p ", " ]"))) == MAX_NESTING + 1
+    assert len(parse_turtle(nested(MAX_NESTING, "( ", " )"))) == 2 * MAX_NESTING + 1
+    for open_, close in (("[ :p ", " ]"), ("( ", " )"), ("( [ :p ", " ] )")):
+        with pytest.raises(TurtleError, match="nested deeper"):
+            parse_turtle(nested(MAX_NESTING + 1, open_, close))
+    # siblings do not add up
+    assert parse_turtle(PRE + ":s :p " + ", ".join(["[ :p :o ]"] * (2 * MAX_NESTING)) + " .")
 
 
 def test_generalised_positions_allowed():

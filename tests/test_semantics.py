@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -21,10 +22,10 @@ from sclkit.semantics import (
     gamma_pos_name,
     gamma_transform,
     is_faithful,
-    iter_faithful,
     sentence_holds,
     stratified_assignment,
     validate,
+    validation_witness,
 )
 from sclkit.translate import shape_bodies, tau
 from sclkit.corpus import random_document, random_graph
@@ -192,22 +193,65 @@ def test_validate_inconsistent_and_vegdish():
 def test_search_matches_brute_force_and_fast_path():
     rng = random.Random(41)
     for _ in range(40):
-        m = random_document(rng, max_shapes=2)
+        m = random_document(rng, max_shapes=2, recursive=rng.random() < 0.5)
         g = random_graph(rng, max_nodes=2)
-        for total in (True, False):
-            ours = list(iter_faithful(g, m, total))
-            oracle = brute_force_faithful(g, m, total)
-            assert set(ours) == set(oracle)
         for mode in ALL_MODES:
-            assert validate(g, m, mode) == brute_force_validate(g, m, mode)
-            assert validate(g, m, mode) == validate(g, m, mode, use_fast_path=False)
+            witness = validation_witness(g, m, mode, use_fast_path=False)
+            assert validate(g, m, mode) == (witness is not None) == brute_force_validate(g, m, mode)
+            if witness is not None:
+                assert is_faithful(g, witness, sh.eliminate_xone(m))
+                assert witness.is_total() or not mode.total
 
 
-def test_search_reports_lexicographically_least_first():
-    m = doc(":s a sh:NodeShape ; sh:or ( :a :b ) . :a a sh:NodeShape . :b a sh:NodeShape .")
-    g = parse_turtle(PRE + ":n :p :n .")
-    sols = list(iter_faithful(g, sh.strip_targets(m), total=True))
-    assert sols[0] == min(sols, key=lambda s: sorted(s.signs.items(), key=repr))
+def test_validation_matches_brute_force_on_recursive_corpus():
+    # a slice of the differential check: recursive documents of up to three
+    # shapes on three-node graphs, sign space at most 20,000
+    rng = random.Random(71)
+    checked = 0
+    while checked < 4 * 30:
+        m = random_document(rng, max_shapes=3, recursive=True)
+        g = random_graph(rng, max_nodes=3)
+        if 3 ** (len(nodes_of(g, m)) * len(sh.eliminate_xone(m).names())) > 20000:
+            continue
+        for mode in ALL_MODES:
+            witness = validation_witness(g, m, mode, use_fast_path=False)
+            assert (witness is not None) == brute_force_validate(g, m, mode), (m, mode)
+            if witness is not None:
+                assert is_faithful(g, witness, sh.eliminate_xone(m))
+            checked += 1
+
+
+def test_validate_json_is_hash_seed_independent(tmp_path):
+    # the witness is the solver's first model; grounding order must not
+    # follow set iteration order
+    import os
+    import subprocess
+    import sys
+
+    import sclkit
+
+    shapes = tmp_path / "shapes.ttl"
+    shapes.write_text(PRE + """
+    :s a sh:PropertyShape ; sh:targetSubjectsOf :r ; sh:path :r ;
+       sh:qualifiedValueShape :t ; sh:qualifiedMinCount 1 .
+    :t a sh:NodeShape ; sh:not :u .
+    :u a sh:NodeShape ; sh:not :t .
+    """)
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(PRE + ":n0 :r :n1 , :n2 , :n3 . :n1 :r :n2 , :n0 . :n3 :r :n3 .")
+    src = os.path.dirname(os.path.dirname(sclkit.__file__))
+    outs = []
+    for seed in ("0", "1"):
+        for mode in ("brave-total", "cautious-partial"):
+            argv = [sys.executable, "-m", "sclkit.cli", "--json", "validate",
+                    "--graph", str(graph), "--doc", str(shapes), "--mode", mode]
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+    assert outs[:2] == outs[2:]
+    assert json.loads(outs[0])["result"] is True
+    assert json.loads(outs[1])["result"] is False
 
 
 # --- the partial-to-total transformation ------------------------------------------
@@ -255,7 +299,7 @@ def test_gamma_lemma_on_small_instances():
         gm = gamma_transform(m)
         compiled = compile_document(m)
         compiled_gamma = compile_document(gm)
-        for sigma in iter_faithful(g, sh.strip_targets(m), total=False):
+        for sigma in brute_force_faithful(g, sh.strip_targets(m), total=False):
             sig_gamma = complete_gamma_assignment(gamma_assignment(sigma), gm, g)
             ctx = EvalContext(g, compiled)
             ctx.sign = dict(sigma.signs)
@@ -273,6 +317,30 @@ def test_gamma_lemma_on_small_instances():
                     assert (v is UNDEF) == (pv is FALSE and nv is FALSE)
                     checked += 1
     assert checked > 100
+
+
+def test_gamma_qualified_counts_follow_strong_kleene():
+    # a qualified max bound is true only when at most max values are not
+    # violating, and a qualified min bound is false only when fewer than min
+    # are not violating; undefined values count on the undecided side
+    cases = [
+        (":s a sh:PropertyShape ; sh:targetObjectsOf :r ; sh:path [ sh:zeroOrOnePath :r ] ; "
+         "sh:minCount 1 ; sh:qualifiedValueShape :s ; sh:qualifiedMinCount 1 ; "
+         "sh:qualifiedMaxCount 2 .", ":n3 :r :n0 , :n2 .", True),
+        (":q a sh:PropertyShape ; sh:targetNode :a ; sh:path :r ; sh:qualifiedValueShape :u ; "
+         "sh:qualifiedMaxCount 0 . :u a sh:NodeShape ; sh:not :u .", ":a :r :b .", False),
+        (":t a sh:NodeShape ; sh:targetNode :a ; sh:not :q . :q a sh:PropertyShape ; "
+         "sh:path :r ; sh:qualifiedValueShape :u ; sh:qualifiedMinCount 1 . "
+         ":u a sh:NodeShape ; sh:not :u .", ":a :r :b .", False),
+    ]
+    for shapes, data, brave in cases:
+        m, g = doc(shapes), parse_turtle(PRE + data)
+        gm = gamma_transform(m)
+        assert brute_force_validate(g, m, SemanticsMode.BRAVE_PARTIAL) is brave
+        for partial_mode, total_mode in ((SemanticsMode.BRAVE_PARTIAL, SemanticsMode.BRAVE_TOTAL),
+                                         (SemanticsMode.CAUTIOUS_PARTIAL,
+                                          SemanticsMode.CAUTIOUS_TOTAL)):
+            assert validate(g, gm, total_mode) == brute_force_validate(g, m, partial_mode)
 
 
 def test_gamma_validation_equivalence_examples():
