@@ -250,9 +250,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first call and reused: building costs far more than parsing,
+# and parse_args keeps no state from one call to the next
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except (TurtleError, DocumentError, TranslationError, DecisionError,

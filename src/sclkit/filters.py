@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .automata import ALPHABET_SIZE, UnsupportedPattern, compile_pattern, length_window_dfa
 from .rdf import (
@@ -300,15 +300,60 @@ def bound_le(a: CardinalityBound, b: CardinalityBound) -> bool:
     return rank[type(a)] <= rank[type(b)]
 
 
+class _IntegerForms:
+    """The canonical literals of one integer datatype over disjoint value
+    ranges, built only when listed."""
+
+    __slots__ = ("dt", "ranges")
+
+    def __init__(self, dt: Iri, ranges: list):
+        self.dt = dt
+        self.ranges = ranges  # [(low, high)], both included
+
+    def __iter__(self) -> Iterator[Literal]:
+        for a, b in self.ranges:
+            for v in range(a, b + 1):
+                yield Literal(str(v), self.dt)
+
+    def __contains__(self, t) -> bool:
+        if not isinstance(t, Literal) or t.datatype != self.dt:
+            return False
+        try:
+            v = int(t.lexical)
+        except ValueError:
+            return False
+        return str(v) == t.lexical and any(a <= v <= b for a, b in self.ranges)
+
+
 class _Count:
-    """Exact count plus (optionally) the witness terms, with saturation."""
+    """Exact count plus (optionally) the witness terms, with saturation.
 
-    __slots__ = ("kind", "n", "witnesses")
+    The witnesses are kept in parts, each a list of terms or an
+    `_IntegerForms`, so a count read only for its size builds none of them.
+    """
 
-    def __init__(self, kind: str, n: int = 0, witnesses=None):
+    __slots__ = ("kind", "n", "parts")
+
+    def __init__(self, kind: str, n: int = 0, parts=None):
         self.kind = kind  # "finite" | "infinite"
         self.n = n
-        self.witnesses = witnesses  # list[Term] | None when not enumerable
+        self.parts = parts  # None when not enumerable
+
+    @property
+    def witnesses(self) -> Optional[list]:
+        if self.parts is None:
+            return None
+        return [t for part in self.parts for t in part]
+
+    def members(self, terms: set) -> list:
+        """The given terms that are witnesses."""
+        found = []
+        for part in self.parts:
+            if isinstance(part, _IntegerForms):
+                found += [t for t in terms if t in part]
+            elif terms:
+                found += [t for t in part if t in terms]
+        return found
 
     @staticmethod
     def zero() -> "_Count":
@@ -320,7 +365,7 @@ class _Count:
 
     @staticmethod
     def exactly(witnesses: list) -> "_Count":
-        return _Count("finite", len(witnesses), list(witnesses))
+        return _Count("finite", len(witnesses), [list(witnesses)])
 
     @staticmethod
     def counted(n: int) -> "_Count":
@@ -329,12 +374,10 @@ class _Count:
     def add(self, other: "_Count") -> "_Count":
         if self.kind == "infinite" or other.kind == "infinite":
             return _Count.infinite()
-        wit = None
-        if self.witnesses is not None and other.witnesses is not None:
-            wit = self.witnesses + other.witnesses
-            if len(wit) > _ENUM_LIMIT:
-                wit = None
-        return _Count("finite", self.n + other.n, wit)
+        parts = None
+        if self.parts is not None and other.parts is not None and self.n + other.n <= _ENUM_LIMIT:
+            parts = self.parts + other.parts
+        return _Count("finite", self.n + other.n, parts)
 
 
 def _decimal_canonical(v: Fraction) -> Optional[str]:
@@ -578,7 +621,7 @@ def _iri_branch(atoms: _Atoms) -> _Count:
     if atoms.pos_dts or atoms.pos_tags or atoms.has_positive_order():
         return _Count.zero()
     count = _count_forms(atoms)
-    if count.witnesses is not None:
+    if count.parts is not None:
         return _Count.exactly([Iri(w) for w in count.witnesses])
     return count
 
@@ -587,8 +630,7 @@ def _digit_length_count(atoms: _Atoms, lo: Optional[int], hi: Optional[int], dt:
     """Integers within the interval whose canonical form fits the length
     window, counted per digit length in closed form."""
     max_len = atoms.max_len
-    total = 0
-    witnesses: Optional[list] = []
+    kept = []
     for length in range(max(1, atoms.min_len), (max_len or 0) + 1):
         ranges = [(0, 9)] if length == 1 else [(10 ** (length - 1), 10 ** length - 1)]
         neg_digits = length - 1  # a sign character occupies one slot
@@ -601,16 +643,11 @@ def _digit_length_count(atoms: _Atoms, lo: Optional[int], hi: Optional[int], dt:
                 a = max(a, lo)
             if hi is not None:
                 b = min(b, hi)
-            if b < a:
-                continue
-            width = b - a + 1
-            if witnesses is not None and total + width <= _ENUM_LIMIT:
-                witnesses.extend(Literal(str(v), dt) for v in range(a, b + 1))
-            else:
-                witnesses = None
-            total += width
-    if witnesses is not None:
-        return _Count.exactly(witnesses)
+            if b >= a:
+                kept.append((a, b))
+    total = sum(b - a + 1 for a, b in kept)
+    if total <= _ENUM_LIMIT:
+        return _Count("finite", total, [_IntegerForms(dt, kept)])
     return _Count.counted(total)
 
 
@@ -631,7 +668,7 @@ def _integer_branch(atoms: _Atoms, dt: Iri) -> _Count:
             return _candidates((lit(v) for v in range(lo, hi + 1)), atoms.all_conjuncts)
         if atoms.has_patterns():
             forms = _pattern_value_forms(atoms, _INT_CANONICAL)
-            if forms.witnesses is not None:
+            if forms.parts is not None:
                 return _candidates((lit(int(w)) for w in forms.witnesses
                                     if lo <= int(w) <= hi), atoms.all_conjuncts)
             return _Count.counted(HUGE_THRESHOLD + 1)  # finite via the interval
@@ -642,7 +679,7 @@ def _integer_branch(atoms: _Atoms, dt: Iri) -> _Count:
     # at least one open side
     if atoms.has_patterns():
         forms = _pattern_value_forms(atoms, _INT_CANONICAL)
-        if forms.witnesses is not None:
+        if forms.parts is not None:
             kept = (lit(int(w)) for w in forms.witnesses
                     if (lo is None or int(w) >= lo) and (hi is None or int(w) <= hi))
             return _candidates(kept, atoms.all_conjuncts)
@@ -666,7 +703,7 @@ def _decimal_branch(atoms: _Atoms) -> _Count:
         return _candidates([Literal(form, XSD_DECIMAL)], atoms.all_conjuncts)
     if atoms.has_patterns():
         forms = _pattern_value_forms(atoms, _DEC_CANONICAL)
-        if forms.witnesses is not None:
+        if forms.parts is not None:
             kept = (Literal(w, XSD_DECIMAL) for w in forms.witnesses if iv.contains(Fraction(w)))
             return _candidates(kept, atoms.all_conjuncts)
         if forms.kind == "finite":
@@ -716,7 +753,7 @@ def _string_branch(atoms: _Atoms) -> _Count:
         # a non-degenerate string interval always keeps infinitely many
         # unconstrained forms (extend below the upper bound)
         return _Count.infinite()
-    if count.witnesses is not None:
+    if count.parts is not None:
         return _Count.exactly([Literal(w, XSD_STRING) for w in count.witnesses if iv.contains(w)])
     if iv.is_unconstrained():
         return count
@@ -735,7 +772,7 @@ def _langstring_branch(atoms: _Atoms, tag: Optional[str]) -> _Count:
     if tag in atoms.neg_tags:
         return _Count.zero()
     count = _count_forms(atoms)
-    if count.witnesses is not None:
+    if count.parts is not None:
         return _Count.exactly([Literal(w, language=tag) for w in count.witnesses])
     return count
 
@@ -745,7 +782,7 @@ def _plain_datatype_branch(atoms: _Atoms, dt: Iri) -> _Count:
     if atoms.has_positive_order() or atoms.pos_tags:
         return _Count.zero()
     count = _count_forms(atoms)
-    if count.witnesses is not None:
+    if count.parts is not None:
         return _Count.exactly([Literal(w, dt) for w in count.witnesses])
     return count
 
@@ -803,7 +840,9 @@ def _literal_branches(atoms: _Atoms) -> _Count:
     return total.add(_fresh_datatype_branch(atoms))
 
 
-def _combo_count(combo: FilterCombination, known_constants: frozenset) -> _Count:
+def _combo_count(combo: FilterCombination, known_constants: frozenset) -> tuple:
+    """(count, dropped): the terms satisfying the combination's filters, and
+    the constants among them that its inequalities or Nu exclude."""
     eqs = [c.constant for c in combo.conjuncts if isinstance(c, Eq)]
     noteqs = {c.constant for c in combo.conjuncts if isinstance(c, NotEq)}
     has_nu = any(isinstance(c, Nu) for c in combo.conjuncts)
@@ -811,11 +850,11 @@ def _combo_count(combo: FilterCombination, known_constants: frozenset) -> _Count
 
     if eqs:
         if len(set(eqs)) > 1:
-            return _Count.zero()
+            return _Count.zero(), []
         c = eqs[0]
         if c in noteqs or (has_nu and c in known_constants):
-            return _Count.zero()
-        return _candidates([c], filter_conjuncts)
+            return _Count.zero(), []
+        return _candidates([c], filter_conjuncts), []
 
     excluded = set(noteqs)
     if has_nu:
@@ -825,31 +864,34 @@ def _combo_count(combo: FilterCombination, known_constants: frozenset) -> _Count
     atoms = _Atoms.of(pos, neg)
     total = _blank_branch(atoms).add(_iri_branch(atoms)).add(_literal_branches(atoms))
     if total.kind == "infinite":
-        return total  # removing finitely many members keeps it infinite
-    members_excluded = sum(1 for e in excluded if _satisfies(e, filter_conjuncts))
-    if total.witnesses is not None:
-        return _Count.exactly([t for t in total.witnesses if t not in excluded])
-    return _Count.counted(total.n - members_excluded)
+        return total, []  # removing finitely many members keeps it infinite
+    if total.parts is not None:
+        return total, total.members(excluded)
+    return total, [e for e in excluded if _satisfies(e, filter_conjuncts)]
 
 
 def combo_cardinality(combo: FilterCombination, known_constants: Iterable[Term] = ()) -> CardinalityBound:
     """|γ(F)|: the exact size of the canonical satisfying set, Infinite when
     provably infinite, Huge when finite but above the counting threshold."""
-    count = _combo_count(combo, frozenset(known_constants))
+    count, dropped = _combo_count(combo, frozenset(known_constants))
     if count.kind == "infinite":
         return Infinite()
-    if count.n > HUGE_THRESHOLD:
+    n = count.n - len(dropped)
+    if n > HUGE_THRESHOLD:
         return Huge()
-    return Finite(count.n)
+    return Finite(n)
 
 
 def combo_witnesses(combo: FilterCombination, known_constants: Iterable[Term] = (),
                     limit: int = WITNESS_LIMIT) -> Optional[list]:
     """The satisfying terms when finite and enumerable, else None."""
-    count = _combo_count(combo, frozenset(known_constants))
-    if count.kind != "finite" or count.witnesses is None or count.n > limit:
+    count, dropped = _combo_count(combo, frozenset(known_constants))
+    if count.kind != "finite" or count.parts is None or count.n - len(dropped) > limit:
         return None
-    return sorted(count.witnesses, key=term_key)
+    witnesses = count.witnesses
+    if dropped:
+        witnesses = [t for t in witnesses if t not in dropped]
+    return sorted(witnesses, key=term_key)
 
 
 def truncate_combination(combo: FilterCombination, known_constants: Iterable[Term] = ()) -> FilterCombination:

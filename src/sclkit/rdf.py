@@ -492,36 +492,41 @@ def term_to_turtle(t: Term) -> str:
     return f'"{_escape(t.lexical)}"^^<{t.datatype.value}>'
 
 
-def _relabel_blanks(g: Graph) -> Graph:
-    """Relabel blanks b0,b1,... in first-appearance order of the sorted stream.
+def _serial_key(t: Term) -> tuple:
+    """term_key, except that parser-style blank labels b0, b1, ... sort by
+    number, the order in which parsing the output assigns them."""
+    if isinstance(t, Blank) and t.label[:1] == "b" and t.label[1:].isdigit():
+        return (2, "", int(t.label[1:]))
+    return term_key(t)
+
+
+def _relabel_blanks(g: Graph) -> list:
+    """The triples, sorted, with blanks relabelled b0, b1, ... in
+    first-appearance order of the sorted stream.
 
     Iterated until stable so that parsing the serialized text reproduces the
     same labels (round-trip stability).
     """
-    current = g
-    for _ in range(len(g) + 1):
+    def key(t: tuple) -> tuple:
+        return tuple(map(_serial_key, t))
+
+    triples = sorted((tuple(t) for t in g.triples), key=key)
+    for _ in range(len(triples) + 1):
         mapping: dict[Blank, Blank] = {}
-
-        def rename(t: Term) -> Term:
-            if isinstance(t, Blank):
-                if t not in mapping:
-                    mapping[t] = Blank(f"b{len(mapping)}")
-                return mapping[t]
-            return t
-
-        relabeled = Graph(
-            Triple(rename(t.subject), rename(t.predicate), rename(t.object)) for t in current
-        )
-        if relabeled == current:
-            return current
-        current = relabeled
-    return current
+        for t in triples:
+            for term in t:
+                if isinstance(term, Blank) and term not in mapping:
+                    mapping[term] = Blank(f"b{len(mapping)}")
+        if all(old == new for old, new in mapping.items()):
+            break
+        triples = sorted((tuple(mapping.get(term, term) for term in t) for t in triples), key=key)
+    return triples
 
 
 def serialize_turtle(g: Graph) -> str:
     """Emit sorted N-Triples-style statements (stable for golden files)."""
     lines = [
-        f"{term_to_turtle(t.subject)} {term_to_turtle(t.predicate)} {term_to_turtle(t.object)} ."
-        for t in _relabel_blanks(g)
+        f"{term_to_turtle(s)} {term_to_turtle(p)} {term_to_turtle(o)} ."
+        for s, p, o in _relabel_blanks(g)
     ]
     return "\n".join(lines) + ("\n" if lines else "")

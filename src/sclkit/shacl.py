@@ -28,10 +28,6 @@ from .rdf import (
 FRESH_NS = "urn:sclkit:fresh:"
 
 
-def sh(local: str) -> Iri:
-    return Iri(SH_NS + local)
-
-
 class NameMint:
     """Deterministic fresh-IRI supply that never collides with seen names."""
 
@@ -460,6 +456,43 @@ _PROPERTY_ONLY_PREDICATES = {
     "qualifiedValueShapesDisjoint",
 }
 
+_TARGET_PREDICATES = ("targetNode", "targetClass", "targetSubjectsOf", "targetObjectsOf")
+_PATH_PREDICATES = ("inversePath", "alternativePath", "zeroOrMorePath", "oneOrMorePath",
+                    "zeroOrOnePath")
+
+# every sh: term the reader and the writer use, each IRI built once
+_VOCABULARY = {
+    local: Iri(SH_NS + local)
+    for local in ("NodeShape", "PropertyShape", "path", "closed", "ignoredProperties",
+                  *_TARGET_PREDICATES, *_PATH_PREDICATES,
+                  *_NODE_ONLY_PREDICATES, *_PROPERTY_ONLY_PREDICATES)
+}
+
+
+def sh(local: str) -> Iri:
+    return _VOCABULARY[local]
+
+
+_SHAPE_CLASSES = (sh("NodeShape"), sh("PropertyShape"))
+# the subject of any of these is a shape
+_SHAPE_SUBJECT_PREDICATES = frozenset(
+    sh(local) for local in ("path", "closed", "ignoredProperties", *_TARGET_PREDICATES,
+                            *_NODE_ONLY_PREDICATES, *_PROPERTY_ONLY_PREDICATES))
+# the object of these is a shape, or a list of shapes
+_SHAPE_OBJECT_PREDICATES = tuple(sh(local) for local in ("node", "property", "not",
+                                                         "qualifiedValueShape"))
+_SHAPE_LIST_PREDICATES = tuple(sh(local) for local in ("and", "or", "xone"))
+# a node with any of these is a list or path helper, not a shape
+_STRUCTURAL_PREDICATES = (RDF_FIRST, *(sh(local) for local in _PATH_PREDICATES))
+
+_NO_INDEX: dict = {}
+
+
+def _objects(g: Graph, subject: Term, predicate: Term):
+    """The objects of (subject, predicate), read from the graph's index
+    without the copy Graph.objects makes."""
+    return g._fwd.get(predicate, _NO_INDEX).get(subject, ())
+
 
 def _read_list(g: Graph, head: Term) -> list[Term]:
     items: list[Term] = []
@@ -488,51 +521,43 @@ def _int_value(t: Term, what: str) -> int:
 class _DocumentReader:
     def __init__(self, g: Graph):
         self.g = g
-        self.shape_nodes = self._discover()
+        # (local name, subject -> objects) for each sh: predicate in the graph
+        self.sh_indexes = [(p.value[len(SH_NS):], index) for p, index in g._fwd.items()
+                           if isinstance(p, Iri) and p.value.startswith(SH_NS)]
+        self.shape_nodes = sorted(self._discover(), key=term_key)
         taken = {n for n in self.shape_nodes if isinstance(n, Iri)}
         self.mint = NameMint(taken)
         # blank shape nodes get fresh IRIs (standardisation rule 1)
         self.names: dict[Term, Iri] = {}
-        for n in sorted(self.shape_nodes, key=self._discovery_key):
+        for n in self.shape_nodes:
             self.names[n] = n if isinstance(n, Iri) else self.mint.fresh()
-
-    def _discovery_key(self, n: Term):
-        return term_key(n)
 
     def _discover(self) -> set[Term]:
         g = self.g
         nodes: set[Term] = set()
-        nodes |= g.subjects(RDF_TYPE, sh("NodeShape"))
-        nodes |= g.subjects(RDF_TYPE, sh("PropertyShape"))
-        for local in ("targetNode", "targetClass", "targetSubjectsOf", "targetObjectsOf", "path"):
-            nodes |= g.subjects_of(sh(local))
-        for local in _NODE_ONLY_PREDICATES | _PROPERTY_ONLY_PREDICATES | {"closed", "ignoredProperties"}:
-            nodes |= g.subjects_of(sh(local))
+        typed = g._bwd.get(RDF_TYPE, _NO_INDEX)
+        for cls in _SHAPE_CLASSES:
+            nodes.update(typed.get(cls, ()))
+        for p, index in g._fwd.items():
+            if p in _SHAPE_SUBJECT_PREDICATES:
+                nodes.update(index)
         # referenced shapes
         frontier = list(nodes)
         while frontier:
             n = frontier.pop()
-            for local in ("node", "property", "not", "qualifiedValueShape"):
-                for o in g.objects(n, sh(local)):
-                    if o not in nodes:
-                        nodes.add(o)
-                        frontier.append(o)
-            for local in ("and", "or", "xone"):
-                for head in g.objects(n, sh(local)):
-                    for o in _read_list(g, head):
-                        if o not in nodes:
-                            nodes.add(o)
-                            frontier.append(o)
+            found = [o for p in _SHAPE_OBJECT_PREDICATES for o in _objects(g, n, p)]
+            for p in _SHAPE_LIST_PREDICATES:
+                for head in _objects(g, n, p):
+                    found.extend(_read_list(g, head))
+            for o in found:
+                if o not in nodes:
+                    nodes.add(o)
+                    frontier.append(o)
         # list/path helper blanks are not shapes
         return {n for n in nodes if not self._is_structural(n)}
 
     def _is_structural(self, n: Term) -> bool:
-        if self.g.objects(n, RDF_FIRST):
-            return True
-        for local in ("inversePath", "alternativePath", "zeroOrMorePath", "oneOrMorePath", "zeroOrOnePath"):
-            if self.g.objects(n, sh(local)):
-                return True
-        return False
+        return any(_objects(self.g, n, p) for p in _STRUCTURAL_PREDICATES)
 
     def ref_name(self, node: Term) -> Iri:
         if node not in self.names:
@@ -540,37 +565,33 @@ class _DocumentReader:
         return self.names[node]
 
     def read(self) -> Document:
-        shapes = [self.read_shape(n) for n in sorted(self.shape_nodes, key=self._discovery_key)]
-        return Document(tuple(shapes))
+        return Document(tuple(self.read_shape(n) for n in self.shape_nodes))
 
     def read_shape(self, node: Term) -> Shape:
         g = self.g
         targets: list[TargetDecl] = []
-        for o in sorted(g.objects(node, sh("targetNode")), key=self._discovery_key):
+        for o in sorted(_objects(g, node, sh("targetNode")), key=term_key):
             targets.append(NodeTarget(o))
-        for o in sorted(g.objects(node, sh("targetClass")), key=self._discovery_key):
+        for o in sorted(_objects(g, node, sh("targetClass")), key=term_key):
             targets.append(ClassTarget(o))
-        for o in sorted(g.objects(node, sh("targetSubjectsOf")), key=self._discovery_key):
+        for o in sorted(_objects(g, node, sh("targetSubjectsOf")), key=term_key):
             if not isinstance(o, Iri):
                 raise DocumentError("sh:targetSubjectsOf expects an IRI")
             targets.append(SubjectsOfTarget(o))
-        for o in sorted(g.objects(node, sh("targetObjectsOf")), key=self._discovery_key):
+        for o in sorted(_objects(g, node, sh("targetObjectsOf")), key=term_key):
             if not isinstance(o, Iri):
                 raise DocumentError("sh:targetObjectsOf expects an IRI")
             targets.append(ObjectsOfTarget(o))
 
-        paths = g.objects(node, sh("path"))
+        paths = _objects(g, node, sh("path"))
         if len(paths) > 1:
             raise DocumentError(f"shape {node!r} has two sh:path values")
         path = self.read_path(next(iter(paths))) if paths else None
 
         atoms: list[Constraint] = []
         for local, obj in sorted(
-            ((p.value[len(SH_NS):], o)
-             for p in g._fwd
-             if isinstance(p, Iri) and p.value.startswith(SH_NS)
-             for o in g.objects(node, p)),
-            key=lambda po: (po[0], self._discovery_key(po[1])),
+            ((local, o) for local, index in self.sh_indexes for o in index.get(node, ())),
+            key=lambda po: (po[0], term_key(po[1])),
         ):
             atom = self.read_atom(node, local, obj, path is not None)
             if atom is not None:
@@ -706,10 +727,10 @@ class _DocumentReader:
         parents = g.subjects(sh("property"), node)
         sibs: set[Iri] = set()
         for parent in parents:
-            for other in g.objects(parent, sh("property")):
+            for other in _objects(g, parent, sh("property")):
                 if other == node:
                     continue
-                for q in g.objects(other, sh("qualifiedValueShape")):
+                for q in _objects(g, other, sh("qualifiedValueShape")):
                     sibs.add(self.ref_name(q))
         return tuple(sorted(sibs, key=lambda i: i.value))
 
@@ -731,7 +752,7 @@ class _DocumentReader:
             inner = g.one_object(node, sh(local))
             if inner is not None:
                 return cls(self.read_path(inner))
-        if g.objects(node, RDF_FIRST):
+        if _objects(g, node, RDF_FIRST):
             return SeqPath(tuple(self.read_path(p) for p in _read_list(g, node)))
         raise DocumentError(f"unsupported sh:path value {node!r}")
 
@@ -866,7 +887,7 @@ def document_to_graph(m: Document) -> Graph:
             InSet: lambda: (sh("in"), emit_list(c.values)),
             ClassConstraint: lambda: (sh("class"), c.cls),
             DatatypeConstraint: lambda: (sh("datatype"), c.datatype),
-            NodeKindConstraint: lambda: (sh("nodeKind"), sh(c.kind)),
+            NodeKindConstraint: lambda: (sh("nodeKind"), Iri(SH_NS + c.kind)),
             MinExclusive: lambda: (sh("minExclusive"), c.limit),
             MinInclusive: lambda: (sh("minInclusive"), c.limit),
             MaxExclusive: lambda: (sh("maxExclusive"), c.limit),

@@ -208,3 +208,44 @@ def test_error_exit_code(capsys):
                        "--doc", fx("fig1-shapes.ttl"))
     assert code == 1
     assert "error:" in err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    import sclkit.cli as cli
+
+    calls = [
+        ("--json", "validate", "--graph", fx("fig1-graph.ttl"), "--doc", fx("fig1-shapes.ttl"),
+         "--mode", "cautious-partial"),
+        ("--json", "sat", "--doc", fx("fig1-shapes.ttl"), "--triples", "2", "--fresh", "1",
+         "--seconds", "0.5"),
+        ("contains", "--doc1", fx("fig1-shapes.ttl"), "--mode", "no-such-mode"),
+        ("contains", "--doc1", fx("filtered.ttl"), "--doc2", fx("fig1-shapes.ttl"),
+         "--triples", "2", "--fresh", "1"),
+        ("validate", "--graph", fx("fig1-graph-invalid.ttl"), "--doc", fx("fig1-shapes.ttl")),
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(outcome(argv))
+    builds = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", None)
+    shared = [outcome(argv) for argv in calls]
+    assert len(builds) == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    assert "invalid choice: 'no-such-mode'" in shared[2][2]
+    assert json.loads(shared[0][1])["mode"] == "cautious-partial"
+    # neither --json nor --mode of earlier calls carries over, nor --seconds
+    assert shared[4][1] == "valid=false (brave-total)\n"
+    assert cli._parser.parse_args(list(calls[3])).seconds == 30.0

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sclkit.rdf import Blank, Iri, Literal, RDF_LANGSTRING, XSD_BOOLEAN, XSD_DECIMAL, XSD_INT, XSD_INTEGER, XSD_STRING
+from sclkit.rdf import (Blank, Iri, Literal, RDF_LANGSTRING, XSD_BOOLEAN, XSD_DECIMAL, XSD_INT, XSD_INTEGER,
+                        XSD_STRING, term_key)
 from sclkit.filters import (
     DatatypeAtom,
     Eq,
@@ -155,6 +156,34 @@ def test_integer_interval_counting_matches_enumeration(lo, hi, lo_strict, hi_str
                 if (v > lo if lo_strict else v >= lo) and (v < hi if hi_strict else v <= hi)]
     got = combo_cardinality(FilterCombination.of(atoms))
     assert got == Finite(len(expected))
+
+
+def test_digit_length_count_builds_no_unlisted_witnesses(monkeypatch):
+    # 0..999: every integer whose canonical form has at most three characters
+    big = combo(Pos(DatatypeAtom(XSD_INTEGER)), Pos(MaxLengthAtom(3)),
+                Pos(OrderCmp(">=", Literal("0", XSD_INTEGER))))
+    made = []
+    post_init = Literal.__post_init__
+    monkeypatch.setattr(Literal, "__post_init__", lambda self: made.append(self) or post_init(self))
+    assert combo_cardinality(big) == Finite(1000)
+    assert combo_witnesses(big) is None
+    assert made == []
+    # exclusion counts the canonical forms in range only: "05" is not one
+    known = [Literal("5", XSD_INTEGER), Literal("05", XSD_INTEGER), Literal("1000", XSD_INTEGER)]
+    assert combo_cardinality(combo(*big.conjuncts, Nu()), known) == Finite(999)
+    assert combo_cardinality(combo(*big.conjuncts, NotEq(Literal("+7", XSD_INTEGER)))) == Finite(1000)
+
+
+def test_digit_length_count_lists_small_witness_sets():
+    # -9..99: canonical forms of at most two characters
+    small = combo(Pos(DatatypeAtom(XSD_INTEGER)), Pos(MaxLengthAtom(2)))
+    assert combo_cardinality(small) == Finite(109)
+    expected = sorted((Literal(str(v), XSD_INTEGER) for v in range(-9, 100)), key=term_key)
+    assert combo_witnesses(small) == expected
+    known = [Literal("42", XSD_INTEGER), Literal("-09", XSD_INTEGER), Literal("42", XSD_INT)]
+    assert combo_cardinality(combo(*small.conjuncts, Nu()), known) == Finite(108)
+    assert combo_witnesses(combo(*small.conjuncts, Nu()), known) == [
+        t for t in expected if t != Literal("42", XSD_INTEGER)]
 
 
 # --- axiomatisations ---------------------------------------------------------------
