@@ -14,7 +14,7 @@ from .shacl import (
     referenced_shapes_closure,
     strip_targets,
 )
-from .scl import FeatureSet, MsclSentence, SclSentence, features_of, normalize, pretty, well_formed
+from .scl import FeatureSet, SclSentence, features_of, normalize, pretty, well_formed
 from .translate import TranslationError, tau, tau_inverse
 from .semantics import (
     Assignment,

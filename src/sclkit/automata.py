@@ -346,10 +346,6 @@ class Dfa:
         self.transitions = transitions  # state -> list of (CharSet, state)
         self.accepting = accepting
 
-    @property
-    def states(self):
-        return set(self.transitions.keys())
-
     def accepts(self, word: str) -> bool:
         state = self.start
         for ch in word:

@@ -126,12 +126,9 @@ def cmd_contains(args) -> int:
 def cmd_template_sat(args) -> int:
     m = _read_document(args.doc)
     name = Iri(args.template)
-    template = None
-    for shape in m.shapes:
-        if shape.name == name:
-            template = shape
-    if template is None:
+    if not m.has_shape(name):
         raise DecisionError(f"template shape {args.template} not found in the document")
+    template = m.shape(name)
     if template.targets:
         raise DecisionError("the template shape must not carry targets")
     rest = Document(tuple(s for s in m.shapes if s.name != name))

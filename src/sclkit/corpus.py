@@ -184,17 +184,19 @@ def random_document(rng: random.Random, max_shapes: int = 4,
     raise RuntimeError("could not generate a document with the requested recursion")
 
 
-def random_graph(rng: random.Random, max_nodes: int = 4, density: float = 0.25) -> Graph:
+def random_graph(rng: random.Random, max_nodes: int = 4) -> Graph:
+    """A graph over the first 1..max_nodes corpus nodes, where each possible
+    edge and class membership holds with chance 1/4."""
     nodes = list(NODES[: rng.randint(1, max_nodes)])
     triples = []
     for rel in RELATIONS:
         for s in nodes:
             for o in nodes:
-                if rng.random() < density:
+                if rng.random() < 0.25:
                     triples.append(Triple(s, rel, o))
     for s in nodes:
         for cls in CLASSES:
-            if rng.random() < density:
+            if rng.random() < 0.25:
                 triples.append(Triple(s, RDF_TYPE, cls))
     return Graph(triples)
 
@@ -289,7 +291,7 @@ def feature_witness(letters: Iterable[str]) -> SclSentence:
     ))
 
 
-def _grid_base(gamma, extra_axioms=()) -> SclSentence:
+def _grid_base(gamma) -> SclSentence:
     """The tiling-system skeleton shared by the undecidability witnesses:
     an origin carrying some tile, and per-tile axioms demanding compatible
     right/up neighbours plus the fragment-specific square-closing formula."""
@@ -311,7 +313,7 @@ def _grid_base(gamma, extra_axioms=()) -> SclSentence:
     lead = ShapeRel(Iri(EX + "origin-shape"))
     axioms.append(TargetNodeAxiom(lead, origin))
     axioms.append(ConstraintAxiom(lead, PsiExists(RelStep(RelAtom(RDF_TYPE)), PsiEq(_TILES[0]))))
-    return SclSentence(tuple(axioms) + tuple(extra_axioms))
+    return SclSentence(tuple(axioms))
 
 
 def domino_witness(fragment: str) -> SclSentence:

@@ -21,8 +21,10 @@ from typing import Iterable, Iterator, Optional
 from .rdf import Graph, Iri, Literal, RDF_TYPE, Term, Triple, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING, term_key, triple_key
 from . import shacl as sh
 from .filters import (
+    DatatypeAtom,
     FilterAtom,
     FilterCombination,
+    LanguageTagAtom,
     OrderCmp,
     Pos,
     bounded_axiomatisation,
@@ -253,8 +255,6 @@ def _filter_sample_terms(m: sh.Document) -> list[Term]:
         Literal("", XSD_STRING), Literal("a", XSD_STRING),
         Literal("a", language="en"),
     ]
-    from .filters import DatatypeAtom, LanguageTagAtom
-
     for atom in atoms:
         if isinstance(atom, OrderCmp):
             pool.append(atom.limit)
@@ -367,24 +367,18 @@ def _rename_apart(m: sh.Document, taken: set, suffix: str) -> sh.Document:
     def rn(name: Iri) -> Iri:
         return mapping.get(name, name)
 
-    def rewrite(c: sh.Constraint) -> sh.Constraint:
+    def leaf(c: sh.Constraint) -> sh.Constraint:
         if isinstance(c, sh.Ref):
             return sh.Ref(rn(c.name))
-        if isinstance(c, sh.Not):
-            return sh.Not(rewrite(c.inner))
-        if isinstance(c, (sh.And, sh.Or)):
-            return type(c)(tuple(rewrite(i) for i in c.items))
         if isinstance(c, sh.Xone):
             return sh.Xone(tuple(rn(n) for n in c.names))
-        if isinstance(c, (sh.AllValues, sh.SomeValues)):
-            return type(c)(rewrite(c.inner))
         if isinstance(c, sh.QualifiedValue):
             return sh.QualifiedValue(rn(c.ref), c.min_count, c.max_count,
                                      tuple(rn(s) for s in c.siblings))
         return c
 
     return sh.Document(tuple(
-        sh.Shape(rn(s.name), s.targets, s.path, rewrite(s.constraint)) for s in m.shapes
+        sh.Shape(rn(s.name), s.targets, s.path, sh.rebuild(s.constraint, leaf)) for s in m.shapes
     ))
 
 
@@ -440,7 +434,7 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
     for ref in sh.referenced_names(constraint):
         if not m.has_shape(ref) and ref != name:
             raise DecisionError(f"template constraint references unknown shape {ref!r}")
-    if mode not in (SemanticsMode.BRAVE_PARTIAL, SemanticsMode.BRAVE_TOTAL):
+    if not mode.brave:
         raise DecisionError("template satisfiability is defined for the brave modes")
     doc = sh.eliminate_xone(m.with_shape(sh.Shape(name, (), path, constraint)))
     probe = ShapeRel(name)
@@ -700,32 +694,25 @@ class _Grounder:
     psi_memo: dict = field(default_factory=dict)
     pi_memo: dict = field(default_factory=dict)
 
+    def _var(self, table: dict, key) -> int:
+        if key not in table:
+            table[key] = self.cnf.new_var()
+        return table[key]
+
     def rel(self, name: Term, i: int, j: int) -> int:
-        key = (name, i, j)
-        if key not in self.rel_vars:
-            self.rel_vars[key] = self.cnf.new_var()
-        return self.rel_vars[key]
+        return self._var(self.rel_vars, (name, i, j))
 
     def filt(self, atom: FilterAtom, i: int) -> int:
-        key = (atom, i)
-        if key not in self.filt_vars:
-            self.filt_vars[key] = self.cnf.new_var()
-        return self.filt_vars[key]
+        return self._var(self.filt_vars, (atom, i))
 
     def shape(self, name: Iri, i: int) -> int:
-        key = (name, i)
-        if key not in self.shape_vars:
-            self.shape_vars[key] = self.cnf.new_var()
-        return self.shape_vars[key]
+        return self._var(self.shape_vars, (name, i))
 
     def order(self, op: str, j: int, k: int) -> int:
         # uninterpreted binary order relations lt / le
         if op in (">", ">="):
             return self.order({"<": ">", ">": "<", "<=": ">=", ">=": "<="}[op], k, j)
-        key = (op, j, k)
-        if key not in self.ord_vars:
-            self.ord_vars[key] = self.cnf.new_var()
-        return self.ord_vars[key]
+        return self._var(self.ord_vars, (op, j, k))
 
     def rel_atom(self, rel: RelAtom, i: int, j: int) -> int:
         if rel.inverted:
@@ -888,6 +875,14 @@ def _model_to_witness(model: list, gr: _Grounder, domain: list) -> tuple:
     return g, sigma
 
 
+def _constants(sentence: SclSentence, negated_target_disjunction: Optional[tuple]) -> list:
+    """The constants of the sentence and of the refuted target axioms, in
+    term order.  A constant only a refuted axiom mentions still names an
+    element of its own: without one, its target axiom would fail vacuously."""
+    refuted = SclSentence(tuple(negated_target_disjunction or ()))
+    return sorted(constants_of(sentence.conjoin(refuted)), key=term_key)
+
+
 def scl_bounded_sat(sentence: SclSentence, budget: SearchBudget,
                     negated_target_disjunction: Optional[tuple] = None,
                     deadline: Optional[_Deadline] = None) -> SatResult:
@@ -896,7 +891,7 @@ def scl_bounded_sat(sentence: SclSentence, budget: SearchBudget,
     with CDCL.  Unknown when every size is unsatisfiable, since larger models
     may exist."""
     deadline = deadline or _Deadline(budget.max_seconds)
-    consts = sorted(constants_of(sentence), key=term_key)
+    consts = _constants(sentence, negated_target_disjunction)
     for extra in range(0, budget.max_fresh + 1):
         if deadline.expired():
             return SatResult("unknown", reason="time budget exhausted")
@@ -1150,7 +1145,7 @@ class _Emitter:
         if negated_target_disjunction is not None:
             formulas.append(self.s.disj([self.s.neg(self.axiom(a))
                                          for a in negated_target_disjunction]))
-        consts = [self.const(c) for c in sorted(constants_of(sentence), key=term_key)]
+        consts = [self.const(c) for c in _constants(sentence, negated_target_disjunction)]
         return self.s.document(self.names, self.s.distinct(consts), formulas, self.uses_order)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .automata import ALPHABET_SIZE, UnsupportedPattern, compile_pattern, length_window_dfa
+from .automata import ALPHABET_SIZE, compile_pattern, length_window_dfa
 from .rdf import (
     Iri,
     Blank,
@@ -38,7 +38,6 @@ WITNESS_LIMIT = 256
 _ENUM_LIMIT = 4096
 
 INTEGER_DATATYPES = (XSD_INTEGER, XSD_INT)
-NUMERIC_DATATYPES = INTEGER_DATATYPES + (XSD_DECIMAL,)
 
 
 class FilterAxiomError(ValueError):
@@ -488,9 +487,13 @@ def _candidates(terms: Iterable[Term], conjuncts: list) -> _Count:
     return _Count.exactly([t for t in terms if _satisfies(t, conjuncts)])
 
 
-def _closed_form_lengths(min_len: int, max_len: Optional[int]) -> _Count:
+def _count_forms(atoms: _Atoms) -> _Count:
+    """Strings satisfying the length window and the pattern atoms."""
+    min_len, max_len = atoms.min_len, atoms.max_len
     if max_len is not None and max_len < min_len:
         return _Count.zero()
+    if atoms.has_patterns():
+        return _dfa_forms(length_window_dfa(min_len, max_len), atoms)
     if max_len is None:
         return _Count.infinite()
     total = sum(ALPHABET_SIZE ** l for l in range(min_len, max_len + 1))
@@ -499,30 +502,14 @@ def _closed_form_lengths(min_len: int, max_len: Optional[int]) -> _Count:
     return _Count.counted(total)
 
 
-def _count_forms(atoms: _Atoms) -> _Count:
-    """Strings satisfying the length window and the pattern atoms."""
-    if atoms.max_len is not None and atoms.max_len < atoms.min_len:
-        return _Count.zero()
-    if not atoms.has_patterns():
-        return _closed_form_lengths(atoms.min_len, atoms.max_len)
-    dfa = length_window_dfa(atoms.min_len, atoms.max_len)
-    for p in atoms.pos_patterns:
-        dfa = dfa.intersect(compile_pattern(p))
-    for p in atoms.neg_patterns:
-        dfa = dfa.intersect(compile_pattern(p).complement())
-    if dfa.is_empty():
-        return _Count.zero()
-    n = dfa.count_words(HUGE_THRESHOLD)
-    if n is None:
-        return _Count.counted(HUGE_THRESHOLD + 1) if dfa.is_finite() else _Count.infinite()
-    if n <= _ENUM_LIMIT:
-        return _Count.exactly(dfa.enumerate_words(n))
-    return _Count.counted(n)
-
-
 def _pattern_value_forms(atoms: _Atoms, canonical: str) -> _Count:
     """Canonical value strings compatible with patterns and length window."""
-    dfa = compile_pattern(canonical).intersect(length_window_dfa(atoms.min_len, atoms.max_len))
+    window = length_window_dfa(atoms.min_len, atoms.max_len)
+    return _dfa_forms(compile_pattern(canonical).intersect(window), atoms)
+
+
+def _dfa_forms(dfa, atoms: _Atoms) -> _Count:
+    """Words of the automaton that also satisfy the pattern atoms."""
     for p in atoms.pos_patterns:
         dfa = dfa.intersect(compile_pattern(p))
     for p in atoms.neg_patterns:
@@ -953,18 +940,11 @@ def _combo_psi(combo: FilterCombination, nu_rel):
 
 
 def _gather(phi) -> tuple:
-    from .scl import as_mscl, constants_of, filter_atoms_of, shape_rels_of
+    from .scl import constants_of, filter_atoms_of, shape_rels_of
 
-    constants: set = set()
-    atoms: set = set()
-    taken: set = set()
-    for sentence in as_mscl(phi).scl_sentences():
-        constants |= constants_of(sentence)
-        atoms |= filter_atoms_of(sentence)
-        taken |= {rel.name for rel in shape_rels_of(sentence)}
-    return (sorted(constants, key=term_key),
-            sorted(atoms, key=lambda a: a.describe()),
-            taken)
+    return (sorted(constants_of(phi), key=term_key),
+            sorted(filter_atoms_of(phi), key=lambda a: a.describe()),
+            {rel.name for rel in shape_rels_of(phi)})
 
 
 def naive_axiomatisation(phi) -> AxiomatisationResult:
@@ -1043,21 +1023,20 @@ def bounded_axiomatisation(phi) -> AxiomatisationResult:
     """Nu's defining axiom plus one counting conjunct per bounded filter
     combination with a finite satisfying set; polynomial in the input."""
     from .scl import (AtMostAxiom, ConstraintAxiom, PsiEq, PsiNot, PsiOrder, SclSentence,
-                      ShapeRel, as_mscl, psi_and_all, walk_psi)
+                      ShapeRel, psi_and_all, walk_psi)
     from .shacl import NameMint
 
     constants, atoms, taken = _gather(phi)
     for atom in atoms:
         if isinstance(atom, PatternAtom):
             raise FilterAxiomError("bounded axiomatisation excludes sh:pattern filters")
-    for sentence in as_mscl(phi).scl_sentences():
-        for axiom in sentence.axioms:
-            if hasattr(axiom, "body"):
-                for node in walk_psi(axiom.body):
-                    if isinstance(node, PsiOrder):
-                        raise FilterAxiomError(
-                            "bounded axiomatisation excludes property-pair order atoms"
-                        )
+    for axiom in phi.axioms:
+        if hasattr(axiom, "body"):
+            for node in walk_psi(axiom.body):
+                if isinstance(node, PsiOrder):
+                    raise FilterAxiomError(
+                        "bounded axiomatisation excludes property-pair order atoms"
+                    )
 
     nu_name = NU_NAME if NU_NAME not in taken else NameMint(taken, NU_NAME.value + ":").fresh()
     nu_rel = ShapeRel(nu_name)

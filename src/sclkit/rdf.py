@@ -141,12 +141,6 @@ class Graph:
     def subjects(self, predicate: Term, obj: Term) -> set:
         return set(self._bwd.get(predicate, {}).get(obj, ()))
 
-    def subjects_of(self, predicate: Term) -> set:
-        return set(self._fwd.get(predicate, {}).keys())
-
-    def objects_of(self, predicate: Term) -> set:
-        return set(self._bwd.get(predicate, {}).keys())
-
     def has(self, subject: Term, predicate: Term, obj: Term) -> bool:
         return obj in self._fwd.get(predicate, {}).get(subject, ())
 
@@ -155,9 +149,6 @@ class Graph:
         if len(objs) > 1:
             raise ValueError(f"expected at most one value of {predicate!r} on {subject!r}")
         return next(iter(objs)) if objs else None
-
-    def union(self, other: "Graph") -> "Graph":
-        return Graph(self.triples | other.triples)
 
 
 def nodes_of(g: Graph, document=None) -> frozenset:
@@ -326,7 +317,7 @@ class _Parser:
         if self.lex.startswith("@prefix"):
             self.lex.take("@prefix")
             self.lex.skip_ws()
-            name = self.lex.take_while(lambda c: _is_pname_char(c))
+            name = self.lex.take_while(_is_pname_char)
             self.lex.take(":")
             self.lex.skip_ws()
             iri = self.lex.read_iriref()
@@ -338,7 +329,7 @@ class _Parser:
         self.lex.take(".")
 
     def triples_block(self) -> None:
-        subject = self.node(allow_literal=True)
+        subject = self.node()
         self.predicate_object_list(subject)
         self.lex.take(".")
 
@@ -346,7 +337,7 @@ class _Parser:
         while True:
             predicate = self.verb()
             while True:
-                obj = self.node(allow_literal=True)
+                obj = self.node()
                 self.emit(subject, predicate, obj)
                 if self.lex.peek() == ",":
                     self.lex.take(",")
@@ -364,9 +355,9 @@ class _Parser:
         if self.lex.peek() == "a" and not _is_pname_char(self.lex.text[self.lex.pos + 1 : self.lex.pos + 2] or " "):
             self.lex.take("a")
             return RDF_TYPE
-        return self.node(allow_literal=True)
+        return self.node()
 
-    def node(self, allow_literal: bool) -> Term:
+    def node(self) -> Term:
         ch = self.lex.peek()
         if not ch:
             raise self.lex.error("unexpected end of input")
@@ -394,7 +385,7 @@ class _Parser:
             return self.number()
         # prefixed name, or the bare booleans
         name = self.lex.take_while(_is_pname_char)
-        if self.lex.peek() == ":" or (name == "" and self.lex.peek() == ":"):
+        if self.lex.peek() == ":":
             self.lex.take(":")
             local = self.lex.take_while(_is_pname_char)
             if local.endswith("."):
@@ -423,7 +414,7 @@ class _Parser:
         while self.lex.peek() != ")":
             if self.lex.eof():
                 raise self.lex.error("unterminated collection")
-            items.append(self.node(allow_literal=True))
+            items.append(self.node())
         self.lex.take(")")
         return self.build_list(items)
 
@@ -446,7 +437,7 @@ class _Parser:
             return Literal(lexical, language=tag)
         if self.lex.text.startswith("^^", self.lex.pos):
             self.lex.take("^^")
-            dt = self.node(allow_literal=False)
+            dt = self.node()
             if not isinstance(dt, Iri):
                 raise self.lex.error("datatype must be an IRI")
             return Literal(lexical, dt)

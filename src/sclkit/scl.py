@@ -248,12 +248,9 @@ def walk_pi(pi: Pi) -> Iterator[Pi]:
 def shape_rels_of(sentence: SclSentence) -> set[ShapeRel]:
     rels: set[ShapeRel] = set()
     for axiom in sentence.axioms:
-        if isinstance(axiom, TargetAxiom):
+        if not isinstance(axiom, AtMostAxiom):
             rels.add(axiom.shape)
-        elif isinstance(axiom, ConstraintAxiom):
-            rels.add(axiom.shape)
-            rels |= {p.rel for p in walk_psi(axiom.body) if isinstance(p, PsiShape)}
-        else:
+        if not isinstance(axiom, TargetAxiom):
             rels |= {p.rel for p in walk_psi(axiom.body) if isinstance(p, PsiShape)}
     return rels
 
@@ -380,61 +377,6 @@ def well_formed(sentence: SclSentence) -> bool:
     return all(counts.get(rel, 0) == 1 for rel in shape_rels_of(sentence))
 
 
-# --- monadic second-order layer ----------------------------------------------
-
-EXISTS = "exists"
-FORALL = "forall"
-
-
-@dataclass(frozen=True)
-class MatrixSentence:
-    sentence: SclSentence
-
-
-@dataclass(frozen=True)
-class MatrixNot:
-    inner: "Matrix"
-
-
-@dataclass(frozen=True)
-class MatrixAnd:
-    parts: tuple
-
-
-Matrix = Union[MatrixSentence, MatrixNot, MatrixAnd]
-
-
-@dataclass(frozen=True)
-class MsclSentence:
-    """Quantifier prefix over shape relations, matrix of sentence blocks."""
-
-    prefix: tuple  # of (quantifier, ShapeRel)
-    matrix: Matrix
-
-    def scl_sentences(self) -> Iterator[SclSentence]:
-        def visit(m: Matrix) -> Iterator[SclSentence]:
-            if isinstance(m, MatrixSentence):
-                yield m.sentence
-            elif isinstance(m, MatrixNot):
-                yield from visit(m.inner)
-            else:
-                for p in m.parts:
-                    yield from visit(p)
-
-        return visit(self.matrix)
-
-
-def exists_closure(sentence: SclSentence) -> MsclSentence:
-    prefix = tuple((EXISTS, rel) for rel in sorted(shape_rels_of(sentence), key=lambda r: r.name.value))
-    return MsclSentence(prefix, MatrixSentence(sentence))
-
-
-def as_mscl(phi) -> MsclSentence:
-    if isinstance(phi, MsclSentence):
-        return phi
-    return exists_closure(phi)
-
-
 # --- Theorem-4 normaliser ----------------------------------------------------
 
 _ATOMIC = (PsiTop, PsiEq, PsiFilter, PsiShape)
@@ -552,11 +494,10 @@ class PrettyPrinter:
         return repr(t)
 
     def rel(self, r: RelAtom) -> str:
-        if r.name == RDF_TYPE and not r.inverted:
-            return "isA"
-        base = self.term(r.name) if not isinstance(r.name, Iri) else f"R{self.iri(r.name)}"
         if r.name == RDF_TYPE:
             base = "isA"
+        else:
+            base = f"R{self.iri(r.name)}" if isinstance(r.name, Iri) else self.term(r.name)
         return base + ("⁻" if r.inverted else "")
 
     def shape(self, rel: ShapeRel) -> str:

@@ -183,10 +183,9 @@ class EvalContext:
     """Evaluator over one graph; path results and ground subformula values
     are cached, shape atoms are read through a mutable sign lookup."""
 
-    def __init__(self, g: Graph, compiled: _Compiled, filter_eval=eval_filter):
+    def __init__(self, g: Graph, compiled: _Compiled):
         self.g = g
         self.compiled = compiled
-        self.filter_eval = filter_eval
         self.sign = {}  # (Term, Iri) -> bool, read by shape atoms
         self._paths: dict = {}
         self._ground_vals: dict = {}
@@ -248,7 +247,7 @@ class EvalContext:
         if isinstance(psi, PsiEq):
             return TRUE if node == psi.constant else FALSE
         if isinstance(psi, PsiFilter):
-            return TRUE if self.filter_eval(psi.atom, node) else FALSE
+            return TRUE if eval_filter(psi.atom, node) else FALSE
         if isinstance(psi, PsiShape):
             s = self.sign.get((node, psi.rel.name))
             if s is None:
@@ -373,10 +372,12 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
     """A faithful assignment (targets included) when the graph is valid under
     the mode, else None.
 
-    A non-recursive document takes the stratified assignment.  Otherwise each
-    (node, shape) pair gets an "is true" and an "is false" variable, every
-    shape body is grounded over the fixed graph to a strong-Kleene pair of
-    literals, and faithfulness ties the two.  Brave validity is one SAT call
+    A non-recursive document takes the stratified assignment.  A targeted
+    pair whose body holds no shape atom and is not true on the graph answers
+    None before anything is grounded.  Otherwise each (node, shape) pair gets
+    an "is true" and an "is false" variable, every shape body is grounded
+    over the fixed graph to a strong-Kleene pair of literals, and
+    faithfulness ties the two.  Brave validity is one SAT call
     with the targeted pairs asserted true; cautious validity adds a refutation
     of "some targeted pair is not true" over the target-free assignments of
     the same (nodes(G, M), shapes(M)) scope."""
@@ -388,8 +389,13 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
         return rho if _targets_satisfied(g, m, rho) else None
     compiled = compile_document(m)
     ctx = EvalContext(g, compiled)
-    cnf = _Cnf()
     nodes = sorted(nodes_of(g, m), key=term_key)
+    targeted = _targeted_pairs(g, m, nodes)
+    for node, name in targeted:
+        body = compiled.bodies[name]
+        if id(body) in compiled.ground and ctx.eval(body, node) is not TRUE:
+            return None
+    cnf = _Cnf()
     shapes = sorted(m.names(), key=lambda i: i.value)
     var = {}
     for pair in ((n, s) for n in nodes for s in shapes):
@@ -426,7 +432,6 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
         for v, b in zip(signs, ground(compiled.bodies[name], node)):
             cnf.add(-v, b)
             cnf.add(v, -b)
-    targeted = _targeted_pairs(g, m, nodes)
     model = _dpll(cnf.n_vars, cnf.clauses + [(var[p][0],) for p in targeted])
     if model is None:
         return None
@@ -452,8 +457,8 @@ def sentence_holds(phi, g: Graph, sigma: Assignment) -> bool:
     """Truth of a sentence over the structure induced by a graph and a total
     assignment: quantifiers range over the structure's domain (the
     assignment's node scope), constants outside it denote nothing."""
-    from .scl import (AtMostAxiom, ConstraintAxiom, SclSentence, TargetClassAxiom,
-                      TargetNodeAxiom, TargetObjectsAxiom, TargetSubjectsAxiom)
+    from .scl import (AtMostAxiom, ConstraintAxiom, TargetClassAxiom, TargetNodeAxiom,
+                      TargetObjectsAxiom, TargetSubjectsAxiom)
 
     if not sigma.is_total():
         raise SemanticsError("sentence evaluation needs a total assignment")

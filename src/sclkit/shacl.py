@@ -17,11 +17,14 @@ from .rdf import (
     RDF_REST,
     RDF_TYPE,
     SH_NS,
+    Blank,
     Graph,
     Iri,
     Literal,
     Term,
+    Triple,
     XSD_BOOLEAN,
+    XSD_INTEGER,
     term_key,
 )
 
@@ -327,10 +330,6 @@ class Shape:
     path: Optional[PathExpr] = None
     constraint: Constraint = Top()
 
-    @property
-    def is_property_shape(self) -> bool:
-        return self.path is not None
-
 
 class DocumentError(ValueError):
     pass
@@ -397,6 +396,16 @@ def is_recursive(m: Document) -> bool:
     return any(s.name in referenced_shapes_closure(m, s.name) for s in m.shapes)
 
 
+def rebuild(c: Constraint, leaf) -> Constraint:
+    """The constraint tree rebuilt with `leaf` applied to each node that is
+    not Not, And, Or, AllValues or SomeValues."""
+    if isinstance(c, (Not, AllValues, SomeValues)):
+        return type(c)(rebuild(c.inner, leaf))
+    if isinstance(c, (And, Or)):
+        return type(c)(tuple(rebuild(i, leaf) for i in c.items))
+    return leaf(c)
+
+
 def strip_targets(m: Document) -> Document:
     return Document(tuple(
         Shape(s.name, (), s.path, s.constraint) for s in m.shapes
@@ -423,22 +432,10 @@ def eliminate_xone(m: Document) -> Document:
         extra.append(Shape(head, (), None, expand(names[:-1])))
         return expand((head, names[-1]))
 
-    def rewrite(c: Constraint) -> Constraint:
-        if isinstance(c, Xone):
-            return expand(c.names)
-        if isinstance(c, Not):
-            return Not(rewrite(c.inner))
-        if isinstance(c, And):
-            return And(tuple(rewrite(i) for i in c.items))
-        if isinstance(c, Or):
-            return Or(tuple(rewrite(i) for i in c.items))
-        if isinstance(c, AllValues):
-            return AllValues(rewrite(c.inner))
-        if isinstance(c, SomeValues):
-            return SomeValues(rewrite(c.inner))
-        return c
+    def leaf(c: Constraint) -> Constraint:
+        return expand(c.names) if isinstance(c, Xone) else c
 
-    shapes = [Shape(s.name, s.targets, s.path, rewrite(s.constraint)) for s in m.shapes]
+    shapes = [Shape(s.name, s.targets, s.path, rebuild(s.constraint, leaf)) for s in m.shapes]
     return Document(tuple(shapes + extra))
 
 
@@ -606,7 +603,6 @@ class _DocumentReader:
         return Shape(self.names[node], tuple(targets), path, constraint)
 
     def read_atom(self, node: Term, local: str, obj: Term, in_property: bool) -> Optional[Constraint]:
-        g = self.g
         if local in ("path", "targetNode", "targetClass", "targetSubjectsOf", "targetObjectsOf",
                      "qualifiedMinCount", "qualifiedMaxCount", "qualifiedValueShapesDisjoint",
                      "ignoredProperties"):
@@ -814,8 +810,6 @@ def document_language_tags(m: Document) -> set[str]:
 
 def document_to_graph(m: Document) -> Graph:
     """Triple encoding of a document (inverse of document_from_graph)."""
-    from .rdf import Blank, Literal as Lit, Triple, XSD_BOOLEAN as BOOL, XSD_INTEGER as INT
-
     triples: list = []
     counter = [0]
 
@@ -851,10 +845,10 @@ def document_to_graph(m: Document) -> Graph:
             triples.append(Triple(node, sh("zeroOrOnePath"), emit_path(p.inner)))
         return node
 
-    def intlit(n: int) -> Lit:
-        return Lit(str(n), INT)
+    def intlit(n: int) -> Literal:
+        return Literal(str(n), XSD_INTEGER)
 
-    true = Lit("true", BOOL)
+    true = Literal("true", XSD_BOOLEAN)
     mint = NameMint(set(m.names()))
     pending: list[Shape] = []
 
@@ -879,7 +873,7 @@ def document_to_graph(m: Document) -> Graph:
         else:
             yield c
 
-    def emit_constraint(subject: Term, c: Constraint, path: Optional[PathExpr] = None) -> None:
+    def emit_constraint(subject: Term, c: Constraint) -> None:
         if isinstance(c, Top):
             return
         simple = {
@@ -894,8 +888,8 @@ def document_to_graph(m: Document) -> Graph:
             MaxInclusive: lambda: (sh("maxInclusive"), c.limit),
             MinLengthConstraint: lambda: (sh("minLength"), intlit(c.length)),
             MaxLengthConstraint: lambda: (sh("maxLength"), intlit(c.length)),
-            PatternConstraint: lambda: (sh("pattern"), Lit(c.regex)),
-            LanguageIn: lambda: (sh("languageIn"), emit_list([Lit(t) for t in c.tags])),
+            PatternConstraint: lambda: (sh("pattern"), Literal(c.regex)),
+            LanguageIn: lambda: (sh("languageIn"), emit_list([Literal(t) for t in c.tags])),
             MinCount: lambda: (sh("minCount"), intlit(c.n)),
             MaxCount: lambda: (sh("maxCount"), intlit(c.n)),
             UniqueLang: lambda: (sh("uniqueLang"), true),
@@ -911,7 +905,7 @@ def document_to_graph(m: Document) -> Graph:
             return
         if isinstance(c, And):
             for item in c.items:
-                emit_constraint(subject, item, path)
+                emit_constraint(subject, item)
             return
         if isinstance(c, Not):
             triples.append(Triple(subject, sh("not"), ref_of(c.inner)))
@@ -942,7 +936,7 @@ def document_to_graph(m: Document) -> Graph:
                 # a bare sh:hasValue on a property shape reads back as SomeValues
                 triples.append(Triple(subject, sh("node"), ref_of(c.inner)))
             else:
-                emit_constraint(subject, c.inner, None)
+                emit_constraint(subject, c.inner)
             return
         if isinstance(c, SomeValues):
             if isinstance(c.inner, HasValue):
@@ -967,7 +961,7 @@ def document_to_graph(m: Document) -> Graph:
                 triples.append(Triple(shape.name, sh("targetSubjectsOf"), t.rel))
             else:
                 triples.append(Triple(shape.name, sh("targetObjectsOf"), t.rel))
-        emit_constraint(shape.name, shape.constraint, shape.path)
+        emit_constraint(shape.name, shape.constraint)
 
     for shape in m.shapes:
         emit_shape(shape)

@@ -8,6 +8,7 @@ document, minting fresh names for anonymous subformulae.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 from .rdf import Iri, RDF_TYPE
@@ -69,18 +70,9 @@ def path_to_pi(path: sh.PathExpr) -> Pi:
         return RelStep(RelAtom(path.iri))
     if isinstance(path, sh.InversePath):
         return RelStep(RelAtom(path.iri, inverted=True))
-    if isinstance(path, sh.SeqPath):
-        parts = [path_to_pi(p) for p in path.parts]
-        out = parts[0]
-        for p in parts[1:]:
-            out = PiSeq(out, p)
-        return out
-    if isinstance(path, sh.AltPath):
-        parts = [path_to_pi(p) for p in path.parts]
-        out = parts[0]
-        for p in parts[1:]:
-            out = PiAlt(out, p)
-        return out
+    if isinstance(path, (sh.SeqPath, sh.AltPath)):
+        join = PiSeq if isinstance(path, sh.SeqPath) else PiAlt
+        return reduce(join, [path_to_pi(p) for p in path.parts])
     if isinstance(path, sh.ZeroOrMorePath):
         return PiStar(path_to_pi(path.inner))
     if isinstance(path, sh.OneOrMorePath):
@@ -92,16 +84,12 @@ def path_to_pi(path: sh.PathExpr) -> Pi:
 def pi_to_path(pi: Pi) -> sh.PathExpr:
     if isinstance(pi, RelStep):
         return sh.InversePath(pi.rel.name) if pi.rel.inverted else sh.PredPath(pi.rel.name)
-    if isinstance(pi, PiSeq):
-        left, right = pi_to_path(pi.left), pi_to_path(pi.right)
-        lparts = left.parts if isinstance(left, sh.SeqPath) else (left,)
-        rparts = right.parts if isinstance(right, sh.SeqPath) else (right,)
-        return sh.SeqPath(lparts + rparts)
-    if isinstance(pi, PiAlt):
-        left, right = pi_to_path(pi.left), pi_to_path(pi.right)
-        lparts = left.parts if isinstance(left, sh.AltPath) else (left,)
-        rparts = right.parts if isinstance(right, sh.AltPath) else (right,)
-        return sh.AltPath(lparts + rparts)
+    if isinstance(pi, (PiSeq, PiAlt)):
+        cls = sh.SeqPath if isinstance(pi, PiSeq) else sh.AltPath
+        parts: tuple = ()
+        for side in (pi_to_path(pi.left), pi_to_path(pi.right)):
+            parts += side.parts if isinstance(side, cls) else (side,)
+        return cls(parts)
     if isinstance(pi, PiStar):
         return sh.ZeroOrMorePath(pi_to_path(pi.inner))
     return sh.ZeroOrOnePath(pi_to_path(pi.inner))
@@ -266,9 +254,9 @@ def constraint_psi(shape: sh.Shape, ctx: _TauContext) -> Psi:
     return _property_psi(shape.constraint, path_to_pi(shape.path), ctx, shape)
 
 
-def shape_bodies(m: sh.Document, extra_documents: tuple = ()) -> dict:
+def shape_bodies(m: sh.Document) -> dict:
     """The per-shape constraint formula of every shape in the document."""
-    ctx = _TauContext.of(m, extra_documents)
+    ctx = _TauContext.of(m)
     return {shape.name: constraint_psi(shape, ctx) for shape in m.shapes}
 
 
@@ -315,20 +303,25 @@ class _InverseContext:
         return {r for r in relation_names(self.sentence) if isinstance(r, Iri)}
 
 
-def _match_unique_lang(psi: Psi):
-    """An and-tree of ¬∃≥2y.π∧F_lang=t(y) whose tag set includes the fresh
-    marker reads back as sh:uniqueLang."""
-    conjuncts = []
+def _and_leaves(psi: Psi) -> list:
+    """The conjuncts of an and-tree that are not themselves conjunctions."""
+    leaves = []
     stack = [psi]
     while stack:
         node = stack.pop()
         if isinstance(node, PsiAnd):
             stack.extend((node.left, node.right))
         else:
-            conjuncts.append(node)
+            leaves.append(node)
+    return leaves
+
+
+def _match_unique_lang(psi: Psi):
+    """An and-tree of ¬∃≥2y.π∧F_lang=t(y) whose tag set includes the fresh
+    marker reads back as sh:uniqueLang."""
     tags = set()
     paths = set()
-    for node in conjuncts:
+    for node in _and_leaves(psi):
         if not (isinstance(node, PsiNot) and isinstance(node.inner, PsiCount)
                 and node.inner.n == 2 and isinstance(node.inner.body, PsiFilter)
                 and isinstance(node.inner.body.atom, LanguageTagAtom)):
@@ -343,16 +336,8 @@ def _match_unique_lang(psi: Psi):
 def _match_closed(psi: Psi):
     """An and-tree of ¬∃y.R(x,y) whose relation set includes the closed
     marker reads back as sh:closed."""
-    conjuncts = []
-    stack = [psi]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, PsiAnd):
-            stack.extend((node.left, node.right))
-        else:
-            conjuncts.append(node)
     rels = set()
-    for node in conjuncts:
+    for node in _and_leaves(psi):
         if not (isinstance(node, PsiNot) and isinstance(node.inner, PsiExists)
                 and isinstance(node.inner.body, PsiTop)
                 and isinstance(node.inner.path, RelStep)

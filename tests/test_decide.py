@@ -181,6 +181,34 @@ def test_containment_sentence_refutes_containment():
     assert not r2.is_sat
 
 
+def test_containment_refutation_keeps_refuted_target_constants():
+    from sclkit.decide import containment_sentence
+
+    # every graph validates m2: its one target node conforms trivially; the
+    # node occurs only in the target axiom the refutation negates
+    m1 = sh.Document((sh.Shape(iri("a")),))
+    m2 = sh.Document((sh.Shape(iri("b"), (sh.NodeTarget(iri("n")),)),))
+    phi, negated = containment_sentence(m1, m2)
+    assert not scl_bounded_sat(phi, BUDGET, negated_target_disjunction=negated).is_sat
+
+
+def test_containment_refutation_models_separate_the_documents():
+    from sclkit.decide import containment_sentence
+
+    rng = random.Random(5)
+    refuted = 0
+    for _ in range(250):
+        m1, m2 = (random_document(rng, max_shapes=2, features=("Z", "A", "D", "C"))
+                  for _ in range(2))
+        phi, negated = containment_sentence(m1, m2)
+        r = scl_bounded_sat(phi, BUDGET, negated_target_disjunction=negated)
+        if r.is_sat:
+            refuted += 1
+            assert validate(r.witness_graph, m1, SemanticsMode.BRAVE_TOTAL)
+            assert not validate(r.witness_graph, m2, SemanticsMode.BRAVE_TOTAL)
+    assert refuted > 100
+
+
 def test_template_sat_examples():
     empty = sh.Document(())
     r = template_sat(empty, iri("t"), sh.Top(), BUDGET)
@@ -477,6 +505,21 @@ def test_containment_encoding_attached():
     assert "(assert (not (forall" in r.encoding and "(check-sat)" in r.encoding
     tp = check_containment(m1, m2, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="tptp")
     assert "fof(" in tp.encoding
+
+
+def test_containment_encoding_keeps_refuted_target_constants_apart():
+    from sclkit.decide import containment_sentence
+
+    # m2 holds on every graph: its target :n differs from :k by unique names
+    m1 = sh.Document((sh.Shape(iri("a")),))
+    m2 = sh.Document((sh.Shape(iri("b"), (sh.NodeTarget(iri("n")),), None,
+                               sh.Not(sh.HasValue(iri("k")))),))
+    phi, negated = containment_sentence(m1, m2)
+    assert not scl_bounded_sat(phi, BUDGET, negated_target_disjunction=negated).is_sat
+    smt = emit_smtlib(phi, negated_target_disjunction=negated)
+    assert "(assert (distinct |c:<http://ex/k>| |c:<http://ex/n>|))" in smt
+    tptp = emit_tptp(phi, negated_target_disjunction=negated)
+    assert "(c_http___ex_k != c_http___ex_n)" in tptp
 
 
 def test_gamma_preserves_brave_satisfiability():

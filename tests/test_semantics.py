@@ -416,6 +416,25 @@ def test_cautious_covers_absent_target_nodes():
         assert validate(g, m, mode, use_fast_path=False) == brute_force_validate(g, m, mode)
 
 
+def test_false_sign_free_target_body_skips_the_solver(monkeypatch):
+    import sclkit.decide
+
+    # :s has no shape atom and fails at its target; :r makes the document
+    # recursive, so validation cannot take the stratified fast path
+    m = doc(":s a sh:NodeShape ; sh:targetNode :a ; sh:hasValue :b . "
+            ":r a sh:NodeShape ; sh:not :r .")
+    g = parse_turtle(PRE + ":a :p :b .")
+    expected = {mode: brute_force_validate(g, m, mode) for mode in ALL_MODES}
+
+    def no_solver(*args):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(sclkit.decide, "_dpll", no_solver)
+    for mode in ALL_MODES:
+        assert validation_witness(g, m, mode) is None
+        assert not expected[mode]
+
+
 def test_unique_lang_validation():
     m = doc(':s a sh:PropertyShape ; sh:targetNode :n ; sh:path :label ; sh:uniqueLang true . '
             ':t a sh:NodeShape ; sh:languageIn ( "en" "fr" ) .')
