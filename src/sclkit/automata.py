@@ -2,17 +2,27 @@
 filter cardinality function needs: emptiness, language finiteness, exact word
 counts over the Unicode alphabet, and lexicographic word enumeration.
 
-Supported syntax: literals, escapes (\\d \\D \\w \\W \\s \\S and escaped
-metacharacters), '.', character classes with ranges and negation, groups,
-alternation, and the *, +, ?, {m}, {m,}, {m,n} quantifiers.  '^' and '$'
-anchors are honoured at the pattern ends; unanchored patterns are wrapped in
-implicit .* on the open sides (search semantics).
+A pattern means what `re.search` matches.  The automaton is built from the
+stdlib's own parse tree, so escapes, classes, groups, alternation and the
+greedy and lazy quantifiers read exactly as `re` reads them: \\d, \\w and \\s
+follow the Unicode rules of str patterns, '.' excludes '\\n', and '$' also
+matches before a final '\\n'.  '^', '\\A', '$' and '\\Z' count at the ends of
+each top-level alternative; an unanchored end is wrapped in an implicit match
+of any string (search semantics).  Inline flags, back-references, lookarounds,
+word boundaries, possessive and atomic groups, and anchors anywhere else raise
+UnsupportedPattern, as does a pattern `re` rejects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
+
+try:
+    from re import _constants as _sre, _parser as _sre_parse
+except ImportError:  # Python 3.10
+    import sre_constants as _sre
+    import sre_parse as _sre_parse
 
 # Unicode scalar values (code points minus surrogates).
 ALPHABET_SIZE = 0x110000 - 0x800
@@ -41,7 +51,7 @@ class CharSet:
         if self.negated and other.negated:
             return CharSet(self.chars | other.chars, True)
         pos, neg = (self, other) if not self.negated else (other, self)
-        return CharSet(frozenset(c for c in pos.chars if c not in neg.chars))
+        return CharSet(pos.chars - neg.chars)
 
     def is_empty(self) -> bool:
         return self.size() == 0
@@ -64,213 +74,51 @@ class CharSet:
 
 ANY = CharSet(frozenset(), True)
 
-_CLASS_SHORTHAND = {
-    "d": CharSet(frozenset(range(0x30, 0x3A))),
-    "w": CharSet(frozenset(range(0x30, 0x3A)) | frozenset(range(0x41, 0x5B))
-                 | frozenset(range(0x61, 0x7B)) | {0x5F}),
-    "s": CharSet(frozenset(ord(c) for c in " \t\n\r\f\v")),
+
+# --- character sets of the stdlib parse tree ---------------------------------------
+
+_CATEGORY_TESTS = {
+    "DIGIT": str.isdecimal,
+    "SPACE": str.isspace,
+    "WORD": lambda c: c.isalnum() or c == "_",
 }
-_ESCAPE_LITERAL = {"n": "\n", "t": "\t", "r": "\r", "f": "\f", "v": "\v", "0": "\0"}
 
 
-# --- regex AST ----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RSym:
-    cs: CharSet
-
-
-@dataclass(frozen=True)
-class REps:
-    pass
+@lru_cache(maxsize=None)
+def _category(name: str) -> CharSet:
+    """The code points of \\d, \\s or \\w as re reads them in a str pattern."""
+    test = _CATEGORY_TESTS[name]
+    return CharSet(frozenset(cp for cp in range(0x110000) if test(chr(cp))))
 
 
-@dataclass(frozen=True)
-class RCat:
-    parts: tuple
+def _charset(op, av) -> CharSet:
+    """The characters one single-character parse item matches."""
+    if op is _sre.LITERAL:
+        return CharSet(frozenset({av}))
+    if op is _sre.NOT_LITERAL:
+        return CharSet(frozenset({av}), True)
+    if op is _sre.ANY:
+        return CharSet(frozenset({ord("\n")}), True)
+    if op is _sre.ANY_ALL:
+        return ANY
+    if op is _sre.RANGE:
+        return CharSet(frozenset(range(av[0], av[1] + 1)))
+    if op is _sre.CATEGORY:
+        name = av.name.removeprefix("CATEGORY_")
+        base = _category(name.removeprefix("NOT_"))
+        return CharSet(base.chars, name.startswith("NOT_"))
+    # IN: the union of its members, complemented after a leading NEGATE
+    outside = ANY
+    for member in av:
+        if member[0] is not _sre.NEGATE:
+            cs = _charset(*member)
+            outside = outside.intersect(CharSet(cs.chars, not cs.negated))
+    if av and av[0][0] is _sre.NEGATE:
+        return outside
+    return CharSet(outside.chars, not outside.negated)
 
 
-@dataclass(frozen=True)
-class RAlt:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class RStar:
-    inner: object
-
-
-class _RegexParser:
-    def __init__(self, pattern: str):
-        self.p = pattern
-        self.i = 0
-
-    def error(self, msg: str) -> UnsupportedPattern:
-        return UnsupportedPattern(f"{msg} in pattern {self.p!r} at offset {self.i}")
-
-    def peek(self) -> str:
-        return self.p[self.i] if self.i < len(self.p) else ""
-
-    def parse(self):
-        anchored_start = self.p.startswith("^")
-        anchored_end = self.p.endswith("$") and not self.p.endswith("\\$")
-        if anchored_start:
-            self.i = 1
-        end = len(self.p) - 1 if anchored_end else len(self.p)
-        node = self.alternation(end)
-        if self.i != end:
-            raise self.error("trailing garbage")
-        parts = []
-        if not anchored_start:
-            parts.append(RStar(RSym(ANY)))
-        parts.append(node)
-        if not anchored_end:
-            parts.append(RStar(RSym(ANY)))
-        return RCat(tuple(parts))
-
-    def alternation(self, end: int):
-        parts = [self.concat(end)]
-        while self.i < end and self.peek() == "|":
-            self.i += 1
-            parts.append(self.concat(end))
-        return parts[0] if len(parts) == 1 else RAlt(tuple(parts))
-
-    def concat(self, end: int):
-        parts = []
-        while self.i < end and self.peek() not in "|)":
-            parts.append(self.atom_with_quantifier(end))
-        if not parts:
-            return REps()
-        return parts[0] if len(parts) == 1 else RCat(tuple(parts))
-
-    def atom_with_quantifier(self, end: int):
-        node = self.atom(end)
-        while self.i < end and self.peek() in "*+?{":
-            ch = self.peek()
-            if ch == "*":
-                self.i += 1
-                node = RStar(node)
-            elif ch == "+":
-                self.i += 1
-                node = RCat((node, RStar(node)))
-            elif ch == "?":
-                self.i += 1
-                node = RAlt((node, REps()))
-            else:
-                node = self.bounded(node)
-            if self.i < end and self.peek() in "*+?":
-                # nested quantifiers like a** are pointless but harmless
-                continue
-        return node
-
-    def bounded(self, node):
-        close = self.p.find("}", self.i)
-        if close < 0:
-            raise self.error("unterminated {quantifier}")
-        spec = self.p[self.i + 1 : close]
-        self.i = close + 1
-        if "," in spec:
-            lo_s, hi_s = spec.split(",", 1)
-            lo = int(lo_s) if lo_s else 0
-            hi = int(hi_s) if hi_s else None
-        else:
-            lo = hi = int(spec)
-        parts = [node] * lo
-        if hi is None:
-            parts.append(RStar(node))
-        else:
-            if hi < lo:
-                raise self.error("bad {m,n} bounds")
-            parts.extend([RAlt((node, REps()))] * (hi - lo))
-        return RCat(tuple(parts)) if parts else REps()
-
-    def atom(self, end: int):
-        ch = self.peek()
-        if ch == "(":
-            self.i += 1
-            if self.peek() == "?":
-                raise self.error("lookaround/group flags unsupported")
-            node = self.alternation(end)
-            if self.peek() != ")":
-                raise self.error("unbalanced parenthesis")
-            self.i += 1
-            return node
-        if ch == "[":
-            return RSym(self.char_class())
-        if ch == ".":
-            self.i += 1
-            return RSym(ANY)
-        if ch == "\\":
-            return RSym(self.escape())
-        if ch in "*+?{":
-            raise self.error("dangling quantifier")
-        if ch in "^$":
-            raise self.error("inner anchors unsupported")
-        self.i += 1
-        return RSym(CharSet(frozenset({ord(ch)})))
-
-    def escape(self) -> CharSet:
-        self.i += 1
-        ch = self.peek()
-        if not ch:
-            raise self.error("dangling escape")
-        self.i += 1
-        if ch in _CLASS_SHORTHAND:
-            return _CLASS_SHORTHAND[ch]
-        if ch.upper() == ch and ch.lower() in _CLASS_SHORTHAND:
-            base = _CLASS_SHORTHAND[ch.lower()]
-            return CharSet(base.chars, not base.negated)
-        if ch in _ESCAPE_LITERAL:
-            return CharSet(frozenset({ord(_ESCAPE_LITERAL[ch])}))
-        if ch == "u":
-            hexs = self.p[self.i : self.i + 4]
-            self.i += 4
-            return CharSet(frozenset({int(hexs, 16)}))
-        if ch.isalnum():
-            raise self.error(f"unsupported escape \\{ch}")
-        return CharSet(frozenset({ord(ch)}))
-
-    def char_class(self) -> CharSet:
-        self.i += 1
-        negated = self.peek() == "^"
-        if negated:
-            self.i += 1
-        chars: set[int] = set()
-        sub_negated: list[CharSet] = []
-        first = True
-        while True:
-            ch = self.peek()
-            if not ch:
-                raise self.error("unterminated character class")
-            if ch == "]" and not first:
-                self.i += 1
-                break
-            first = False
-            if ch == "\\":
-                cs = self.escape()
-                if cs.negated:
-                    sub_negated.append(cs)
-                else:
-                    chars |= set(cs.chars)
-                continue
-            self.i += 1
-            if self.peek() == "-" and self.p[self.i + 1 : self.i + 2] not in ("]", ""):
-                self.i += 1
-                hi = self.peek()
-                self.i += 1
-                if hi == "\\":
-                    raise self.error("escape as range bound unsupported")
-                chars |= set(range(ord(ch), ord(hi) + 1))
-            else:
-                chars.add(ord(ch))
-        out = CharSet(frozenset(chars))
-        for cs in sub_negated:
-            # union with a complement set: complement of (complement minus chars)
-            out = CharSet(frozenset(c for c in cs.chars if not out.contains(c)), True)
-        if negated:
-            return CharSet(out.chars, not out.negated)
-        return out
-
+_CHAR_OPS = (_sre.LITERAL, _sre.NOT_LITERAL, _sre.ANY, _sre.ANY_ALL, _sre.IN)
 
 # --- NFA / DFA -----------------------------------------------------------------
 
@@ -296,31 +144,52 @@ class Nfa:
             self.edges[a].append((cs, b))
 
 
-def _build(nfa: Nfa, node, src: int, dst: int) -> None:
-    if isinstance(node, REps):
-        nfa.add_eps(src, dst)
-    elif isinstance(node, RSym):
-        nfa.add_edge(src, node.cs, dst)
-    elif isinstance(node, RCat):
-        cur = src
-        for part in node.parts[:-1] if node.parts else ():
-            nxt = nfa.new_state()
-            _build(nfa, part, cur, nxt)
-            cur = nxt
-        if node.parts:
-            _build(nfa, node.parts[-1], cur, dst)
-        else:
-            nfa.add_eps(src, dst)
-    elif isinstance(node, RAlt):
-        for part in node.parts:
-            _build(nfa, part, src, dst)
-    elif isinstance(node, RStar):
+def _build(nfa: Nfa, items, src: int, dst: int) -> None:
+    """Thompson construction of a sequence of parse items between two states."""
+    items = list(items)
+    for item in items[:-1]:
         mid = nfa.new_state()
-        nfa.add_eps(src, mid)
-        _build(nfa, node.inner, mid, mid)
-        nfa.add_eps(mid, dst)
-    else:  # pragma: no cover
-        raise UnsupportedPattern(f"unknown regex node {node!r}")
+        _build_item(nfa, item, src, mid)
+        src = mid
+    if items:
+        _build_item(nfa, items[-1], src, dst)
+    else:
+        nfa.add_eps(src, dst)
+
+
+def _build_item(nfa: Nfa, item, src: int, dst: int) -> None:
+    op, av = item
+    if op in _CHAR_OPS:
+        nfa.add_edge(src, _charset(op, av), dst)
+    elif op is _sre.BRANCH:
+        for alt in av[1]:
+            _build(nfa, alt, src, dst)
+    elif op is _sre.SUBPATTERN:
+        if av[1] or av[2]:
+            raise UnsupportedPattern("inline flags are unsupported")
+        _build(nfa, av[3], src, dst)
+    elif op in (_sre.MAX_REPEAT, _sre.MIN_REPEAT):
+        lo, hi, body = av
+        for _ in range(lo):
+            mid = nfa.new_state()
+            _build(nfa, body, src, mid)
+            src = mid
+        if hi == _sre.MAXREPEAT:
+            mid = nfa.new_state()
+            nfa.add_eps(src, mid)
+            _build(nfa, body, mid, mid)
+            src = mid
+        else:
+            for _ in range(hi - lo):
+                mid = nfa.new_state()
+                nfa.add_eps(src, mid)
+                _build(nfa, body, src, mid)
+                src = mid
+        nfa.add_eps(src, dst)
+    elif op is _sre.AT and av.name.startswith(("AT_BEGINNING", "AT_END")):
+        raise UnsupportedPattern(f"{av.name} counts only at the ends of a top-level alternative")
+    else:
+        raise UnsupportedPattern(f"{(av if op is _sre.AT else op).name} is unsupported")
 
 
 def _partition(charsets: list) -> list:
@@ -527,14 +396,45 @@ def nfa_to_dfa(nfa: Nfa) -> Dfa:
     return Dfa(start, transitions, accepting)
 
 
+_ANY_STRING = (_sre.MAX_REPEAT, (0, _sre.MAXREPEAT, [(_sre.ANY_ALL, None)]))
+_END_TAILS = {
+    None: [_ANY_STRING],
+    _sre.AT_END: [(_sre.MAX_REPEAT, (0, 1, [(_sre.LITERAL, ord("\n"))]))],
+    _sre.AT_END_STRING: [],
+}
+
+
+def _search_alternatives(items, anchored=False, end=None) -> Iterator[list]:
+    """Each top-level alternative as parse items for the strings re.search finds
+    it in: its anchors are stripped, and an open end matches any string."""
+    items = list(items)
+    while items and items[0][0] is _sre.AT and items[0][1] in (_sre.AT_BEGINNING, _sre.AT_BEGINNING_STRING):
+        anchored = True
+        del items[0]
+    while items and items[-1][0] is _sre.AT and items[-1][1] in (_sre.AT_END, _sre.AT_END_STRING):
+        if end is not _sre.AT_END_STRING:
+            end = items[-1][1]
+        del items[-1]
+    if len(items) == 1 and items[0][0] is _sre.BRANCH:
+        for alt in items[0][1][1]:
+            yield from _search_alternatives(alt, anchored, end)
+    else:
+        yield ([] if anchored else [_ANY_STRING]) + items + _END_TAILS[end]
+
+
 @lru_cache(maxsize=512)
 def compile_pattern(pattern: str) -> Dfa:
-    """DFA of the strings the pattern matches (search semantics, anchors honoured)."""
-    ast = _RegexParser(pattern).parse()
+    """DFA of the strings in which re.search finds the pattern."""
     nfa = Nfa()
-    _build(nfa, ast, nfa.start, nfa.accept)
+    try:
+        parsed = _sre_parse.parse(pattern)
+        if parsed.state.flags & ~_sre.SRE_FLAG_UNICODE:
+            raise UnsupportedPattern("inline flags are unsupported")
+        for alt in _search_alternatives(parsed):
+            _build(nfa, alt, nfa.start, nfa.accept)
+    except (_sre.error, UnsupportedPattern) as exc:
+        raise UnsupportedPattern(f"{exc} in pattern {pattern!r}") from None
     return nfa_to_dfa(nfa)
-
 
 def length_window_dfa(min_len: int, max_len: Optional[int]) -> Dfa:
     """Accepts strings whose length lies in [min_len, max_len]."""

@@ -189,8 +189,9 @@ class SearchBudget:
     max_seconds: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.max_fresh < 0 or self.max_triples < 0 or self.max_seconds < 0:
-            raise ValueError("search budget bounds must be non-negative")
+        # "not >= 0" also rejects NaN, against which no deadline ever expires
+        if self.max_fresh < 0 or self.max_triples < 0 or not self.max_seconds >= 0:
+            raise ValueError("search budget bounds must be non-negative numbers")
 
 
 @dataclass(frozen=True)

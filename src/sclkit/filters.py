@@ -402,8 +402,8 @@ def _decimal_canonical(v: Fraction) -> Optional[str]:
     return sign + head + ("." + tail if tail else "")
 
 
-_INT_CANONICAL = "^(0|-?[1-9][0-9]*)$"
-_DEC_CANONICAL = "^(0|-?[1-9][0-9]*)(\\.[0-9]*[1-9])?$"
+_INT_CANONICAL = "^(0|-?[1-9][0-9]*)\\Z"
+_DEC_CANONICAL = "^(0|-?[1-9][0-9]*)(\\.[0-9]*[1-9])?\\Z"
 
 
 @dataclass

@@ -210,6 +210,12 @@ def test_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_nan_time_budget_is_an_error(capsys):
+    code, _, err = run(capsys, "sat", "--doc", fx("fig1-shapes.ttl"), "--seconds", "nan")
+    assert code == 1
+    assert "error:" in err
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     import sclkit.cli as cli
 

@@ -125,6 +125,14 @@ def test_fig2_verdict():
 
 # --- graph-level search ---------------------------------------------------------
 
+def test_search_budget_rejects_nan_seconds():
+    with pytest.raises(ValueError):
+        SearchBudget(max_seconds=float("nan"))
+    with pytest.raises(ValueError):
+        SearchBudget(max_seconds=-1.0)
+    assert SearchBudget(max_seconds=float("inf")).max_seconds == float("inf")
+
+
 def test_bounded_sat_trivial_shape():
     m = sh.Document((sh.Shape(iri("s"), (sh.NodeTarget(iri("a")),), None, sh.Top()),))
     r = bounded_sat(m, SemanticsMode.BRAVE_TOTAL, BUDGET)

@@ -114,12 +114,13 @@ _REGEX_POOL = [
     "^a*b$", "^(ab|cd)+$", "^a{2,4}$", "^[a-c]x?$", "^[^ab]c$", "a+b",
     "^(a|b)(c|d)$", "^x(yz)*$", "^ab?c{1,2}$", "c.d", "^$", "^a..d$",
     "^\\d{2}$", "^[a-d]{1,3}$", "(ab)|(ba)",
+    "^a|b$", "^a.b$", "^ab$", "^\\d$", "^\\w+$", "^[^\\W\\d]$", "(?:ab)c", "\\x41",
 ]
 
 
 def test_automata_agree_with_stdlib_matcher():
     rng = random.Random(107)
-    alphabet = "abcdx1"
+    alphabet = "abcdx1\n\u0663\u00e9 _A"
     for pattern in _REGEX_POOL:
         dfa = compile_pattern(pattern)
         for _ in range(250):
@@ -134,7 +135,7 @@ def test_automata_counting_matches_enumeration():
     for pattern in finite_patterns:
         dfa = compile_pattern(pattern)
         words = [w for n in range(0, 5) for w in
-                 ("".join(t) for t in itertools.product(alphabet + "x", repeat=n))
+                 ("".join(t) for t in itertools.product(alphabet + "x\n", repeat=n))
                  if re.search(pattern, "".join(w))]
         n = dfa.count_words(10 ** 6)
         assert n == len(set(words)), pattern

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -111,15 +112,25 @@ def test_cardinality_language_tags_and_strings():
 
 
 def test_cardinality_patterns():
+    # '$' also matches before a final newline, as it does for re.search
     c = combo(Pos(PatternAtom("^b[aeiou]b$")), Pos(DatatypeAtom(XSD_STRING)))
-    assert combo_cardinality(c) == Finite(5)
-    assert combo_witnesses(c) == [Literal(w, XSD_STRING) for w in ("bab", "beb", "bib", "bob", "bub")]
+    assert combo_cardinality(c) == Finite(10)
+    assert combo_witnesses(c) == [Literal(w + end, XSD_STRING)
+                                  for w in ("bab", "beb", "bib", "bob", "bub") for end in ("", "\n")]
+    assert all(eval_filter(PatternAtom("^b[aeiou]b$"), w) for w in combo_witnesses(c))
+    # "5\n" is no canonical integer: int() would fold it onto 5
     ints = combo(Pos(PatternAtom("^[0-9]$")), Pos(F_INT))
     assert combo_cardinality(ints) == Finite(10)
     unanchored = combo(Pos(PatternAtom("b")), Pos(DatatypeAtom(XSD_STRING)))
     assert combo_cardinality(unanchored) == Infinite()
     iris = combo(Pos(PatternAtom("^urn:x[01]$")), Pos(KindAtom("IRI")))
-    assert combo_cardinality(iris) == Finite(2)
+    assert combo_cardinality(iris) == Finite(4)
+
+
+def test_cardinality_of_a_unicode_class_counts_what_the_matcher_accepts():
+    digits = sum(1 for cp in range(0x110000) if re.fullmatch(r"\d", chr(cp)))
+    c = combo(Pos(PatternAtom(r"^\d$")), Pos(DatatypeAtom(XSD_STRING)))
+    assert combo_cardinality(c) == Finite(2 * digits)
 
 
 def test_antitone_in_positive_conjuncts():

@@ -1,0 +1,71 @@
+"""Dead-code guard: no unused import in the library modules, and no private
+module-level name that nothing references beyond its own definition."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "sclkit").glob("*.py"))
+CALLERS = [p for d in ("src", "tests", "perfbench", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
+
+
+def _references(node) -> set:
+    """Names a piece of code reads: loaded names, attributes, names imported
+    from elsewhere, and strings (getattr, monkeypatch)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.name for a in n.names)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def _bound_names(stmt) -> list:
+    """Names a module-level statement defines, looking into if/try blocks."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+        return [(a.asname or a.name).split(".")[0] for a in stmt.names]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    if isinstance(stmt, (ast.If, ast.Try)):
+        blocks = [stmt.body, stmt.orelse] + [h.body for h in getattr(stmt, "handlers", [])]
+        return [name for block in blocks for s in block for name in _bound_names(s)]
+    return []
+
+
+def test_no_unused_imports_in_the_library():
+    unused = []
+    for path in LIBRARY:
+        if path.name == "__init__.py":  # its imports are the package's re-exports
+            continue
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for n in ast.walk(tree):
+            if isinstance(n, (ast.Import, ast.ImportFrom)) and getattr(n, "module", None) != "__future__":
+                for a in n.names:
+                    name = (a.asname or a.name).split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{n.lineno} {name}")
+    assert not unused, unused
+
+
+def test_every_private_module_name_is_referenced():
+    # per top-level statement of every file, the names it reads
+    statements = {path: [(stmt, _references(stmt)) for stmt in ast.parse(path.read_text()).body]
+                  for path in CALLERS}
+    readers = Counter(name for stmts in statements.values() for _, refs in stmts for name in refs)
+    unreferenced = []
+    for path in LIBRARY:
+        for stmt, refs in statements[path]:
+            for name in _bound_names(stmt):
+                private = name.startswith("_") and not name.startswith("__")
+                if private and readers[name] - (name in refs) == 0:
+                    unreferenced.append(f"{path.name}:{stmt.lineno} {name}")
+    assert not unreferenced, unreferenced
