@@ -6,6 +6,7 @@ tag; no value-space canonicalisation happens here.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -165,9 +166,6 @@ def nodes_of(g: Graph, document=None) -> frozenset:
 
 # --- Turtle subset ---------------------------------------------------------
 
-_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-
-
 MAX_NESTING = 128
 
 
@@ -178,284 +176,267 @@ class TurtleError(ValueError):
         self.column = column
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    def error(self, msg: str) -> TurtleError:
-        return TurtleError(msg, self.line, self.col)
-
-    def _advance(self, n: int) -> str:
-        s = self.text[self.pos : self.pos + n]
-        for ch in s:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-        return s
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance(1)
-            else:
-                return
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def startswith(self, s: str) -> bool:
-        self.skip_ws()
-        return self.text.startswith(s, self.pos)
-
-    def take(self, s: str) -> None:
-        if not self.startswith(s):
-            raise self.error(f"expected {s!r}")
-        self._advance(len(s))
-
-    def take_while(self, pred) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and pred(self.text[self.pos]):
-            self._advance(1)
-        return self.text[start : self.pos]
-
-    def read_iriref(self) -> str:
-        self.take("<")
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated IRI")
-            ch = self._advance(1)
-            if ch == ">":
-                return "".join(out)
-            if ch in " \n\t":
-                raise self.error("whitespace in IRI")
-            out.append(ch)
-
-    def read_string(self) -> str:
-        quote = self.text[self.pos]
-        long = self.text.startswith(quote * 3, self.pos)
-        self._advance(3 if long else 1)
-        terminator = quote * 3 if long else quote
-        out = []
-        while True:
-            if self.pos >= len(self.text):
-                raise self.error("unterminated string literal")
-            if self.text.startswith(terminator, self.pos):
-                self._advance(len(terminator))
-                return "".join(out)
-            ch = self._advance(1)
-            if ch == "\\":
-                if self.pos >= len(self.text):
-                    raise self.error("dangling escape")
-                esc = self._advance(1)
-                if esc in _ESCAPES:
-                    out.append(_ESCAPES[esc])
-                elif esc == "u":
-                    out.append(chr(int(self._advance(4), 16)))
-                elif esc == "U":
-                    out.append(chr(int(self._advance(8), 16)))
-                else:
-                    raise self.error(f"unknown escape \\{esc}")
-            elif not long and ch == "\n":
-                raise self.error("newline in single-quoted string")
-            else:
-                out.append(ch)
-
-
-def _is_pname_char(ch: str) -> bool:
-    return ch.isalnum() or ch in "_-.%\u00b7" or ord(ch) > 0x7F
+# The reader matches compiled patterns at a position.  Whitespace and comments
+# are skipped only where the grammar below skips them.
+_NAME_CHAR = r"[-.%0-9A-Z_a-z\x80-\U0010ffff]"  # prefixes, local names, blank labels
+_SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
+_SPACE = re.compile(_SKIP)
+_NAME = re.compile(f"{_NAME_CHAR}*")
+# One term after whitespace; the group that matched names its kind.  A
+# leading '_', digit, sign, quote or bracket always commits to its kind.
+_TERM = re.compile(rf"""{_SKIP}(?:
+    <(?P<iri>[^> \n\t]*+)>
+  | (?P<bad_iri><)
+  | _:(?P<blank>{_NAME_CHAR}*)
+  | (?P<bad_blank>_)
+  | (?P<number>[-+0-9][-+.0-9]*)
+  | (?P<string>\"\"\"|'''|"|')
+  | (?P<open>[\[(])
+  | (?P<name>{_NAME_CHAR}*)
+)""", re.X)
+_IRI_BODY = re.compile(r"[^> \n\t]*")
+_NUMBER = re.compile(r"[-+]*[0-9]+(\.[0-9]+)?")
+_STRING_BODY = {
+    '"': re.compile(r'[^"\\\n]*'),
+    "'": re.compile(r"[^'\\\n]*"),
+    '"""': re.compile(r'[^"\\]*+(?:"(?!"")[^"\\]*+)*+'),
+    "'''": re.compile(r"[^'\\]*+(?:'(?!'')[^'\\]*+)*+"),
+}
+_ESCAPE = re.compile(r"""\\(?:([tnrbf"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))""")
+_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+_LANGUAGE = re.compile(r"@((?:[^\W_]|-)*)")
 
 
 class _Parser:
+    """Recursive descent over the text; `pos` is the offset of the next
+    unread character.  Line and column are computed only for an error."""
+
     def __init__(self, text: str):
-        self.lex = _Lexer(text)
+        self.text = text
+        self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.base = ""
         self.triples: list[Triple] = []
+        self.iris: dict[str, Iri] = {}
         self._blank_counter = 0
         self._blank_map: dict[str, Blank] = {}
         self.depth = 0  # open brackets around the current position
 
+    def error(self, message: str, pos: int) -> TurtleError:
+        line = self.text.count("\n", 0, pos) + 1
+        return TurtleError(message, line, pos - self.text.rfind("\n", 0, pos))
+
+    def peek(self) -> str:
+        """The next character after whitespace, or '' at the end."""
+        self.pos = _SPACE.match(self.text, self.pos).end()
+        return self.text[self.pos : self.pos + 1]
+
+    def take(self, char: str) -> None:
+        if self.peek() != char:
+            raise self.error(f"expected {char!r}", self.pos)
+        self.pos += 1
+
+    def iri(self, value: str) -> Iri:
+        out = self.iris.get(value)
+        if out is None:
+            out = self.iris[value] = Iri(value)
+        return out
+
     # Blank labels are skolemised per parse; source labels are not preserved.
     def fresh_blank(self) -> Blank:
-        b = Blank(f"b{self._blank_counter}")
         self._blank_counter += 1
-        return b
+        return Blank(f"b{self._blank_counter - 1}")
 
     def named_blank(self, label: str) -> Blank:
         if label not in self._blank_map:
             self._blank_map[label] = self.fresh_blank()
         return self._blank_map[label]
 
-    def emit(self, s: Term, p: Term, o: Term) -> None:
-        self.triples.append(Triple(s, p, o))
-
     def parse(self) -> Graph:
-        while not self.lex.eof():
-            if self.lex.startswith("@prefix") or self.lex.startswith("@base"):
+        while self.peek():
+            if self.text.startswith(("@prefix", "@base"), self.pos):
                 self.directive()
             else:
-                self.triples_block()
+                self.predicate_object_list(self.node())
+                self.take(".")
         return Graph(self.triples)
 
     def directive(self) -> None:
-        if self.lex.startswith("@prefix"):
-            self.lex.take("@prefix")
-            self.lex.skip_ws()
-            name = self.lex.take_while(_is_pname_char)
-            self.lex.take(":")
-            self.lex.skip_ws()
-            iri = self.lex.read_iriref()
+        if self.text.startswith("@prefix", self.pos):
+            self.pos = _SPACE.match(self.text, self.pos + 7).end()
+            name = _NAME.match(self.text, self.pos).group()
+            self.pos += len(name)
+            self.take(":")
+            iri = self.iriref()
             self.prefixes[name] = self.base + iri if self.base and not _is_absolute(iri) else iri
         else:
-            self.lex.take("@base")
-            self.lex.skip_ws()
-            self.base = self.lex.read_iriref()
-        self.lex.take(".")
+            self.pos += 5
+            self.base = self.iriref()
+        self.take(".")
 
-    def triples_block(self) -> None:
-        subject = self.node()
-        self.predicate_object_list(subject)
-        self.lex.take(".")
+    def iriref(self) -> str:
+        self.take("<")
+        end = _IRI_BODY.match(self.text, self.pos).end()
+        if not self.text.startswith(">", end):
+            raise self.iri_error(end)
+        value, self.pos = self.text[self.pos : end], end + 1
+        return value
+
+    def iri_error(self, end: int) -> TurtleError:
+        if end == len(self.text):
+            return self.error("unterminated IRI", end)
+        return self.error("whitespace in IRI", end + 1)
 
     def predicate_object_list(self, subject: Term) -> None:
         while True:
-            predicate = self.verb()
+            predicate = self.node(verb=True)
             while True:
-                obj = self.node()
-                self.emit(subject, predicate, obj)
-                if self.lex.peek() == ",":
-                    self.lex.take(",")
-                else:
+                self.triples.append(Triple(subject, predicate, self.node()))
+                if self.peek() != ",":
                     break
-            if self.lex.peek() == ";":
-                self.lex.take(";")
-                # permit trailing semicolon
-                if self.lex.peek() in (".", "]", ""):
-                    return
-            else:
+                self.pos += 1
+            if self.peek() != ";":
+                return
+            self.pos += 1
+            # permit trailing semicolon
+            if self.peek() in (".", "]", ""):
                 return
 
-    def verb(self) -> Term:
-        if self.lex.peek() == "a" and not _is_pname_char(self.lex.text[self.lex.pos + 1 : self.lex.pos + 2] or " "):
-            self.lex.take("a")
-            return RDF_TYPE
-        return self.node()
-
-    def node(self) -> Term:
-        ch = self.lex.peek()
-        if not ch:
-            raise self.lex.error("unexpected end of input")
-        if ch == "<":
-            iri = self.lex.read_iriref()
-            if not _is_absolute(iri):
-                iri = self.base + iri
-            return Iri(iri)
-        if ch == "_":
-            self.lex.take("_:")
-            label = self.lex.take_while(_is_pname_char)
-            return self.named_blank(label)
-        if ch in "[(":
+    def node(self, verb: bool = False) -> Term:
+        m = _TERM.match(self.text, self.pos)
+        kind = m.lastgroup
+        token = m.group(kind)
+        self.pos = m.end()
+        if kind == "iri":
+            if self.base and not _is_absolute(token):
+                token = self.base + token
+            return self.iri(token)
+        if kind == "name":
+            if verb and token == "a":
+                return RDF_TYPE
+            return self.prefixed_name(token, m.start(kind))
+        if kind == "blank":
+            return self.named_blank(token)
+        if kind == "string":
+            return self.literal(token)
+        if kind == "number":
+            return self.number(token)
+        if kind == "open":
             # one bound on bracket nesting keeps every recursive walker over
             # the parsed document inside Python's recursion limit
             if self.depth == MAX_NESTING:
-                raise self.lex.error(f"brackets nested deeper than {MAX_NESTING}")
+                raise self.error(f"brackets nested deeper than {MAX_NESTING}", self.pos - 1)
             self.depth += 1
-            out = self.collection() if ch == "(" else self.blank_node()
+            out = self.collection() if token == "(" else self.blank_node()
             self.depth -= 1
             return out
-        if ch in "\"'":
-            return self.literal()
-        if ch.isdigit() or ch in "+-":
-            return self.number()
-        # prefixed name, or the bare booleans
-        name = self.lex.take_while(_is_pname_char)
-        if self.lex.peek() == ":":
-            self.lex.take(":")
-            local = self.lex.take_while(_is_pname_char)
+        if kind == "bad_iri":
+            raise self.iri_error(_IRI_BODY.match(self.text, self.pos).end())
+        raise self.error("expected '_:'", self.pos - 1)
+
+    def prefixed_name(self, name: str, start: int) -> Term:
+        """A prefixed name or a bare boolean; whitespace may precede the ':'."""
+        text = self.text
+        colon = _SPACE.match(text, self.pos).end()
+        if text.startswith(":", colon):
+            local = _NAME.match(text, colon + 1).group()
+            self.pos = colon + 1 + len(local)
             if local.endswith("."):
                 # a trailing dot belongs to the statement terminator
-                self.lex.pos -= 1
-                self.lex.col -= 1
-                local = local[:-1]
+                self.pos, local = self.pos - 1, local[:-1]
             if name not in self.prefixes:
-                raise self.lex.error(f"undefined prefix {name!r}")
-            return Iri(self.prefixes[name] + local)
+                raise self.error(f"undefined prefix {name!r}", self.pos)
+            return self.iri(self.prefixes[name] + local)
+        self.pos = colon
         if name == "true" or name == "false":
             return Literal(name, XSD_BOOLEAN)
-        raise self.lex.error(f"unexpected token {name or ch!r}")
+        if start == len(text):
+            raise self.error("unexpected end of input", start)
+        raise self.error(f"unexpected token {name or text[start]!r}", colon)
 
     def blank_node(self) -> Blank:
-        self.lex.take("[")
         b = self.fresh_blank()
-        if self.lex.peek() != "]":
+        if self.peek() != "]":
             self.predicate_object_list(b)
-        self.lex.take("]")
+        self.take("]")
         return b
 
     def collection(self) -> Term:
-        self.lex.take("(")
         items = []
-        while self.lex.peek() != ")":
-            if self.lex.eof():
-                raise self.lex.error("unterminated collection")
+        while (ch := self.peek()) != ")":
+            if not ch:
+                raise self.error("unterminated collection", self.pos)
             items.append(self.node())
-        self.lex.take(")")
-        return self.build_list(items)
-
-    def build_list(self, items: list) -> Term:
+        self.pos += 1
         head: Term = RDF_NIL
         for item in reversed(items):
             node = self.fresh_blank()
-            self.emit(node, RDF_FIRST, item)
-            self.emit(node, RDF_REST, head)
+            self.triples += (Triple(node, RDF_FIRST, item), Triple(node, RDF_REST, head))
             head = node
         return head
 
-    def literal(self) -> Literal:
-        lexical = self.lex.read_string()
-        if self.lex.text.startswith("@", self.lex.pos):
-            self.lex.take("@")
-            tag = self.lex.take_while(lambda c: c.isalnum() or c == "-")
+    def literal(self, quote: str) -> Literal:
+        lexical = self.string(quote)
+        text, pos = self.text, self.pos
+        language = _LANGUAGE.match(text, pos)
+        if language:
+            tag, self.pos = language.group(1), language.end()
             if not tag:
-                raise self.lex.error("malformed language tag")
+                raise self.error("malformed language tag", self.pos)
             return Literal(lexical, language=tag)
-        if self.lex.text.startswith("^^", self.lex.pos):
-            self.lex.take("^^")
+        if text.startswith("^^", pos):
+            self.pos = pos + 2
             dt = self.node()
             if not isinstance(dt, Iri):
-                raise self.lex.error("datatype must be an IRI")
+                raise self.error("datatype must be an IRI", self.pos)
             return Literal(lexical, dt)
         return Literal(lexical)
 
-    def number(self) -> Literal:
-        text = self.lex.take_while(lambda c: c.isdigit() or c in "+-.")
+    def string(self, quote: str) -> str:
+        """The string body after its opening quote, escapes decoded."""
+        text, pos, parts = self.text, self.pos, []
+        body = _STRING_BODY[quote]
+        while True:
+            end = body.match(text, pos).end()
+            parts.append(text[pos:end])
+            if text.startswith(quote, end):
+                self.pos = end + len(quote)
+                return "".join(parts)
+            if end == len(text):
+                raise self.error("unterminated string literal", end)
+            if text[end] == "\n":
+                raise self.error("newline in single-quoted string", end + 1)
+            parts.append(self.escape(end))
+            pos = self.pos
+
+    def escape(self, pos: int) -> str:
+        """The character an escape at `pos` stands for, moving past it.  A
+        numeric escape names a Unicode scalar value in 4 or 8 hex digits."""
+        m = _ESCAPE.match(self.text, pos)
+        if m is None:
+            if pos + 1 == len(self.text):
+                raise self.error("dangling escape", pos + 1)
+            esc = self.text[pos + 1]
+            if esc in "uU":
+                raise self.error(f"invalid \\{esc} escape", pos)
+            raise self.error(f"unknown escape \\{esc}", pos + 2)
+        self.pos = m.end()
+        char, short, long = m.groups()
+        if char:
+            return _ESCAPES[char]
+        cp = int(short or long, 16)
+        if 0xD800 <= cp <= 0xDFFF or cp > 0x10FFFF:
+            raise self.error(f"invalid \\{'u' if short else 'U'} escape", pos)
+        return chr(cp)
+
+    def number(self, text: str) -> Literal:
         if text.endswith("."):
             # statement dot, not a decimal point
-            self.lex.pos -= 1
-            self.lex.col -= 1
-            text = text[:-1]
-        body = text.lstrip("+-")
-        if body.count(".") == 1 and all(p.isdigit() for p in body.split(".")) and not body.endswith("."):
-            return Literal(text, XSD_DECIMAL)
-        if body.isdigit():
-            return Literal(text, XSD_INTEGER)
-        raise self.lex.error(f"malformed number {text!r}")
+            self.pos, text = self.pos - 1, text[:-1]
+        m = _NUMBER.fullmatch(text)
+        if m is None:
+            raise self.error(f"malformed number {text!r}", self.pos)
+        return Literal(text, XSD_DECIMAL if m.group(1) else XSD_INTEGER)
 
 
 def _is_absolute(iri: str) -> bool:

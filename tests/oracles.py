@@ -2,13 +2,33 @@
 
 These deliberately avoid the library's search machinery: assignments are
 enumerated exhaustively without propagation or stratification, and the
-exclusive-or evaluator works directly on the constraint tree.
+exclusive-or evaluator works directly on the constraint tree.  The reference
+Turtle reader is the character-walking reader the library had before its
+reader moved to compiled patterns.
 """
 from __future__ import annotations
 
 import itertools
 
-from sclkit.rdf import Graph, nodes_of, term_key
+from sclkit.rdf import (
+    MAX_NESTING,
+    RDF_FIRST,
+    RDF_NIL,
+    RDF_REST,
+    RDF_TYPE,
+    XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_INTEGER,
+    Blank,
+    Graph,
+    Iri,
+    Literal,
+    Term,
+    Triple,
+    TurtleError,
+    nodes_of,
+    term_key,
+)
 from sclkit import shacl as sh
 from sclkit.semantics import (
     Assignment,
@@ -118,3 +138,302 @@ def native_xor_validate(g: Graph, m: sh.Document) -> bool:
                for (n, name) in pairs):
             return True
     return False
+
+
+# --- reference Turtle reader ------------------------------------------------
+# The character-walking reader the library used before its reader moved to
+# compiled patterns, kept verbatim as the differential reference.  It differs
+# from the library on purpose in two ways only: a bad \u or \U escape escapes
+# as a bare ValueError or yields a lone surrogate, and any str.isdigit()
+# character starts or continues a number.
+
+_ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+
+
+class _Lexer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def error(self, msg: str) -> TurtleError:
+        return TurtleError(msg, self.line, self.col)
+
+    def _advance(self, n: int) -> str:
+        s = self.text[self.pos : self.pos + n]
+        for ch in s:
+            if ch == "\n":
+                self.line += 1
+                self.col = 1
+            else:
+                self.col += 1
+        self.pos += n
+        return s
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text):
+            ch = self.text[self.pos]
+            if ch in " \t\r\n":
+                self._advance(1)
+            elif ch == "#":
+                while self.pos < len(self.text) and self.text[self.pos] != "\n":
+                    self._advance(1)
+            else:
+                return
+
+    def eof(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def startswith(self, s: str) -> bool:
+        self.skip_ws()
+        return self.text.startswith(s, self.pos)
+
+    def take(self, s: str) -> None:
+        if not self.startswith(s):
+            raise self.error(f"expected {s!r}")
+        self._advance(len(s))
+
+    def take_while(self, pred) -> str:
+        start = self.pos
+        while self.pos < len(self.text) and pred(self.text[self.pos]):
+            self._advance(1)
+        return self.text[start : self.pos]
+
+    def read_iriref(self) -> str:
+        self.take("<")
+        out = []
+        while True:
+            if self.pos >= len(self.text):
+                raise self.error("unterminated IRI")
+            ch = self._advance(1)
+            if ch == ">":
+                return "".join(out)
+            if ch in " \n\t":
+                raise self.error("whitespace in IRI")
+            out.append(ch)
+
+    def read_string(self) -> str:
+        quote = self.text[self.pos]
+        long = self.text.startswith(quote * 3, self.pos)
+        self._advance(3 if long else 1)
+        terminator = quote * 3 if long else quote
+        out = []
+        while True:
+            if self.pos >= len(self.text):
+                raise self.error("unterminated string literal")
+            if self.text.startswith(terminator, self.pos):
+                self._advance(len(terminator))
+                return "".join(out)
+            ch = self._advance(1)
+            if ch == "\\":
+                if self.pos >= len(self.text):
+                    raise self.error("dangling escape")
+                esc = self._advance(1)
+                if esc in _ESCAPES:
+                    out.append(_ESCAPES[esc])
+                elif esc == "u":
+                    out.append(chr(int(self._advance(4), 16)))
+                elif esc == "U":
+                    out.append(chr(int(self._advance(8), 16)))
+                else:
+                    raise self.error(f"unknown escape \\{esc}")
+            elif not long and ch == "\n":
+                raise self.error("newline in single-quoted string")
+            else:
+                out.append(ch)
+
+
+def _is_pname_char(ch: str) -> bool:
+    return ch.isalnum() or ch in "_-.%\u00b7" or ord(ch) > 0x7F
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.lex = _Lexer(text)
+        self.prefixes: dict[str, str] = {}
+        self.base = ""
+        self.triples: list[Triple] = []
+        self._blank_counter = 0
+        self._blank_map: dict[str, Blank] = {}
+        self.depth = 0  # open brackets around the current position
+
+    # Blank labels are skolemised per parse; source labels are not preserved.
+    def fresh_blank(self) -> Blank:
+        b = Blank(f"b{self._blank_counter}")
+        self._blank_counter += 1
+        return b
+
+    def named_blank(self, label: str) -> Blank:
+        if label not in self._blank_map:
+            self._blank_map[label] = self.fresh_blank()
+        return self._blank_map[label]
+
+    def emit(self, s: Term, p: Term, o: Term) -> None:
+        self.triples.append(Triple(s, p, o))
+
+    def parse(self) -> Graph:
+        while not self.lex.eof():
+            if self.lex.startswith("@prefix") or self.lex.startswith("@base"):
+                self.directive()
+            else:
+                self.triples_block()
+        return Graph(self.triples)
+
+    def directive(self) -> None:
+        if self.lex.startswith("@prefix"):
+            self.lex.take("@prefix")
+            self.lex.skip_ws()
+            name = self.lex.take_while(_is_pname_char)
+            self.lex.take(":")
+            self.lex.skip_ws()
+            iri = self.lex.read_iriref()
+            self.prefixes[name] = self.base + iri if self.base and not _is_absolute(iri) else iri
+        else:
+            self.lex.take("@base")
+            self.lex.skip_ws()
+            self.base = self.lex.read_iriref()
+        self.lex.take(".")
+
+    def triples_block(self) -> None:
+        subject = self.node()
+        self.predicate_object_list(subject)
+        self.lex.take(".")
+
+    def predicate_object_list(self, subject: Term) -> None:
+        while True:
+            predicate = self.verb()
+            while True:
+                obj = self.node()
+                self.emit(subject, predicate, obj)
+                if self.lex.peek() == ",":
+                    self.lex.take(",")
+                else:
+                    break
+            if self.lex.peek() == ";":
+                self.lex.take(";")
+                # permit trailing semicolon
+                if self.lex.peek() in (".", "]", ""):
+                    return
+            else:
+                return
+
+    def verb(self) -> Term:
+        if self.lex.peek() == "a" and not _is_pname_char(self.lex.text[self.lex.pos + 1 : self.lex.pos + 2] or " "):
+            self.lex.take("a")
+            return RDF_TYPE
+        return self.node()
+
+    def node(self) -> Term:
+        ch = self.lex.peek()
+        if not ch:
+            raise self.lex.error("unexpected end of input")
+        if ch == "<":
+            iri = self.lex.read_iriref()
+            if not _is_absolute(iri):
+                iri = self.base + iri
+            return Iri(iri)
+        if ch == "_":
+            self.lex.take("_:")
+            label = self.lex.take_while(_is_pname_char)
+            return self.named_blank(label)
+        if ch in "[(":
+            # one bound on bracket nesting keeps every recursive walker over
+            # the parsed document inside Python's recursion limit
+            if self.depth == MAX_NESTING:
+                raise self.lex.error(f"brackets nested deeper than {MAX_NESTING}")
+            self.depth += 1
+            out = self.collection() if ch == "(" else self.blank_node()
+            self.depth -= 1
+            return out
+        if ch in "\"'":
+            return self.literal()
+        if ch.isdigit() or ch in "+-":
+            return self.number()
+        # prefixed name, or the bare booleans
+        name = self.lex.take_while(_is_pname_char)
+        if self.lex.peek() == ":":
+            self.lex.take(":")
+            local = self.lex.take_while(_is_pname_char)
+            if local.endswith("."):
+                # a trailing dot belongs to the statement terminator
+                self.lex.pos -= 1
+                self.lex.col -= 1
+                local = local[:-1]
+            if name not in self.prefixes:
+                raise self.lex.error(f"undefined prefix {name!r}")
+            return Iri(self.prefixes[name] + local)
+        if name == "true" or name == "false":
+            return Literal(name, XSD_BOOLEAN)
+        raise self.lex.error(f"unexpected token {name or ch!r}")
+
+    def blank_node(self) -> Blank:
+        self.lex.take("[")
+        b = self.fresh_blank()
+        if self.lex.peek() != "]":
+            self.predicate_object_list(b)
+        self.lex.take("]")
+        return b
+
+    def collection(self) -> Term:
+        self.lex.take("(")
+        items = []
+        while self.lex.peek() != ")":
+            if self.lex.eof():
+                raise self.lex.error("unterminated collection")
+            items.append(self.node())
+        self.lex.take(")")
+        return self.build_list(items)
+
+    def build_list(self, items: list) -> Term:
+        head: Term = RDF_NIL
+        for item in reversed(items):
+            node = self.fresh_blank()
+            self.emit(node, RDF_FIRST, item)
+            self.emit(node, RDF_REST, head)
+            head = node
+        return head
+
+    def literal(self) -> Literal:
+        lexical = self.lex.read_string()
+        if self.lex.text.startswith("@", self.lex.pos):
+            self.lex.take("@")
+            tag = self.lex.take_while(lambda c: c.isalnum() or c == "-")
+            if not tag:
+                raise self.lex.error("malformed language tag")
+            return Literal(lexical, language=tag)
+        if self.lex.text.startswith("^^", self.lex.pos):
+            self.lex.take("^^")
+            dt = self.node()
+            if not isinstance(dt, Iri):
+                raise self.lex.error("datatype must be an IRI")
+            return Literal(lexical, dt)
+        return Literal(lexical)
+
+    def number(self) -> Literal:
+        text = self.lex.take_while(lambda c: c.isdigit() or c in "+-.")
+        if text.endswith("."):
+            # statement dot, not a decimal point
+            self.lex.pos -= 1
+            self.lex.col -= 1
+            text = text[:-1]
+        body = text.lstrip("+-")
+        if body.count(".") == 1 and all(p.isdigit() for p in body.split(".")) and not body.endswith("."):
+            return Literal(text, XSD_DECIMAL)
+        if body.isdigit():
+            return Literal(text, XSD_INTEGER)
+        raise self.lex.error(f"malformed number {text!r}")
+
+
+def _is_absolute(iri: str) -> bool:
+    head = iri.split(":", 1)[0]
+    return ":" in iri and head.isalnum() and head[:1].isalpha()
+
+
+def reference_parse_turtle(text: str) -> Graph:
+    return _Parser(text).parse()

@@ -6,7 +6,7 @@ import random
 import re
 import time
 
-from sclkit.automata import compile_pattern
+from sclkit.automata import ALPHABET_SIZE, CharSet, compile_pattern
 from sclkit.decide import SearchBudget, _Cnf, _dpll, bounded_sat, scl_bounded_sat
 from sclkit.filters import bounded_axiomatisation
 from sclkit.semantics import SemanticsMode
@@ -140,6 +140,31 @@ def test_automata_counting_matches_enumeration():
         n = dfa.count_words(10 ** 6)
         assert n == len(set(words)), pattern
         assert sorted(dfa.enumerate_words(n)) == sorted(set(words))
+
+
+def test_character_set_ranges_agree_with_explicit_sets():
+    # sets of code points near 0, the surrogates and the last code point;
+    # a complement stands for the scalar values outside its points
+    points = [*range(6), *range(0xD7FD, 0xD803), *range(0xDFFD, 0xE003), *range(0x10FFFC, 0x110000)]
+    rng = random.Random(113)
+
+    def random_set():
+        chars = set(rng.sample(points, rng.randint(0, 10)))
+        bounds = [b for cp in sorted(chars) for b in (cp, cp + 1)]
+        negated = rng.random() < 0.5
+        return CharSet(tuple(b for b in bounds if bounds.count(b) == 1), negated), chars, negated
+
+    for _ in range(400):
+        (a, chars_a, neg_a), (b, chars_b, neg_b) = random_set(), random_set()
+        both = a.intersect(b)
+        inside = {cp for cp in points if (cp in chars_a) != neg_a and (cp in chars_b) != neg_b}
+        assert {cp for cp in points if both.contains(cp)} == inside
+        assert both.size() == (ALPHABET_SIZE - len(chars_a | chars_b) if neg_a and neg_b else len(inside))
+        assert all(a.complement().contains(cp) != a.contains(cp) for cp in points)
+        if not neg_a:
+            assert list(a.iter_chars()) == sorted(chars_a)
+    above = CharSet((0, 0xD7FE), True)  # every scalar value from U+D7FE on
+    assert list(itertools.islice(above.iter_chars(), 4)) == [0xD7FE, 0xD7FF, 0xE000, 0xE001]
 
 
 def test_canonical_sat_implies_axiomatised_uninterpreted_sat():

@@ -83,6 +83,30 @@ def test_syntax_errors_carry_position():
             parse_turtle(PRE + truncated)
 
 
+@pytest.mark.parametrize("escape", [r"\uZZZZ", r"\U00110000", r"\UFFFFFFFF", r"\uD800"])
+def test_bad_numeric_escape_is_a_turtle_error_at_the_escape(escape):
+    # not hex digits, past the last code point, past a C int, a lone surrogate
+    text = PRE + ':s :p\n  "ok\\t' + escape + '" .'
+    with pytest.raises(TurtleError, match="escape") as err:
+        parse_turtle(text)
+    assert (err.value.line, err.value.column) == (3, 8)
+
+
+def test_numeric_escapes_name_scalar_values():
+    # the code points either side of the surrogates, and the last one
+    g = parse_turtle(PRE + r':s :p "\u00e9\uD7FF\uE000\U0001F600\U0010FFFF" .')
+    assert g.objects(iri("s"), iri("p")) == {Literal("\u00e9\ud7ff\ue000\U0001f600\U0010ffff")}
+
+
+@pytest.mark.parametrize("digit", ["٣", "²"])  # Arabic-Indic three, superscript two
+def test_only_ascii_digits_make_numbers(digit):
+    for statement in (f":a :p {digit} .", f":a :p 1{digit} .", f":a :p -{digit} .", f":a :p 1.{digit} ."):
+        with pytest.raises(TurtleError):
+            parse_turtle(PRE + statement)
+    assert parse_turtle(PRE + ":a :p 3, -1.5 .").objects(iri("a"), iri("p")) == {
+        Literal("3", XSD_INTEGER), Literal("-1.5", XSD_DECIMAL)}
+
+
 def test_bracket_nesting_is_bounded():
     def nested(depth, open_, close):
         return PRE + ":s :p " + open_ * depth + ":o" + close * depth + " ."
