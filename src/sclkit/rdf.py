@@ -185,7 +185,7 @@ _NAME = re.compile(f"{_NAME_CHAR}*")
 # One term after whitespace; the group that matched names its kind.  A
 # leading '_', digit, sign, quote or bracket always commits to its kind.
 _TERM = re.compile(rf"""{_SKIP}(?:
-    <(?P<iri>[^> \n\t]*+)>
+    <(?P<iri>[^> \n\t]*)>
   | (?P<bad_iri><)
   | _:(?P<blank>{_NAME_CHAR}*)
   | (?P<bad_blank>_)
@@ -199,8 +199,8 @@ _NUMBER = re.compile(r"[-+]*[0-9]+(\.[0-9]+)?")
 _STRING_BODY = {
     '"': re.compile(r'[^"\\\n]*'),
     "'": re.compile(r"[^'\\\n]*"),
-    '"""': re.compile(r'[^"\\]*+(?:"(?!"")[^"\\]*+)*+'),
-    "'''": re.compile(r"[^'\\]*+(?:'(?!'')[^'\\]*+)*+"),
+    '"""': re.compile(r'[^"\\]*(?:"(?!"")[^"\\]*)*'),
+    "'''": re.compile(r"[^'\\]*(?:'(?!'')[^'\\]*)*"),
 }
 _ESCAPE = re.compile(r"""\\(?:([tnrbf"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))""")
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f", '"': '"', "'": "'", "\\": "\\"}

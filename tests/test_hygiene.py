@@ -1,8 +1,14 @@
-"""Dead-code guard: no unused import in the library modules, and no private
-module-level name that nothing references beyond its own definition."""
+"""Hygiene guards on the library modules: no unused import, no private
+module-level name that nothing references beyond its own definition, and no
+regex syntax that an older supported Python rejects."""
 import ast
+import importlib
+import re
+import warnings
 from collections import Counter
 from pathlib import Path
+
+from sclkit.automata import _sre_parse  # re._parser, or sre_parse on Python 3.10
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "sclkit").glob("*.py"))
@@ -69,3 +75,42 @@ def test_every_private_module_name_is_referenced():
                 if private and readers[name] - (name in refs) == 0:
                     unreferenced.append(f"{path.name}:{stmt.lineno} {name}")
     assert not unreferenced, unreferenced
+
+
+def _regex_syntax_newer_than_3_10(items) -> list:
+    """Possessive repeats and atomic groups anywhere in a parse tree; Python
+    3.10's re rejects both ('*+', '++', '?+', '{m,n}+', '(?>...)')."""
+    found = []
+    for op, av in items:
+        if op.name in ("POSSESSIVE_REPEAT", "ATOMIC_GROUP"):
+            found.append(op.name)
+        for part in av if isinstance(av, (tuple, list)) else (av,):
+            for sub in part if isinstance(part, list) else (part,):
+                if isinstance(sub, _sre_parse.SubPattern):
+                    found += _regex_syntax_newer_than_3_10(sub)
+    return found
+
+
+def test_library_regexes_parse_on_python_3_10():
+    # pyproject.toml supports Python 3.10.  Checked: every compiled pattern in
+    # module globals (f-strings included), and every string literal that
+    # parses as a regex (patterns compiled in functions).
+    patterns = []
+    for path in LIBRARY:
+        for value in vars(importlib.import_module(f"sclkit.{path.stem}")).values():
+            members = value.values() if isinstance(value, dict) else value if isinstance(value, (tuple, list)) else (value,)
+            for v in members:
+                if isinstance(v, re.Pattern) and isinstance(v.pattern, str):
+                    patterns.append((path.name, v.pattern, v.flags))
+        patterns += [(path.name, n.value, 0) for n in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    newer = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for name, pattern, flags in patterns:
+            try:
+                tree = _sre_parse.parse(pattern, flags)
+            except re.error:
+                continue  # not a regex
+            newer += [f"{name}: {pattern!r} uses {op}" for op in _regex_syntax_newer_than_3_10(tree)]
+    assert not newer, newer
