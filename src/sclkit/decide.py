@@ -5,7 +5,9 @@ Two search routines live here: a graph-level search that enumerates candidate
 data graphs and runs the validator, and an uninterpreted-model search that
 grounds sentences over a bounded domain into CNF (counting through
 sequential counters) and runs a small CDCL solver (filters become free
-monadic predicates there).
+monadic predicates there).  The grounding is goal-directed: without shape
+cycles, a shape's one constraint axiom is grounded only where the targets, the
+counting conjuncts or other grounded axioms mention it (Plaisted & Greenbaum).
 
 Both prover formats, SMT-LIB 2 and TPTP FOF, come from one encoder: a single
 walker fixes the first-order reading of a sentence, and a small syntax class
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional
 
@@ -64,6 +67,7 @@ from .scl import (
     TargetSubjectsAxiom,
     constants_of,
     features_of,
+    is_recursive_sentence,
     walk_psi,
 )
 from .semantics import Assignment, SemanticsMode, validate, validation_witness
@@ -694,6 +698,8 @@ class _Grounder:
     ord_vars: dict = field(default_factory=dict)
     psi_memo: dict = field(default_factory=dict)
     pi_memo: dict = field(default_factory=dict)
+    definitions: dict = field(default_factory=dict)  # shape name -> body, grounded on demand
+    undefined: list = field(default_factory=list)  # mentioned pairs whose definition is not grounded
 
     def _var(self, table: dict, key) -> int:
         if key not in table:
@@ -707,7 +713,12 @@ class _Grounder:
         return self._var(self.filt_vars, (atom, i))
 
     def shape(self, name: Iri, i: int) -> int:
-        return self._var(self.shape_vars, (name, i))
+        key = (name, i)
+        if key not in self.shape_vars:
+            self.shape_vars[key] = self.cnf.new_var()
+            if name in self.definitions:
+                self.undefined.append(key)
+        return self.shape_vars[key]
 
     def order(self, op: str, j: int, k: int) -> int:
         # uninterpreted binary order relations lt / le
@@ -845,19 +856,35 @@ class _Grounder:
         raise DecisionError("counting conjuncts must be asserted, not reified")
 
 
+def _definitions(sentence: SclSentence) -> dict:
+    """The body of each shape with one constraint axiom, if no shape depends on
+    itself: any model of the rest extends to it (s(x) := body(x)).  A cyclic
+    unmentioned s <-> not s, or a shape's pair of axioms, still constrains."""
+    if is_recursive_sentence(sentence):
+        return {}
+    axioms = sentence.constraint_axioms()
+    counts = Counter(a.shape.name for a in axioms)
+    return {a.shape.name: a.body for a in axioms if counts[a.shape.name] == 1}
+
+
 def _ground_problem(sentence: SclSentence, domain: list, const_index: dict,
                     negated_target_disjunction: Optional[tuple] = None) -> tuple:
     cnf = _Cnf()
-    gr = _Grounder(cnf, domain, const_index)
+    gr = _Grounder(cnf, domain, const_index, definitions=_definitions(sentence))
     for axiom in sentence.axioms:
         if isinstance(axiom, AtMostAxiom):
             lits = [gr.psi(axiom.body, i) for i in range(len(domain))]
             cnf.assert_at_most(axiom.n, lits)
-        else:
+        elif not (isinstance(axiom, ConstraintAxiom) and axiom.shape.name in gr.definitions):
             cnf.add(gr.axiom(axiom))
     if negated_target_disjunction is not None:
         # at least one target axiom of the right-hand document must fail
         cnf.add(*(-gr.axiom(a) for a in negated_target_disjunction))
+    while gr.undefined:  # a work list: a long reference chain costs no stack
+        name, i = key = gr.undefined.pop()
+        var, body = gr.shape_vars[key], gr.psi(gr.definitions[name], i)
+        cnf.add(-var, body)
+        cnf.add(var, -body)
     return cnf, gr
 
 
@@ -893,12 +920,10 @@ def scl_bounded_sat(sentence: SclSentence, budget: SearchBudget,
     may exist."""
     deadline = deadline or _Deadline(budget.max_seconds)
     consts = _constants(sentence, negated_target_disjunction)
-    for extra in range(0, budget.max_fresh + 1):
+    for size in range(max(len(consts), 1), max(len(consts) + budget.max_fresh, 1) + 1):
         if deadline.expired():
             return SatResult("unknown", reason="time budget exhausted")
-        domain = consts + [Iri(f"urn:sclkit:model:e{i}") for i in range(extra)]
-        if not domain:
-            domain = [Iri("urn:sclkit:model:e0")]
+        domain = consts + [Iri(f"urn:sclkit:model:e{i}") for i in range(size - len(consts))]
         const_index = {c: i for i, c in enumerate(consts)}
         cnf, gr = _ground_problem(sentence, domain, const_index, negated_target_disjunction)
         model = _dpll(cnf.n_vars, cnf.clauses)

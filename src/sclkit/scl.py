@@ -351,22 +351,19 @@ def is_recursive_sentence(sentence: SclSentence) -> bool:
         deps.setdefault(axiom.shape, set()).update(
             n.rel for n in walk_psi(axiom.body) if isinstance(n, PsiShape)
         )
-    seen: dict[ShapeRel, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(rel: ShapeRel) -> bool:
-        state = seen.get(rel)
-        if state == 1:
-            return True
-        if state == 2:
-            return False
-        seen[rel] = 1
-        for nxt in deps.get(rel, ()):
-            if visit(nxt):
-                return True
-        seen[rel] = 2
-        return False
-
-    return any(visit(rel) for rel in deps)
+    # Kahn's algorithm, without recursion: a shape on or above a cycle stays
+    waiting = {rel: deps.keys() & ds for rel, ds in deps.items()}
+    users: dict[ShapeRel, list] = {}
+    for rel, ds in waiting.items():
+        for d in ds:
+            users.setdefault(d, []).append(rel)
+    peeled = [rel for rel, ds in waiting.items() if not ds]
+    for rel in peeled:  # grows while it is walked
+        for user in users.get(rel, ()):
+            waiting[user].discard(rel)
+            if not waiting[user]:
+                peeled.append(user)
+    return len(peeled) < len(deps)
 
 
 def well_formed(sentence: SclSentence) -> bool:

@@ -4,7 +4,9 @@ These deliberately avoid the library's search machinery: assignments are
 enumerated exhaustively without propagation or stratification, and the
 exclusive-or evaluator works directly on the constraint tree.  The reference
 Turtle reader is the character-walking reader the library had before its
-reader moved to compiled patterns.
+reader moved to compiled patterns.  The reference grounding shares the
+library's grounder and solver but asserts every axiom at every domain
+element, which the library's goal-directed grounding no longer does.
 """
 from __future__ import annotations
 
@@ -30,6 +32,8 @@ from sclkit.rdf import (
     term_key,
 )
 from sclkit import shacl as sh
+from sclkit.decide import SatResult, _Cnf, _Grounder, _dpll
+from sclkit.scl import AtMostAxiom, SclSentence, constants_of
 from sclkit.semantics import (
     Assignment,
     EvalContext,
@@ -94,6 +98,38 @@ def brute_force_validate(g: Graph, m: sh.Document, mode: SemanticsMode) -> bool:
                         ok = False
         targeted_ok.append(ok)
     return all(targeted_ok)
+
+
+def full_ground_problem(sentence: SclSentence, domain: list, const_index: dict,
+                        negated_target_disjunction=None):
+    """Every axiom of the sentence asserted at every domain element."""
+    cnf = _Cnf()
+    gr = _Grounder(cnf, domain, const_index)
+    for axiom in sentence.axioms:
+        if isinstance(axiom, AtMostAxiom):
+            cnf.assert_at_most(axiom.n, [gr.psi(axiom.body, i) for i in range(len(domain))])
+        else:
+            cnf.add(gr.axiom(axiom))
+    if negated_target_disjunction is not None:
+        cnf.add(*(-gr.axiom(a) for a in negated_target_disjunction))
+    return cnf, gr
+
+
+def reference_bounded_sat(sentence: SclSentence, budget, negated_target_disjunction=None,
+                          deadline=None) -> SatResult:
+    """`scl_bounded_sat` on the full grounding, without a deadline: "sat" if
+    some domain of the constants plus at most `budget.max_fresh` elements has
+    a model, else "unknown".  Its witness is left out."""
+    refuted = SclSentence(tuple(negated_target_disjunction or ()))
+    consts = sorted(constants_of(sentence.conjoin(refuted)), key=term_key)
+    const_index = {c: i for i, c in enumerate(consts)}
+    for extra in range(budget.max_fresh + 1):
+        domain = consts + [Iri(f"urn:sclkit:model:e{i}") for i in range(extra)]
+        cnf, _ = full_ground_problem(sentence, domain or [Iri("urn:sclkit:model:e0")],
+                                     const_index, negated_target_disjunction)
+        if _dpll(cnf.n_vars, cnf.clauses) is not None:
+            return SatResult("sat")
+    return SatResult("unknown", reason="no model within budget")
 
 
 def _xor_eval(c: sh.Constraint, node, g: Graph, sign) -> bool:

@@ -5,7 +5,9 @@ import itertools
 import random
 import re
 import time
+import tracemalloc
 
+from sclkit import automata
 from sclkit.automata import ALPHABET_SIZE, CharSet, compile_pattern
 from sclkit.decide import SearchBudget, _Cnf, _dpll, bounded_sat, scl_bounded_sat
 from sclkit.filters import bounded_axiomatisation
@@ -165,6 +167,34 @@ def test_character_set_ranges_agree_with_explicit_sets():
             assert list(a.iter_chars()) == sorted(chars_a)
     above = CharSet((0, 0xD7FE), True)  # every scalar value from U+D7FE on
     assert list(itertools.islice(above.iter_chars(), 4)) == [0xD7FE, 0xD7FF, 0xE000, 0xE001]
+
+
+def _full_scan_category(pattern: str) -> tuple:
+    """The ranges re finds in one string of every code point."""
+    raw = bytearray(4 * 0x110000)
+    raw[0::4] = bytes(range(256)) * 0x1100
+    raw[1::4] = b"".join(bytes([b]) * 0x100 for b in range(256)) * 0x11
+    raw[2::4] = b"".join(bytes([b]) * 0x10000 for b in range(0x11))
+    every = raw.decode("utf-32-le", "surrogatepass")
+    return tuple(b for m in re.finditer(pattern, every) for b in m.span())
+
+
+def test_unicode_categories_scanned_per_plane_match_one_full_scan(monkeypatch):
+    for name, pattern in automata._CATEGORY_PATTERNS.items():
+        assert automata._category.__wrapped__(name).bounds == _full_scan_category(pattern), name
+    # a range that runs across every plane boundary comes out whole
+    monkeypatch.setitem(automata._CATEGORY_PATTERNS, "EVERY", r"[\s\S]+")
+    assert automata._category.__wrapped__("EVERY").bounds == (0, 0x110000)
+
+
+def test_unicode_category_scan_holds_one_plane_at_a_time():
+    tracemalloc.start()
+    try:
+        automata._category.__wrapped__("WORD")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_canonical_sat_implies_axiomatised_uninterpreted_sat():
