@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Optional
 from .rdf import Graph, Iri, Literal, RDF_TYPE, Term, Triple, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING, term_key, triple_key
 from . import shacl as sh
 from .filters import (
+    AxiomatisationResult,
     DatatypeAtom,
     FilterAtom,
     FilterCombination,
@@ -67,6 +68,7 @@ from .scl import (
     TargetSubjectsAxiom,
     constants_of,
     features_of,
+    filter_atoms_of,
     is_recursive_sentence,
     walk_psi,
 )
@@ -433,6 +435,8 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
     Reduced to uninterpreted-model search over the translated document plus
     its bounded filter axiomatisation: the fresh target constant ranges over
     the sentence's constants plus one unknown, which symmetry makes generic.
+    An acyclic sentence without filter atoms goes without the axiomatisation:
+    its "at most one element equals c" holds in every grounding.
     """
     if m.has_shape(name):
         raise DecisionError(f"template shape name {name!r} already occurs in the document")
@@ -449,9 +453,14 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
         doc = gamma_transform(doc)
         probe = ShapeRel(gamma_pos_name(name))
     phi = tau(doc)
-    ax = bounded_axiomatisation(phi)
+    # a cyclic sentence grounds nu's definition and lists nu in its witness;
+    # property-pair order atoms must still raise FilterAxiomError
+    features = features_of(phi)
+    ax = AxiomatisationResult(SclSentence(()), False)
+    if filter_atoms_of(phi) or features.recursive or features.flags & {"O", "O'"}:
+        ax = bounded_axiomatisation(phi)
     base = phi.conjoin(ax.sentence)
-    candidates = sorted(constants_of(base), key=term_key)
+    candidates = sorted(constants_of(phi), key=term_key)  # the axiomatisation names no others
     candidates.append(Iri("urn:sclkit:model:probe"))
     deadline = _Deadline(budget.max_seconds)
     for f in candidates:
@@ -462,7 +471,7 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
                              witness_assignment=result.witness_assignment,
                              witness_node=f, approximate=ax.approximate)
         if result.reason == "time budget exhausted":
-            return result
+            return replace(result, approximate=ax.approximate)
     return SatResult("unknown", reason="no model within budget", approximate=ax.approximate)
 
 
@@ -533,6 +542,7 @@ class _Cnf:
         sequential counter, reified in both polarities)."""
         if n <= 0:
             return self.TRUE
+        lits = [l for l in lits if l != self.FALSE]  # they never count
         if n > len(lits):
             return self.FALSE
         if n == 1:
@@ -791,7 +801,9 @@ class _Grounder:
         if isinstance(psi, PsiNot):
             return -self.psi(psi.inner, i)
         if isinstance(psi, PsiAnd):
-            return cnf.and_([self.psi(psi.left, i), self.psi(psi.right, i)])
+            # a false left side leaves the right ungrounded: Eq(c) ∧ ... costs one element
+            left = self.psi(psi.left, i)
+            return cnf.FALSE if left == cnf.FALSE else cnf.and_([left, self.psi(psi.right, i)])
         if isinstance(psi, PsiEq):
             j = self.const_index.get(psi.constant)
             return cnf.TRUE if j == i else cnf.FALSE

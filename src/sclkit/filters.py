@@ -846,27 +846,37 @@ def _combo_count(combo: FilterCombination, known_constants: frozenset) -> tuple:
     excluded = set(noteqs)
     if has_nu:
         excluded |= set(known_constants)
-    pos = [c.atom for c in filter_conjuncts if isinstance(c, Pos)]
-    neg = [c.atom for c in filter_conjuncts if isinstance(c, Neg)]
-    atoms = _Atoms.of(pos, neg)
-    total = _blank_branch(atoms).add(_iri_branch(atoms)).add(_literal_branches(atoms))
+    total = _filter_count(filter_conjuncts)
+    return total, _members(total, excluded, filter_conjuncts)
+
+
+def _filter_count(filter_conjuncts: list) -> _Count:
+    """The terms satisfying the Pos/Neg conjuncts."""
+    atoms = _Atoms.of([c.atom for c in filter_conjuncts if isinstance(c, Pos)],
+                      [c.atom for c in filter_conjuncts if isinstance(c, Neg)])
+    return _blank_branch(atoms).add(_iri_branch(atoms)).add(_literal_branches(atoms))
+
+
+def _members(total: _Count, excluded, filter_conjuncts: list) -> list:
+    """The excluded terms that the count includes."""
     if total.kind == "infinite":
-        return total, []  # removing finitely many members keeps it infinite
+        return []  # removing finitely many members keeps it infinite
     if total.parts is not None:
-        return total, total.members(excluded)
-    return total, [e for e in excluded if _satisfies(e, filter_conjuncts)]
+        return total.members(excluded)
+    return [e for e in excluded if _satisfies(e, filter_conjuncts)]
+
+
+def _bound(count: _Count, dropped: list) -> CardinalityBound:
+    if count.kind == "infinite":
+        return Infinite()
+    n = count.n - len(dropped)
+    return Huge() if n > HUGE_THRESHOLD else Finite(n)
 
 
 def combo_cardinality(combo: FilterCombination, known_constants: Iterable[Term] = ()) -> CardinalityBound:
     """|γ(F)|: the exact size of the canonical satisfying set, Infinite when
     provably infinite, Huge when finite but above the counting threshold."""
-    count, dropped = _combo_count(combo, frozenset(known_constants))
-    if count.kind == "infinite":
-        return Infinite()
-    n = count.n - len(dropped)
-    if n > HUGE_THRESHOLD:
-        return Huge()
-    return Finite(n)
+    return _bound(*_combo_count(combo, frozenset(known_constants)))
 
 
 def combo_witnesses(combo: FilterCombination, known_constants: Iterable[Term] = (),
@@ -1021,7 +1031,9 @@ def _bounded_combos(constants: list, atoms: list) -> list:
 
 def bounded_axiomatisation(phi) -> AxiomatisationResult:
     """Nu's defining axiom plus one counting conjunct per bounded filter
-    combination with a finite satisfying set; polynomial in the input."""
+    combination with a finite satisfying set; polynomial in the input.  Each
+    filter part F (the Pos/Neg conjuncts) is counted once: Nu ∧ F drops the
+    known constants from F's count, and Eq(c) ∧ F is 1 or 0 as c passes F."""
     from .scl import (AtMostAxiom, ConstraintAxiom, PsiEq, PsiNot, PsiOrder, SclSentence,
                       ShapeRel, psi_and_all, walk_psi)
     from .shacl import NameMint
@@ -1044,8 +1056,17 @@ def bounded_axiomatisation(phi) -> AxiomatisationResult:
     axioms = [ConstraintAxiom(nu_rel, psi_and_all([PsiNot(PsiEq(c)) for c in constants]))]
     approximate = False
     skipped = []
+    passes = {c: {a: eval_filter(a, c) for a in atoms} for c in constants}
+    totals: dict = {}  # filter part -> its count, for this call only
     for combo in sorted(_bounded_combos(constants, atoms), key=lambda c: c.describe()):
-        bound = combo_cardinality(combo, known)
+        head, part = combo.conjuncts[0], [x for x in combo.conjuncts if isinstance(x, (Pos, Neg))]
+        if isinstance(head, Eq):
+            bound = Finite(int(all(passes[head.constant][x.atom] == isinstance(x, Pos) for x in part)))
+        else:
+            key = tuple(part)
+            if key not in totals:
+                totals[key] = _filter_count(part)
+            bound = _bound(totals[key], _members(totals[key], known, part) if isinstance(head, Nu) else [])
         if isinstance(bound, Infinite):
             continue
         if isinstance(bound, Huge):

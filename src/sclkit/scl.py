@@ -226,14 +226,18 @@ class SclSentence:
 
 
 def walk_psi(psi: Psi) -> Iterator[Psi]:
-    yield psi
-    if isinstance(psi, PsiNot):
-        yield from walk_psi(psi.inner)
-    elif isinstance(psi, PsiAnd):
-        yield from walk_psi(psi.left)
-        yield from walk_psi(psi.right)
-    elif isinstance(psi, (PsiExists, PsiCount)):
-        yield from walk_psi(psi.body)
+    """Every subformula in preorder, left before right; an explicit stack, so
+    a long conjunction chain costs no generator depth."""
+    stack = [psi]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, PsiNot):
+            stack.append(node.inner)
+        elif isinstance(node, PsiAnd):
+            stack += (node.right, node.left)
+        elif isinstance(node, (PsiExists, PsiCount)):
+            stack.append(node.body)
 
 
 def walk_pi(pi: Pi) -> Iterator[Pi]:

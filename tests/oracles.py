@@ -6,7 +6,10 @@ exclusive-or evaluator works directly on the constraint tree.  The reference
 Turtle reader is the character-walking reader the library had before its
 reader moved to compiled patterns.  The reference grounding shares the
 library's grounder and solver but asserts every axiom at every domain
-element, which the library's goal-directed grounding no longer does.
+element, which the library's goal-directed grounding no longer does.  The
+reference bounded axiomatisation counts every filter combination afresh with
+`combo_cardinality`; the library counts each filter part once and derives
+the bounds of its equality and Nu combinations from that count.
 """
 from __future__ import annotations
 
@@ -33,7 +36,33 @@ from sclkit.rdf import (
 )
 from sclkit import shacl as sh
 from sclkit.decide import SatResult, _Cnf, _Grounder, _dpll
-from sclkit.scl import AtMostAxiom, SclSentence, constants_of
+from sclkit.filters import (
+    NU_NAME,
+    AxiomatisationResult,
+    FilterAxiomError,
+    Huge,
+    Infinite,
+    PatternAtom,
+    _bounded_combos,
+    _combo_psi,
+    _gather,
+    combo_cardinality,
+)
+from sclkit.scl import (
+    AtMostAxiom,
+    ConstraintAxiom,
+    PsiAnd,
+    PsiCount,
+    PsiEq,
+    PsiExists,
+    PsiNot,
+    PsiOrder,
+    SclSentence,
+    ShapeRel,
+    constants_of,
+    psi_and_all,
+    walk_psi,
+)
 from sclkit.semantics import (
     Assignment,
     EvalContext,
@@ -130,6 +159,51 @@ def reference_bounded_sat(sentence: SclSentence, budget, negated_target_disjunct
         if _dpll(cnf.n_vars, cnf.clauses) is not None:
             return SatResult("sat")
     return SatResult("unknown", reason="no model within budget")
+
+
+def reference_bounded_axiomatisation(phi) -> AxiomatisationResult:
+    """`bounded_axiomatisation` with each combination's bound read from
+    `combo_cardinality`, every combination counted on its own."""
+    constants, atoms, taken = _gather(phi)
+    for atom in atoms:
+        if isinstance(atom, PatternAtom):
+            raise FilterAxiomError("bounded axiomatisation excludes sh:pattern filters")
+    for axiom in phi.axioms:
+        if hasattr(axiom, "body"):
+            for node in walk_psi(axiom.body):
+                if isinstance(node, PsiOrder):
+                    raise FilterAxiomError(
+                        "bounded axiomatisation excludes property-pair order atoms"
+                    )
+
+    nu_name = NU_NAME if NU_NAME not in taken else sh.NameMint(taken, NU_NAME.value + ":").fresh()
+    nu_rel = ShapeRel(nu_name)
+    known = frozenset(constants)
+    axioms = [ConstraintAxiom(nu_rel, psi_and_all([PsiNot(PsiEq(c)) for c in constants]))]
+    approximate = False
+    skipped = []
+    for combo in sorted(_bounded_combos(constants, atoms), key=lambda c: c.describe()):
+        bound = combo_cardinality(combo, known)
+        if isinstance(bound, Infinite):
+            continue
+        if isinstance(bound, Huge):
+            approximate = True
+            skipped.append(combo)
+            continue
+        axioms.append(AtMostAxiom(bound.n, _combo_psi(combo, nu_rel)))
+    return AxiomatisationResult(SclSentence(tuple(axioms)), approximate, tuple(skipped))
+
+
+def reference_walk_psi(psi):
+    """Preorder of a formula by plain recursion."""
+    out = [psi]
+    if isinstance(psi, PsiNot):
+        out += reference_walk_psi(psi.inner)
+    elif isinstance(psi, PsiAnd):
+        out += reference_walk_psi(psi.left) + reference_walk_psi(psi.right)
+    elif isinstance(psi, (PsiExists, PsiCount)):
+        out += reference_walk_psi(psi.body)
+    return out
 
 
 def _xor_eval(c: sh.Constraint, node, g: Graph, sign) -> bool:

@@ -203,6 +203,42 @@ def test_emit(capsys):
     assert "fof(" in out
 
 
+def test_order_atoms_without_filters_are_still_an_error(capsys, tmp_path):
+    # template search skips the filter axiomatisation when there are no
+    # filters, but the property-pair order atoms it cannot treat still fail
+    doc = tmp_path / "order.ttl"
+    doc.write_text(
+        "@prefix ex: <http://example.org/> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+        "ex:S a sh:NodeShape ; sh:targetNode ex:a ; sh:property [ sh:path ex:p ; sh:lessThan ex:q ] .\n"
+        "ex:T a sh:NodeShape ; sh:node ex:S .\n", encoding="utf-8")
+    for argv in (("template-sat", "--doc", str(doc), "--template", "http://example.org/T"),
+                 ("shape-contains", "--doc", str(doc), "--shape1", "http://example.org/S",
+                  "--shape2", "http://example.org/T")):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "property-pair order atoms" in err
+
+
+def test_template_sat_out_of_time_reports_approximate(capsys, tmp_path):
+    # a length window has too many members to count, so the axiomatisation is
+    # approximate, whether the search ends in time or not
+    doc = tmp_path / "lengths.ttl"
+    doc.write_text(
+        "@prefix ex: <http://example.org/> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+        "ex:F a sh:PropertyShape ; sh:targetClass ex:C ; sh:path ex:p ; sh:datatype xsd:string ;"
+        " sh:minLength 1 ; sh:maxLength 3 .\nex:T a sh:NodeShape ; sh:node ex:F .\n",
+        encoding="utf-8")
+    argv = ("--json", "template-sat", "--doc", str(doc), "--template", "http://example.org/T")
+    code, out, _ = run(capsys, *argv, "--seconds", "5")
+    assert (code, json.loads(out)["approximate"]) == (0, True)
+    code, out, _ = run(capsys, *argv, "--seconds", "0")
+    assert code == 2
+    report = json.loads(out)
+    assert report["reason"] == "time budget exhausted"
+    assert report["approximate"] is True
+
+
 def test_error_exit_code(capsys):
     code, _, err = run(capsys, "validate", "--graph", fx("missing.ttl"),
                        "--doc", fx("fig1-shapes.ttl"))

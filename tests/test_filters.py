@@ -336,3 +336,87 @@ def test_bounded_axiomatisation_huge_combination_raises_flag():
 
     bounds = {a.n for a in result.sentence.axioms if isinstance(a, AtMostAxiom)}
     assert all(n <= 2 ** 20 for n in bounds)
+
+
+# --- the bounded axiomatisation against its per-combination reference -----------
+
+_PREFIXES = ("@prefix ex: <http://example.org/> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+             "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n")
+
+# literal constants that pass some filters and fail others
+_MIXED_CONSTANT_DOCUMENTS = (
+    """ex:S a sh:PropertyShape ; sh:targetNode ex:a ; sh:path ex:p ; sh:hasValue 5 ;
+         sh:datatype xsd:integer ; sh:minInclusive 3 ; sh:maxExclusive 9 .
+       ex:T a sh:PropertyShape ; sh:targetClass ex:C ; sh:path ex:q ; sh:in ( "a" 6 ) ;
+         sh:maxLength 1 ; sh:languageIn ( "en" ) .""",
+    """ex:S a sh:PropertyShape ; sh:targetNode ex:a ; sh:path ex:p ; sh:in ( "a" 6 ) ;
+         sh:datatype xsd:string ; sh:minLength 1 ; sh:maxLength 3 .
+       ex:T a sh:PropertyShape ; sh:targetNode ex:b ; sh:path ex:q ; sh:hasValue 5 ;
+         sh:maxInclusive 5 ; sh:minExclusive 4 .""",
+    """ex:S a sh:PropertyShape ; sh:targetNode ex:a ; sh:path ex:p ;
+         sh:in ( "ab"@en "x"@de 2.5 true ) ; sh:languageIn ( "en" "fr" ) ; sh:minLength 2 .
+       ex:T a sh:PropertyShape ; sh:path ex:q ; sh:hasValue "b" ; sh:maxInclusive "c" ;
+         sh:nodeKind sh:Literal .""",
+    """ex:S a sh:PropertyShape ; sh:targetNode ex:a ; sh:path ex:p ; sh:in ( 0 7 "7" ) ;
+         sh:datatype xsd:integer ; sh:minInclusive 0 ; sh:maxInclusive 2000000 .
+       ex:T a sh:NodeShape ; sh:targetNode 7 ; sh:not ex:S .""",
+)
+
+
+def _assert_same_bounded_axiomatisation(phi) -> None:
+    from sclkit.scl import pretty
+    from oracles import reference_bounded_axiomatisation
+
+    try:
+        want = reference_bounded_axiomatisation(phi)
+    except FilterAxiomError as e:
+        with pytest.raises(FilterAxiomError, match=re.escape(str(e))):
+            bounded_axiomatisation(phi)
+        return
+    got = bounded_axiomatisation(phi)
+    assert pretty(got.sentence) == pretty(want.sentence)
+    assert got.approximate == want.approximate
+    assert got.skipped == want.skipped
+
+
+def _parsed_sentence(turtle: str):
+    from sclkit.rdf import parse_turtle
+    from sclkit.shacl import document_from_graph
+    from sclkit.translate import tau
+
+    return tau(document_from_graph(parse_turtle(turtle)))
+
+
+def test_bounded_axiomatisation_matches_reference_on_random_documents():
+    from sclkit.corpus import random_document
+    from sclkit.translate import tau
+
+    for seed in range(150):
+        m = random_document(random.Random(seed), max_shapes=4, recursive=seed % 2 == 1)
+        _assert_same_bounded_axiomatisation(tau(m))
+
+
+@pytest.mark.parametrize("n_filters, seeds", [(1, range(8)), (2, range(6)), (3, range(2))])
+def test_bounded_axiomatisation_matches_reference_on_filter_families(n_filters, seeds):
+    # the benchmark's template-count filter documents; four and five filters
+    # give 46k and 100k combinations, 11 s and 25 s per comparison
+    from test_grounding import _template_family
+
+    for seed in seeds:
+        turtle = _template_family("_filter_family")(random.Random(seed), n_filters)
+        _assert_same_bounded_axiomatisation(_parsed_sentence(turtle))
+
+
+@pytest.mark.parametrize("k", range(len(_MIXED_CONSTANT_DOCUMENTS)))
+def test_bounded_axiomatisation_matches_reference_with_literal_constants(k):
+    from sclkit.scl import AtMostAxiom, PsiEq, PsiFilter, walk_psi
+
+    phi = _parsed_sentence(_PREFIXES + _MIXED_CONSTANT_DOCUMENTS[k])
+    bounds = set()
+    for axiom in bounded_axiomatisation(phi).sentence.axioms:
+        if isinstance(axiom, AtMostAxiom):
+            nodes = list(walk_psi(axiom.body))
+            if any(isinstance(n, PsiEq) for n in nodes) and any(isinstance(n, PsiFilter) for n in nodes):
+                bounds.add(axiom.n)
+    assert bounds == {0, 1}  # a constant passes one filter part and fails another
+    _assert_same_bounded_axiomatisation(phi)

@@ -3,9 +3,13 @@
 `scl_bounded_sat` grounds a shape's definition only at the elements where the
 rest of the problem mentions the shape.  The reference in `oracles.py` asserts
 every axiom at every element; both must find a model on the same inputs, and
-every witness of the goal-directed search must validate.
+every witness of the goal-directed search must validate.  A conjunction is
+grounded only until its left side is false, and a template without filter
+atoms is searched without the bounded filter axiomatisation; neither may
+change an answer.
 """
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -15,11 +19,22 @@ import pytest
 import sclkit.decide
 from sclkit import shacl as sh
 from sclkit.corpus import random_document
-from sclkit.decide import SearchBudget, containment_sentence, scl_bounded_sat, template_sat
-from sclkit.rdf import Iri, parse_turtle
+from sclkit.decide import (
+    SearchBudget,
+    _Cnf,
+    _Grounder,
+    containment_sentence,
+    scl_bounded_sat,
+    template_sat,
+)
+from sclkit.filters import DatatypeAtom
+from sclkit.rdf import XSD_STRING, Iri, parse_turtle
 from sclkit.scl import (
     AtMostAxiom,
     ConstraintAxiom,
+    PsiAnd,
+    PsiEq,
+    PsiFilter,
     PsiNot,
     PsiShape,
     PsiTop,
@@ -177,3 +192,68 @@ def test_constant_free_sentence_solves_each_domain_size_once(monkeypatch, max_fr
     assert not scl_bounded_sat(phi, budget).is_sat
     assert solved == sizes
     assert len(calls) == len(sizes)
+
+
+def test_conjunction_with_a_false_left_side_grounds_nothing_on_its_right():
+    cnf = _Cnf()
+    gr = _Grounder(cnf, [C, Iri("urn:sclkit:model:e0"), Iri("urn:sclkit:model:e1")], {C: 0})
+    body = PsiAnd(PsiEq(C), PsiFilter(DatatypeAtom(XSD_STRING)))
+    assert [gr.psi(body, i) for i in (1, 2)] == [cnf.FALSE, cnf.FALSE]
+    assert not gr.filt_vars
+    assert gr.psi(body, 0) == gr.filt_vars[(DatatypeAtom(XSD_STRING), 0)]
+
+
+def test_at_least_builds_nothing_for_false_literals():
+    # a counter row that only false literals could still complete is dead
+    built = []
+    for with_false in (False, True):
+        cnf = _Cnf()
+        x, y = cnf.new_var(), cnf.new_var()
+        lits = [x, cnf.FALSE, y, cnf.FALSE] if with_false else [x, y]
+        built.append((cnf.at_least(2, lits), cnf.at_least(3, lits), cnf.n_vars, cnf.clauses))
+    assert built[0] == built[1]
+
+
+def _answer(result) -> str:
+    return json.dumps(result.to_json(), sort_keys=True)
+
+
+def test_filter_free_template_answers_equal_those_with_the_axiomatisation(monkeypatch):
+    # the skipped axiomatisation says only "at most one element equals c";
+    # forcing it in must not change a byte of any answer
+    questions = []
+    for seed in range(40):
+        m = random_document(random.Random(2000 + seed), max_shapes=3, recursive=seed % 2 == 1)
+        names = list(m.names())
+        constraint = sh.And((sh.Ref(names[0]), sh.Not(sh.Ref(names[-1]))))
+        questions.append((m, sh.NameMint(set(names)).fresh(), constraint, None))
+    for params in ((3, 2), (5, 3)):
+        doc = sh.document_from_graph(parse_turtle(
+            _template_family("_count_family")(random.Random(7), *params)))
+        t = Iri("http://example.org/T")
+        rest = sh.Document(tuple(s for s in doc.shapes if s.name != t))
+        questions.append((rest, t, doc.shape(t).constraint, doc.shape(t).path))
+    found = 0
+    for m, name, constraint, path in questions:
+        for mode in (SemanticsMode.BRAVE_TOTAL, SemanticsMode.BRAVE_PARTIAL):
+            def ask():
+                return template_sat(m, name, constraint, BUDGET, mode, path=path)
+            got = ask()
+            with monkeypatch.context() as patch:
+                patch.setattr(sclkit.decide, "filter_atoms_of", lambda phi: True)
+                assert _answer(got) == _answer(ask()), (name, mode)
+            found += got.is_sat
+    assert found >= 20
+
+
+def test_template_out_of_time_keeps_the_approximate_flag():
+    turtle = _template_family("_filter_family")(random.Random(7), 2)
+    m = sh.document_from_graph(parse_turtle(turtle))
+    t = Iri("http://example.org/T")
+    rest = sh.Document(tuple(s for s in m.shapes if s.name != t))
+    searched = template_sat(rest, t, m.shape(t).constraint, BUDGET)
+    assert searched.is_sat and searched.approximate
+    out_of_time = template_sat(rest, t, m.shape(t).constraint,
+                               SearchBudget(max_fresh=2, max_triples=3, max_seconds=0))
+    assert out_of_time.reason == "time budget exhausted"
+    assert out_of_time.approximate

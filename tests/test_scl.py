@@ -29,8 +29,11 @@ from sclkit.scl import (
     walk_psi,
     well_formed,
 )
-from sclkit.corpus import feature_witness
+from sclkit.corpus import feature_witness, random_document
 from sclkit.decide import SearchBudget, scl_bounded_sat
+from sclkit.filters import bounded_axiomatisation
+
+from oracles import reference_walk_psi
 
 EX = "http://ex/"
 PRE = f"@prefix : <{EX}> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
@@ -241,3 +244,33 @@ def test_normalize_preserves_satisfiability_with_counting():
         assert a == b
         checked += 1
     assert checked == 25
+
+
+def test_walk_psi_is_the_recursive_preorder_on_random_sentences():
+    from test_grounding import _template_family
+
+    sentences = []
+    for seed in range(60):
+        phi = tau(random_document(random.Random(seed), max_shapes=4, recursive=seed % 2 == 1))
+        sentences += [phi, normalize(phi)]
+    for seed in range(3):
+        turtle = _template_family("_filter_family")(random.Random(seed), 2)
+        phi = tau(document_from_graph(parse_turtle(turtle)))
+        sentences += [phi, bounded_axiomatisation(phi).sentence]
+    walked = 0
+    for phi in sentences:
+        for axiom in phi.axioms:
+            if hasattr(axiom, "body"):
+                got = [id(n) for n in walk_psi(axiom.body)]
+                assert got == [id(n) for n in reference_walk_psi(axiom.body)]
+                walked += len(got)
+    assert walked > 10_000
+
+
+def test_walk_psi_walks_a_deep_chain_without_recursion():
+    psi = PsiTop()
+    for _ in range(10_000):
+        psi = PsiNot(psi)
+    nodes = list(walk_psi(psi))
+    assert len(nodes) == 10_001
+    assert isinstance(nodes[-1], PsiTop)
