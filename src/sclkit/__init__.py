@@ -47,9 +47,10 @@ from .decide import (
     Verdict,
     bounded_sat,
     check_containment,
-    check_satisfiability,
     classify,
     constraint_satisfiability,
+    containment_sentence,
+    emit,
     emit_smtlib,
     emit_tptp,
     scl_bounded_sat,

@@ -29,6 +29,7 @@ from .filters import (
     FilterAtom,
     FilterCombination,
     LanguageTagAtom,
+    NU_NAME,
     OrderCmp,
     Pos,
     bounded_axiomatisation,
@@ -202,14 +203,12 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SatResult:
-    status: str  # "sat" | "unsat" | "unknown"
+    status: str  # "sat" or "unknown"; no search claims "unsat"
     witness_graph: Optional[Graph] = None
     witness_assignment: Optional[Assignment] = None
     witness_node: Optional[Term] = None
-    exhaustive: bool = False
     approximate: bool = False
     reason: Optional[str] = None
-    encoding: Optional[str] = None  # prover encoding, when requested
 
     @property
     def is_sat(self) -> bool:
@@ -219,8 +218,6 @@ class SatResult:
         from .rdf import serialize_turtle
 
         out: dict = {"result": self.status, "approximate": self.approximate}
-        if self.exhaustive:
-            out["exhaustive"] = True
         if self.reason:
             out["reason"] = self.reason
         if self.witness_graph is not None:
@@ -332,8 +329,7 @@ def candidate_graphs(m: sh.Document, budget: SearchBudget,
                 yield Graph(combo)
 
 
-def bounded_sat(m: sh.Document, mode: SemanticsMode, budget: SearchBudget,
-                complete_size: Optional[int] = None) -> SatResult:
+def bounded_sat(m: sh.Document, mode: SemanticsMode, budget: SearchBudget) -> SatResult:
     """Search for a graph the document validates; first witness in the
     deterministic enumeration order wins."""
     deadline = _Deadline(budget.max_seconds)
@@ -344,26 +340,7 @@ def bounded_sat(m: sh.Document, mode: SemanticsMode, budget: SearchBudget,
         sigma = validation_witness(g, m, mode)
         if sigma is not None:
             return SatResult("sat", witness_graph=g, witness_assignment=sigma)
-    if complete_size is not None and budget.max_triples >= complete_size:
-        verdict = classify(tau(m))
-        if verdict.fmp == FMP_YES:
-            return SatResult("unsat", exhaustive=True)
-    return SatResult("unknown", reason="no model within budget", exhaustive=False)
-
-
-def check_satisfiability(m: sh.Document, mode: SemanticsMode, budget: SearchBudget,
-                         complete_size: Optional[int] = None,
-                         encoding: Optional[str] = None) -> SatResult:
-    """Document satisfiability at desk scale: brave modes reduce to plain
-    sentence satisfiability, cautious modes run the full assignment check
-    inside the validator.  For the brave modes of a transitive-closure-free
-    document an external-prover encoding can be attached on request."""
-    if encoding is None:
-        return bounded_sat(m, mode, budget, complete_size)
-    if not mode.brave:
-        raise DecisionError("prover encodings cover the brave modes only")
-    text = emit(encoding, tau(sh.eliminate_xone(m)))
-    return replace(bounded_sat(m, mode, budget, complete_size), encoding=text)
+    return SatResult("unknown", reason="no model within budget")
 
 
 def _rename_apart(m: sh.Document, taken: set, suffix: str) -> sh.Document:
@@ -403,28 +380,20 @@ def containment_sentence(m1: sh.Document, m2: sh.Document):
 
 
 def check_containment(m1: sh.Document, m2: sh.Document, mode: SemanticsMode,
-                      budget: SearchBudget, encoding: Optional[str] = None) -> SatResult:
+                      budget: SearchBudget) -> SatResult:
     """Counterexample search: sat means NOT contained, with the separating
-    graph as witness.  For non-recursive pairs the single refutation
-    sentence (first document holds, some target axiom of the second fails)
-    can be attached as a prover encoding."""
+    graph as witness."""
     deadline = _Deadline(budget.max_seconds)
     m1 = sh.eliminate_xone(m1)
     m2 = sh.eliminate_xone(m2)
-    encoded = None
-    if encoding is not None:
-        if sh.is_recursive(m1) or sh.is_recursive(m2):
-            raise DecisionError("the containment sentence exists for non-recursive pairs only")
-        phi, negated = containment_sentence(m1, m2)
-        encoded = emit(encoding, phi, negated_target_disjunction=negated)
     consts = sh.document_constants(m2)
     rels = sh.document_relation_names(m2)
     for g in candidate_graphs(m1, budget, extra_constants=consts, extra_relations=rels):
         if deadline.expired():
-            return SatResult("unknown", reason="time budget exhausted", encoding=encoded)
+            return SatResult("unknown", reason="time budget exhausted")
         if validate(g, m1, mode) and not validate(g, m2, mode):
-            return SatResult("sat", witness_graph=g, encoding=encoded)
-    return SatResult("unknown", reason="no counterexample within budget", encoding=encoded)
+            return SatResult("sat", witness_graph=g)
+    return SatResult("unknown", reason="no counterexample within budget")
 
 
 def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
@@ -435,8 +404,8 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
     Reduced to uninterpreted-model search over the translated document plus
     its bounded filter axiomatisation: the fresh target constant ranges over
     the sentence's constants plus one unknown, which symmetry makes generic.
-    An acyclic sentence without filter atoms goes without the axiomatisation:
-    its "at most one element equals c" holds in every grounding.
+    A sentence without filter atoms goes without the axiomatisation: its "at
+    most one element equals c" holds in every grounding.
     """
     if m.has_shape(name):
         raise DecisionError(f"template shape name {name!r} already occurs in the document")
@@ -453,11 +422,9 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
         doc = gamma_transform(doc)
         probe = ShapeRel(gamma_pos_name(name))
     phi = tau(doc)
-    # a cyclic sentence grounds nu's definition and lists nu in its witness;
     # property-pair order atoms must still raise FilterAxiomError
-    features = features_of(phi)
     ax = AxiomatisationResult(SclSentence(()), False)
-    if filter_atoms_of(phi) or features.recursive or features.flags & {"O", "O'"}:
+    if filter_atoms_of(phi) or features_of(phi).flags & {"O", "O'"}:
         ax = bounded_axiomatisation(phi)
     base = phi.conjoin(ax.sentence)
     candidates = sorted(constants_of(phi), key=term_key)  # the axiomatisation names no others
@@ -906,10 +873,10 @@ def _model_to_witness(model: list, gr: _Grounder, domain: list) -> tuple:
         if model[var]:
             triples.append(Triple(domain[i], name, domain[j]))
     g = Graph(triples)
-    signs = {}
-    shape_names = {name for (name, _i) in gr.shape_vars}
-    for (name, i), var in gr.shape_vars.items():
-        signs[(domain[i], name)] = bool(model[var])
+    # NU_NAME is the filter axiomatisation's own shape, not a shape of the document
+    signs = {(domain[i], name): bool(model[var])
+             for (name, i), var in gr.shape_vars.items() if name != NU_NAME}
+    shape_names = {name for (_node, name) in signs}
     sigma = Assignment(nodes=domain, shapes=sorted(shape_names, key=lambda n: n.value),
                        signs=signs)
     return g, sigma

@@ -97,12 +97,6 @@ class Assignment:
     def sign(self, node: Term, name: Iri) -> Optional[bool]:
         return self.signs.get((node, name))
 
-    def positive(self, node: Term) -> frozenset:
-        return frozenset(n for (nd, n), s in self.signs.items() if nd == node and s)
-
-    def negative(self, node: Term) -> frozenset:
-        return frozenset(n for (nd, n), s in self.signs.items() if nd == node and not s)
-
     def is_total(self) -> bool:
         return len(self.signs) == len(self.nodes) * len(self.shapes)
 
@@ -117,14 +111,10 @@ class Assignment:
         return f"Assignment({len(self.signs)} signs over {len(self.nodes)}x{len(self.shapes)})"
 
     def to_json(self) -> dict:
-        out: dict = {}
-        for node in self.nodes:
-            labels = sorted(
-                [f"+{n.value}" for n in self.positive(node)]
-                + [f"-{n.value}" for n in self.negative(node)]
-            )
-            out[repr(node)] = labels
-        return out
+        labels: dict = {node: [] for node in self.nodes}
+        for (node, name), sign in self.signs.items():
+            labels[node].append(("+" if sign else "-") + name.value)
+        return {repr(node): sorted(ls) for node, ls in labels.items()}
 
 
 class SemanticsError(ValueError):
@@ -152,12 +142,6 @@ class _Compiled:
     document: sh.Document
     bodies: dict
     ground: frozenset
-
-    def __hash__(self):  # keep the lru entry alive and unique per document
-        return hash(self.document)
-
-    def __eq__(self, other):
-        return isinstance(other, _Compiled) and self.document == other.document
 
 
 def target_holds(g: Graph, t: sh.TargetDecl, node: Term) -> bool:

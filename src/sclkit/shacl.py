@@ -8,7 +8,7 @@ of the atoms below.  Constraints that scope over the values of the path
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 from .rdf import (
@@ -296,10 +296,6 @@ Constraint = (
     | QualifiedValue | Closed | AllValues | SomeValues
 )
 
-_PROPERTY_ONLY = (MinCount, MaxCount, UniqueLang, EqualsRel, DisjointRel, LessThanRel,
-                  LessThanOrEqualsRel, QualifiedValue, AllValues, SomeValues)
-
-
 def walk(c: Constraint) -> Iterator[Constraint]:
     yield c
     if isinstance(c, (Not, AllValues, SomeValues)):
@@ -439,48 +435,92 @@ def eliminate_xone(m: Document) -> Document:
     return Document(tuple(shapes + extra))
 
 
-# --- reading a document from its triple encoding -----------------------------
+# --- the SHACL terms ----------------------------------------------------------
 
-_NODE_ONLY_PREDICATES = {
-    "hasValue", "in", "class", "datatype", "nodeKind", "minExclusive", "minInclusive",
-    "maxExclusive", "maxInclusive", "minLength", "maxLength", "pattern", "languageIn",
-    "not", "and", "or", "xone", "node", "property",
+# Each sh: term a shape carries: the class it reads to, the kind of object it
+# takes and its scope.  Objects of kind "term", "iri", "literal" or "integer"
+# fill the class's one field; "shape" and "shapes" name a shape or a list of
+# shapes; None is an object with structure of its own.  Scope "values": on a
+# property shape the term ranges over the path values (standardisation rule
+# 3); "property": legal on property shapes only; "focus": on the focus node in
+# either kind of shape; "target": a target declaration; "parameter": read
+# together with the term of its class.
+_TERMS = {
+    "targetNode": (NodeTarget, "term", "target"),
+    "targetClass": (ClassTarget, "term", "target"),
+    "targetSubjectsOf": (SubjectsOfTarget, "iri", "target"),
+    "targetObjectsOf": (ObjectsOfTarget, "iri", "target"),
+    "hasValue": (HasValue, "term", "values"),
+    "class": (ClassConstraint, "term", "values"),
+    "datatype": (DatatypeConstraint, "iri", "values"),
+    "minExclusive": (MinExclusive, "literal", "values"),
+    "minInclusive": (MinInclusive, "literal", "values"),
+    "maxExclusive": (MaxExclusive, "literal", "values"),
+    "maxInclusive": (MaxInclusive, "literal", "values"),
+    "minLength": (MinLengthConstraint, "integer", "values"),
+    "maxLength": (MaxLengthConstraint, "integer", "values"),
+    "minCount": (MinCount, "integer", "property"),
+    "maxCount": (MaxCount, "integer", "property"),
+    "equals": (EqualsRel, "iri", "property"),
+    "disjoint": (DisjointRel, "iri", "property"),
+    "lessThan": (LessThanRel, "iri", "property"),
+    "lessThanOrEquals": (LessThanOrEqualsRel, "iri", "property"),
+    "in": (InSet, None, "values"),
+    "languageIn": (LanguageIn, None, "values"),
+    "nodeKind": (NodeKindConstraint, None, "values"),
+    "pattern": (PatternConstraint, None, "values"),
+    "not": (Not, "shape", "values"),
+    "and": (And, "shapes", "values"),
+    "or": (Or, "shapes", "values"),
+    "xone": (Xone, "shapes", "values"),
+    "node": (Ref, "shape", "values"),
+    "property": (Ref, "shape", "values"),
+    "uniqueLang": (UniqueLang, None, "property"),
+    "qualifiedValueShape": (QualifiedValue, "shape", "property"),
+    "qualifiedMinCount": (QualifiedValue, None, "parameter"),
+    "qualifiedMaxCount": (QualifiedValue, None, "parameter"),
+    "qualifiedValueShapesDisjoint": (QualifiedValue, None, "parameter"),
+    "closed": (Closed, None, "focus"),
+    "ignoredProperties": (Closed, None, "parameter"),
 }
+_ONE_FIELD = ("term", "iri", "literal", "integer")
+_PATHS = {"inversePath": InversePath, "alternativePath": AltPath,
+          "zeroOrMorePath": ZeroOrMorePath, "oneOrMorePath": OneOrMorePath,
+          "zeroOrOnePath": ZeroOrOnePath}
 
-_PROPERTY_ONLY_PREDICATES = {
-    "minCount", "maxCount", "uniqueLang", "equals", "disjoint", "lessThan",
-    "lessThanOrEquals", "qualifiedValueShape", "qualifiedMinCount", "qualifiedMaxCount",
-    "qualifiedValueShapesDisjoint",
-}
-
-_TARGET_PREDICATES = ("targetNode", "targetClass", "targetSubjectsOf", "targetObjectsOf")
-_PATH_PREDICATES = ("inversePath", "alternativePath", "zeroOrMorePath", "oneOrMorePath",
-                    "zeroOrOnePath")
+# the constraint classes only a property shape may carry
+_PROPERTY_ONLY = (*dict.fromkeys(cls for cls, _, scope in _TERMS.values() if scope == "property"),
+                  AllValues, SomeValues)
 
 # every sh: term the reader and the writer use, each IRI built once
-_VOCABULARY = {
-    local: Iri(SH_NS + local)
-    for local in ("NodeShape", "PropertyShape", "path", "closed", "ignoredProperties",
-                  *_TARGET_PREDICATES, *_PATH_PREDICATES,
-                  *_NODE_ONLY_PREDICATES, *_PROPERTY_ONLY_PREDICATES)
-}
+_VOCABULARY = {local: Iri(SH_NS + local)
+               for local in ("NodeShape", "PropertyShape", "path", *_PATHS, *_TERMS)}
 
 
 def sh(local: str) -> Iri:
     return _VOCABULARY[local]
 
 
+_TARGETS = tuple((local, sh(local), cls, kind) for local, (cls, kind, scope) in _TERMS.items()
+                 if scope == "target")
+# class -> (predicate, field, object kind) of the terms that fill one field
+_WRITTEN_AS = {cls: (sh(local), fields(cls)[0].name, kind)
+               for local, (cls, kind, _) in _TERMS.items() if kind in _ONE_FIELD}
+_PATH_PREDICATE = {cls: sh(local) for local, cls in _PATHS.items()}
+
+
+# --- reading a document from its triple encoding -----------------------------
+
 _SHAPE_CLASSES = (sh("NodeShape"), sh("PropertyShape"))
 # the subject of any of these is a shape
-_SHAPE_SUBJECT_PREDICATES = frozenset(
-    sh(local) for local in ("path", "closed", "ignoredProperties", *_TARGET_PREDICATES,
-                            *_NODE_ONLY_PREDICATES, *_PROPERTY_ONLY_PREDICATES))
+_SHAPE_SUBJECT_PREDICATES = frozenset(sh(local) for local in ("path", *_TERMS))
 # the object of these is a shape, or a list of shapes
-_SHAPE_OBJECT_PREDICATES = tuple(sh(local) for local in ("node", "property", "not",
-                                                         "qualifiedValueShape"))
-_SHAPE_LIST_PREDICATES = tuple(sh(local) for local in ("and", "or", "xone"))
+_SHAPE_OBJECT_PREDICATES = tuple(sh(local) for local, (_, kind, _) in _TERMS.items()
+                                 if kind == "shape")
+_SHAPE_LIST_PREDICATES = tuple(sh(local) for local, (_, kind, _) in _TERMS.items()
+                               if kind == "shapes")
 # a node with any of these is a list or path helper, not a shape
-_STRUCTURAL_PREDICATES = (RDF_FIRST, *(sh(local) for local in _PATH_PREDICATES))
+_STRUCTURAL_PREDICATES = (RDF_FIRST, *(sh(local) for local in _PATHS))
 
 _NO_INDEX: dict = {}
 
@@ -506,13 +546,21 @@ def _read_list(g: Graph, head: Term) -> list[Term]:
     return items
 
 
-def _int_value(t: Term, what: str) -> int:
-    if isinstance(t, Literal):
+def _object_of(kind: str, local: str, obj: Term):
+    """The object of an sh:`local` triple, read as a field of kind `kind`."""
+    if kind == "iri" and not isinstance(obj, Iri):
+        raise DocumentError(f"sh:{local} expects an IRI")
+    if kind == "literal" and not isinstance(obj, Literal):
+        # only the order comparisons take a literal
+        raise DocumentError(f"order-comparison constraint expects a literal, got {obj!r}")
+    if kind != "integer":
+        return obj
+    if isinstance(obj, Literal):
         try:
-            return int(t.lexical)
+            return int(obj.lexical)
         except ValueError:
             pass
-    raise DocumentError(f"{what} expects an integer, got {t!r}")
+    raise DocumentError(f"sh:{local} expects an integer, got {obj!r}")
 
 
 class _DocumentReader:
@@ -566,19 +614,8 @@ class _DocumentReader:
 
     def read_shape(self, node: Term) -> Shape:
         g = self.g
-        targets: list[TargetDecl] = []
-        for o in sorted(_objects(g, node, sh("targetNode")), key=term_key):
-            targets.append(NodeTarget(o))
-        for o in sorted(_objects(g, node, sh("targetClass")), key=term_key):
-            targets.append(ClassTarget(o))
-        for o in sorted(_objects(g, node, sh("targetSubjectsOf")), key=term_key):
-            if not isinstance(o, Iri):
-                raise DocumentError("sh:targetSubjectsOf expects an IRI")
-            targets.append(SubjectsOfTarget(o))
-        for o in sorted(_objects(g, node, sh("targetObjectsOf")), key=term_key):
-            if not isinstance(o, Iri):
-                raise DocumentError("sh:targetObjectsOf expects an IRI")
-            targets.append(ObjectsOfTarget(o))
+        targets = [cls(_object_of(kind, local, o)) for local, p, cls, kind in _TARGETS
+                   for o in sorted(_objects(g, node, p), key=term_key)]
 
         paths = _objects(g, node, sh("path"))
         if len(paths) > 1:
@@ -603,51 +640,32 @@ class _DocumentReader:
         return Shape(self.names[node], tuple(targets), path, constraint)
 
     def read_atom(self, node: Term, local: str, obj: Term, in_property: bool) -> Optional[Constraint]:
-        if local in ("path", "targetNode", "targetClass", "targetSubjectsOf", "targetObjectsOf",
-                     "qualifiedMinCount", "qualifiedMaxCount", "qualifiedValueShapesDisjoint",
-                     "ignoredProperties"):
+        entry = _TERMS.get(local)
+        if entry is None:
+            if local == "path":
+                return None
+            raise DocumentError(f"unsupported vocabulary term sh:{local} on triple ({node!r}, sh:{local}, {obj!r})")
+        cls, kind, scope = entry
+        if scope in ("target", "parameter"):
             return None
-        if local in _PROPERTY_ONLY_PREDICATES and not in_property:
+        if scope == "property" and not in_property:
             raise DocumentError(f"node shape {node!r} carries property-only sh:{local}")
-        atom = self._atom_of(node, local, obj)
-        if atom is None:
-            return None
-        if in_property and local in _NODE_ONLY_PREDICATES:
-            # standardisation rule 3: node-scoped constraints on a property
-            # shape range over the path values
-            if local == "hasValue":
-                return SomeValues(atom)
-            return AllValues(atom)
-        return atom
+        if kind in _ONE_FIELD:
+            atom = cls(_object_of(kind, local, obj))
+        else:
+            atom = self._structured_atom(node, local, obj)
+        if atom is None or not (in_property and scope == "values"):
+            return atom
+        return SomeValues(atom) if local == "hasValue" else AllValues(atom)
 
-    def _atom_of(self, node: Term, local: str, obj: Term) -> Optional[Constraint]:
+    def _structured_atom(self, node: Term, local: str, obj: Term) -> Optional[Constraint]:
         g = self.g
-        if local == "hasValue":
-            return HasValue(obj)
         if local == "in":
             return InSet(tuple(_read_list(g, obj)))
-        if local == "class":
-            return ClassConstraint(obj)
-        if local == "datatype":
-            if not isinstance(obj, Iri):
-                raise DocumentError("sh:datatype expects an IRI")
-            return DatatypeConstraint(obj)
         if local == "nodeKind":
             if not isinstance(obj, Iri) or not obj.value.startswith(SH_NS):
                 raise DocumentError(f"unknown sh:nodeKind {obj!r}")
             return NodeKindConstraint(obj.value[len(SH_NS):])
-        if local == "minExclusive":
-            return MinExclusive(self._limit(obj))
-        if local == "minInclusive":
-            return MinInclusive(self._limit(obj))
-        if local == "maxExclusive":
-            return MaxExclusive(self._limit(obj))
-        if local == "maxInclusive":
-            return MaxInclusive(self._limit(obj))
-        if local == "minLength":
-            return MinLengthConstraint(_int_value(obj, "sh:minLength"))
-        if local == "maxLength":
-            return MaxLengthConstraint(_int_value(obj, "sh:maxLength"))
         if local == "pattern":
             if not isinstance(obj, Literal):
                 raise DocumentError("sh:pattern expects a string literal")
@@ -663,59 +681,33 @@ class _DocumentReader:
             return LanguageIn(tuple(t.lexical.lower() for t in tags))
         if local == "not":
             return Not(Ref(self.ref_name(obj)))
-        if local == "and":
-            return And(tuple(Ref(self.ref_name(n)) for n in _read_list(g, obj)))
-        if local == "or":
-            return Or(tuple(Ref(self.ref_name(n)) for n in _read_list(g, obj)))
+        if local in ("and", "or"):
+            refs = tuple(Ref(self.ref_name(n)) for n in _read_list(g, obj))
+            return And(refs) if local == "and" else Or(refs)
         if local == "xone":
             return Xone(tuple(self.ref_name(n) for n in _read_list(g, obj)))
         if local in ("node", "property"):
             return Ref(self.ref_name(obj))
-        if local == "minCount":
-            return MinCount(_int_value(obj, "sh:minCount"))
-        if local == "maxCount":
-            return MaxCount(_int_value(obj, "sh:maxCount"))
         if local == "uniqueLang":
-            if obj != Literal("true", XSD_BOOLEAN):
-                return None
-            return UniqueLang()
-        if local == "equals":
-            return EqualsRel(self._rel(obj, "sh:equals"))
-        if local == "disjoint":
-            return DisjointRel(self._rel(obj, "sh:disjoint"))
-        if local == "lessThan":
-            return LessThanRel(self._rel(obj, "sh:lessThan"))
-        if local == "lessThanOrEquals":
-            return LessThanOrEqualsRel(self._rel(obj, "sh:lessThanOrEquals"))
+            return UniqueLang() if obj == Literal("true", XSD_BOOLEAN) else None
         if local == "qualifiedValueShape":
             mn = g.one_object(node, sh("qualifiedMinCount"))
             mx = g.one_object(node, sh("qualifiedMaxCount"))
             disjoint = g.one_object(node, sh("qualifiedValueShapesDisjoint")) == Literal("true", XSD_BOOLEAN)
             return QualifiedValue(
                 ref=self.ref_name(obj),
-                min_count=_int_value(mn, "sh:qualifiedMinCount") if mn is not None else None,
-                max_count=_int_value(mx, "sh:qualifiedMaxCount") if mx is not None else None,
+                min_count=_object_of("integer", "qualifiedMinCount", mn) if mn is not None else None,
+                max_count=_object_of("integer", "qualifiedMaxCount", mx) if mx is not None else None,
                 siblings=self._siblings(node) if disjoint else (),
             )
-        if local == "closed":
-            if obj != Literal("true", XSD_BOOLEAN):
-                return None
-            ignored = g.one_object(node, sh("ignoredProperties"))
-            props = _read_list(g, ignored) if ignored is not None else []
-            if not all(isinstance(p, Iri) for p in props):
-                raise DocumentError("sh:ignoredProperties expects IRIs")
-            return Closed(tuple(sorted(props, key=lambda i: i.value)))
-        raise DocumentError(f"unsupported vocabulary term sh:{local} on triple ({node!r}, sh:{local}, {obj!r})")
-
-    def _limit(self, obj: Term) -> Literal:
-        if not isinstance(obj, Literal):
-            raise DocumentError(f"order-comparison constraint expects a literal, got {obj!r}")
-        return obj
-
-    def _rel(self, obj: Term, what: str) -> Iri:
-        if not isinstance(obj, Iri):
-            raise DocumentError(f"{what} expects an IRI")
-        return obj
+        # sh:closed
+        if obj != Literal("true", XSD_BOOLEAN):
+            return None
+        ignored = g.one_object(node, sh("ignoredProperties"))
+        props = _read_list(g, ignored) if ignored is not None else []
+        if not all(isinstance(p, Iri) for p in props):
+            raise DocumentError("sh:ignoredProperties expects IRIs")
+        return Closed(tuple(sorted(props, key=lambda i: i.value)))
 
     def _siblings(self, node: Term) -> tuple:
         """Qualified value shapes of sibling property shapes under shared parents."""
@@ -742,12 +734,10 @@ class _DocumentReader:
         alt = g.one_object(node, sh("alternativePath"))
         if alt is not None:
             return AltPath(tuple(self.read_path(p) for p in _read_list(g, alt)))
-        for local, cls in (("zeroOrMorePath", ZeroOrMorePath),
-                           ("oneOrMorePath", OneOrMorePath),
-                           ("zeroOrOnePath", ZeroOrOnePath)):
+        for local in ("zeroOrMorePath", "oneOrMorePath", "zeroOrOnePath"):
             inner = g.one_object(node, sh(local))
             if inner is not None:
-                return cls(self.read_path(inner))
+                return _PATHS[local](self.read_path(inner))
         if _objects(g, node, RDF_FIRST):
             return SeqPath(tuple(self.read_path(p) for p in _read_list(g, node)))
         raise DocumentError(f"unsupported sh:path value {node!r}")
@@ -833,16 +823,12 @@ def document_to_graph(m: Document) -> Graph:
             return emit_list([emit_path(q) for q in p.parts])
         node = blank()
         if isinstance(p, InversePath):
-            triples.append(Triple(node, sh("inversePath"), p.iri))
+            o = p.iri
         elif isinstance(p, AltPath):
-            triples.append(Triple(node, sh("alternativePath"),
-                                  emit_list([emit_path(q) for q in p.parts])))
-        elif isinstance(p, ZeroOrMorePath):
-            triples.append(Triple(node, sh("zeroOrMorePath"), emit_path(p.inner)))
-        elif isinstance(p, OneOrMorePath):
-            triples.append(Triple(node, sh("oneOrMorePath"), emit_path(p.inner)))
+            o = emit_list([emit_path(q) for q in p.parts])
         else:
-            triples.append(Triple(node, sh("zeroOrOnePath"), emit_path(p.inner)))
+            o = emit_path(p.inner)
+        triples.append(Triple(node, _PATH_PREDICATE[type(p)], o))
         return node
 
     def intlit(n: int) -> Literal:
@@ -874,78 +860,60 @@ def document_to_graph(m: Document) -> Graph:
             yield c
 
     def emit_constraint(subject: Term, c: Constraint) -> None:
-        if isinstance(c, Top):
-            return
-        simple = {
-            HasValue: lambda: (sh("hasValue"), c.value),
-            InSet: lambda: (sh("in"), emit_list(c.values)),
-            ClassConstraint: lambda: (sh("class"), c.cls),
-            DatatypeConstraint: lambda: (sh("datatype"), c.datatype),
-            NodeKindConstraint: lambda: (sh("nodeKind"), Iri(SH_NS + c.kind)),
-            MinExclusive: lambda: (sh("minExclusive"), c.limit),
-            MinInclusive: lambda: (sh("minInclusive"), c.limit),
-            MaxExclusive: lambda: (sh("maxExclusive"), c.limit),
-            MaxInclusive: lambda: (sh("maxInclusive"), c.limit),
-            MinLengthConstraint: lambda: (sh("minLength"), intlit(c.length)),
-            MaxLengthConstraint: lambda: (sh("maxLength"), intlit(c.length)),
-            PatternConstraint: lambda: (sh("pattern"), Literal(c.regex)),
-            LanguageIn: lambda: (sh("languageIn"), emit_list([Literal(t) for t in c.tags])),
-            MinCount: lambda: (sh("minCount"), intlit(c.n)),
-            MaxCount: lambda: (sh("maxCount"), intlit(c.n)),
-            UniqueLang: lambda: (sh("uniqueLang"), true),
-            EqualsRel: lambda: (sh("equals"), c.rel),
-            DisjointRel: lambda: (sh("disjoint"), c.rel),
-            LessThanRel: lambda: (sh("lessThan"), c.rel),
-            LessThanOrEqualsRel: lambda: (sh("lessThanOrEquals"), c.rel),
-            Ref: lambda: (sh("node"), c.name),
-        }
-        if type(c) in simple:
-            p, o = simple[type(c)]()
-            triples.append(Triple(subject, p, o))
-            return
-        if isinstance(c, And):
+        def put(local: str, o: Term) -> None:
+            triples.append(Triple(subject, sh(local), o))
+
+        if type(c) in _WRITTEN_AS:
+            p, field, kind = _WRITTEN_AS[type(c)]
+            o = getattr(c, field)
+            triples.append(Triple(subject, p, intlit(o) if kind == "integer" else o))
+        elif isinstance(c, InSet):
+            put("in", emit_list(c.values))
+        elif isinstance(c, NodeKindConstraint):
+            put("nodeKind", Iri(SH_NS + c.kind))
+        elif isinstance(c, PatternConstraint):
+            put("pattern", Literal(c.regex))
+        elif isinstance(c, LanguageIn):
+            put("languageIn", emit_list([Literal(t) for t in c.tags]))
+        elif isinstance(c, UniqueLang):
+            put("uniqueLang", true)
+        elif isinstance(c, Ref):
+            put("node", c.name)
+        elif isinstance(c, And):
             for item in c.items:
                 emit_constraint(subject, item)
-            return
-        if isinstance(c, Not):
-            triples.append(Triple(subject, sh("not"), ref_of(c.inner)))
-            return
-        if isinstance(c, Or):
-            triples.append(Triple(subject, sh("or"),
-                                  emit_list([ref_of(i) for i in c.items])))
-            return
-        if isinstance(c, Xone):
-            triples.append(Triple(subject, sh("xone"), emit_list(c.names)))
-            return
-        if isinstance(c, QualifiedValue):
-            triples.append(Triple(subject, sh("qualifiedValueShape"), c.ref))
+        elif isinstance(c, Not):
+            put("not", ref_of(c.inner))
+        elif isinstance(c, Or):
+            put("or", emit_list([ref_of(i) for i in c.items]))
+        elif isinstance(c, Xone):
+            put("xone", emit_list(c.names))
+        elif isinstance(c, QualifiedValue):
+            put("qualifiedValueShape", c.ref)
             if c.min_count is not None:
-                triples.append(Triple(subject, sh("qualifiedMinCount"), intlit(c.min_count)))
+                put("qualifiedMinCount", intlit(c.min_count))
             if c.max_count is not None:
-                triples.append(Triple(subject, sh("qualifiedMaxCount"), intlit(c.max_count)))
+                put("qualifiedMaxCount", intlit(c.max_count))
             if c.siblings:
-                triples.append(Triple(subject, sh("qualifiedValueShapesDisjoint"), true))
-            return
-        if isinstance(c, Closed):
-            triples.append(Triple(subject, sh("closed"), true))
+                put("qualifiedValueShapesDisjoint", true)
+        elif isinstance(c, Closed):
+            put("closed", true)
             if c.ignored:
-                triples.append(Triple(subject, sh("ignoredProperties"), emit_list(c.ignored)))
-            return
-        if isinstance(c, AllValues):
+                put("ignoredProperties", emit_list(c.ignored))
+        elif isinstance(c, AllValues):
             if any(isinstance(i, HasValue) for i in conjuncts(c.inner)):
                 # a bare sh:hasValue on a property shape reads back as SomeValues
-                triples.append(Triple(subject, sh("node"), ref_of(c.inner)))
+                put("node", ref_of(c.inner))
             else:
                 emit_constraint(subject, c.inner)
-            return
-        if isinstance(c, SomeValues):
+        elif isinstance(c, SomeValues):
             if isinstance(c.inner, HasValue):
-                triples.append(Triple(subject, sh("hasValue"), c.inner.value))
+                put("hasValue", c.inner.value)
             else:
-                triples.append(Triple(subject, sh("qualifiedValueShape"), ref_of(c.inner)))
-                triples.append(Triple(subject, sh("qualifiedMinCount"), intlit(1)))
-            return
-        raise DocumentError(f"cannot serialize constraint {type(c).__name__}")
+                put("qualifiedValueShape", ref_of(c.inner))
+                put("qualifiedMinCount", intlit(1))
+        elif not isinstance(c, Top):
+            raise DocumentError(f"cannot serialize constraint {type(c).__name__}")
 
     def emit_shape(shape: Shape) -> None:
         kind = "PropertyShape" if shape.path is not None else "NodeShape"
@@ -953,14 +921,8 @@ def document_to_graph(m: Document) -> Graph:
         if shape.path is not None:
             triples.append(Triple(shape.name, sh("path"), emit_path(shape.path)))
         for t in shape.targets:
-            if isinstance(t, NodeTarget):
-                triples.append(Triple(shape.name, sh("targetNode"), t.node))
-            elif isinstance(t, ClassTarget):
-                triples.append(Triple(shape.name, sh("targetClass"), t.cls))
-            elif isinstance(t, SubjectsOfTarget):
-                triples.append(Triple(shape.name, sh("targetSubjectsOf"), t.rel))
-            else:
-                triples.append(Triple(shape.name, sh("targetObjectsOf"), t.rel))
+            p, field, _ = _WRITTEN_AS[type(t)]
+            triples.append(Triple(shape.name, p, getattr(t, field)))
         emit_constraint(shape.name, shape.constraint)
 
     for shape in m.shapes:

@@ -219,6 +219,35 @@ def test_order_atoms_without_filters_are_still_an_error(capsys, tmp_path):
         assert "property-pair order atoms" in err
 
 
+def test_witness_lists_no_axiomatisation_shape(capsys, tmp_path):
+    # the filter axiomatisation's own shape urn:sclkit:nu is not a shape of
+    # the document, so no witness assignment names it
+    doc = tmp_path / "filters.ttl"
+    doc.write_text(
+        "@prefix ex: <http://example.org/> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+        "ex:F0 a sh:PropertyShape ; sh:targetClass ex:C0 ; sh:path ex:r0 ;"
+        " sh:datatype xsd:integer ; sh:minInclusive 1 ; sh:maxExclusive 4 .\n"
+        "ex:F1 a sh:PropertyShape ; sh:targetClass ex:C1 ; sh:path ex:r1 ;"
+        " sh:minLength 0 ; sh:maxLength 2 .\n"
+        "ex:R a sh:NodeShape ; sh:property [ sh:path ex:r2 ; sh:node ex:R ] .\n"
+        "ex:A a sh:NodeShape ; sh:class ex:C0 .\n"
+        "ex:T a sh:NodeShape ; sh:node ex:F0 .\n", encoding="utf-8")
+    cases = [("template-sat", "--template", "http://example.org/T"),
+             ("shape-contains", "--shape1", "http://example.org/T",
+              "--shape2", "http://example.org/F1"),
+             # a cyclic sentence without filters
+             ("shape-contains", "--shape1", "http://example.org/R",
+              "--shape2", "http://example.org/A")]
+    for command, *rest in cases:
+        code, out, _ = run(capsys, "--json", command, "--doc", str(doc), *rest)
+        report = json.loads(out)
+        assert (code, report["result"]) == (0, "sat")
+        labels = [label for node in report["witness_assignment"].values() for label in node]
+        assert labels
+        assert not any("urn:sclkit:nu" in label for label in labels)
+
+
 def test_template_sat_out_of_time_reports_approximate(capsys, tmp_path):
     # a length window has too many members to count, so the axiomatisation is
     # approximate, whether the search ends in time or not

@@ -26,6 +26,8 @@ from sclkit.decide import (
     check_containment,
     classify,
     constraint_satisfiability,
+    containment_sentence,
+    emit,
     emit_smtlib,
     emit_tptp,
     scl_bounded_sat,
@@ -407,15 +409,14 @@ def test_emit_keeps_constants_apart_that_quote_alike():
 
 
 def test_emit_unknown_format_is_an_error():
-    from sclkit.decide import check_satisfiability, emit
-
     with pytest.raises(DecisionError, match="unknown prover encoding"):
         emit("smt", SclSentence(()))
     m = doc(":s a sh:NodeShape ; sh:targetNode :a .")
+    phi, negated = containment_sentence(m, m)
     with pytest.raises(DecisionError, match="unknown prover encoding"):
-        check_containment(m, m, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="smt")
+        emit("smt", phi, negated_target_disjunction=negated)
     with pytest.raises(DecisionError, match="unknown prover encoding"):
-        check_satisfiability(m, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="smt")
+        emit("smt", tau(m))
 
 
 def test_bounded_sat_agrees_with_prune_free_oracle():
@@ -491,28 +492,23 @@ def test_document_level_filter_unsatisfiability():
     assert scl_bounded_sat(phi2.conjoin(ax2.sentence), budget).is_sat
 
 
-def test_check_satisfiability_with_encoding():
-    from sclkit.decide import check_satisfiability
-
+def test_satisfiability_encoding_of_tau():
     m = doc(":s a sh:NodeShape ; sh:targetNode :a .")
-    r = check_satisfiability(m, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="smtlib2")
-    assert r.is_sat and r.encoding is not None
-    assert "(check-sat)" in r.encoding
-    with pytest.raises(DecisionError, match="brave"):
-        check_satisfiability(m, SemanticsMode.CAUTIOUS_TOTAL, BUDGET, encoding="tptp")
+    assert bounded_sat(m, SemanticsMode.BRAVE_TOTAL, BUDGET).is_sat
+    assert "(check-sat)" in emit("smtlib2", tau(m))
+    assert "fof(" in emit("tptp", tau(m))
 
 
-def test_containment_encoding_attached():
-    from sclkit.decide import check_containment
-
+def test_containment_encoding_of_sentence():
     m1 = doc(":s a sh:NodeShape ; sh:targetClass :C ; sh:hasValue :v .")
     m2 = doc(":s a sh:NodeShape ; sh:targetClass :C .")
-    r = check_containment(m2, m1, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="smtlib2")
-    assert r.is_sat and r.encoding is not None
+    assert check_containment(m2, m1, SemanticsMode.BRAVE_TOTAL, BUDGET).is_sat
+    phi, negated = containment_sentence(m2, m1)
+    smt = emit("smtlib2", phi, negated_target_disjunction=negated)
     # the one target axiom of m1 is refuted: a one-item disjunction is the item
-    assert "(assert (not (forall" in r.encoding and "(check-sat)" in r.encoding
-    tp = check_containment(m1, m2, SemanticsMode.BRAVE_TOTAL, BUDGET, encoding="tptp")
-    assert "fof(" in tp.encoding
+    assert "(assert (not (forall" in smt and "(check-sat)" in smt
+    phi, negated = containment_sentence(m1, m2)
+    assert "fof(" in emit("tptp", phi, negated_target_disjunction=negated)
 
 
 def test_containment_encoding_keeps_refuted_target_constants_apart():

@@ -178,3 +178,75 @@ def test_document_serialization_roundtrip_semantic():
         back = sh.document_from_graph(sh.document_to_graph(m))
         for mode in SemanticsMode:
             assert validate(g, m, mode) == validate(g, back, mode), (m, mode)
+
+
+# Every sh: term the reader knows, read with each kind of object in a node
+# shape and in a property shape.  The exact error text is pinned; a case not
+# listed below reads without error.
+_READER_TERMS = (
+    "hasValue", "in", "class", "datatype", "nodeKind", "minExclusive", "minInclusive",
+    "maxExclusive", "maxInclusive", "minLength", "maxLength", "pattern", "languageIn",
+    "not", "and", "or", "xone", "node", "property", "minCount", "maxCount", "uniqueLang",
+    "equals", "disjoint", "lessThan", "lessThanOrEquals", "qualifiedValueShape",
+    "qualifiedMinCount", "qualifiedMaxCount", "qualifiedValueShapesDisjoint", "closed",
+    "ignoredProperties", "severity", "targetNode", "targetClass", "targetSubjectsOf",
+    "targetObjectsOf",
+)
+# object kind -> (Turtle text, repr in messages)
+_READER_OBJECTS = {
+    "iri": (":o", "<http://ex/o>"),
+    "literal": ('"x"', '"x"'),
+    "integer": ("3", '"3"^^<http://www.w3.org/2001/XMLSchema#integer>'),
+    "blank": ("[]", "_:b0"),
+    "bad-regex": ('"("', '"("'),
+}
+_NON_IRI = ("literal", "integer", "blank", "bad-regex")
+_NOT_INTEGER = ("iri", "literal", "blank", "bad-regex")
+_LIST_ERROR = {kind: "malformed RDF list at {o}" for kind in _READER_OBJECTS}
+_ORDER_ERROR = {kind: "order-comparison constraint expects a literal, got {o}"
+                for kind in ("iri", "blank")}
+# term -> object kind -> message, in either scope ({o}: the object's repr)
+_READER_ERRORS = {
+    "in": _LIST_ERROR, "languageIn": _LIST_ERROR,
+    "and": _LIST_ERROR, "or": _LIST_ERROR, "xone": _LIST_ERROR,
+    "datatype": {kind: "sh:datatype expects an IRI" for kind in _NON_IRI},
+    "nodeKind": {kind: "unknown sh:nodeKind {o}" for kind in _READER_OBJECTS},
+    "minExclusive": _ORDER_ERROR, "minInclusive": _ORDER_ERROR,
+    "maxExclusive": _ORDER_ERROR, "maxInclusive": _ORDER_ERROR,
+    "pattern": {"iri": "sh:pattern expects a string literal",
+                "blank": "sh:pattern expects a string literal",
+                "bad-regex": "malformed sh:pattern '(': missing ), unterminated subpattern "
+                             "at position 0"},
+    **{term: {kind: f"sh:{term} expects an integer, got {{o}}" for kind in _NOT_INTEGER}
+       for term in ("minLength", "maxLength", "minCount", "maxCount")},
+    **{term: {kind: f"sh:{term} expects an IRI" for kind in _NON_IRI}
+       for term in ("equals", "disjoint", "lessThan", "lessThanOrEquals", "targetSubjectsOf",
+                    "targetObjectsOf")},
+    "severity": {kind: "unsupported vocabulary term sh:severity on triple "
+                       "(<http://ex/s>, sh:severity, {o})" for kind in _READER_OBJECTS},
+}
+# in a node shape these fail before their object is read
+_READER_PROPERTY_ONLY = ("minCount", "maxCount", "uniqueLang", "equals", "disjoint",
+                         "lessThan", "lessThanOrEquals", "qualifiedValueShape")
+
+
+def _expected_reader_error(term, kind, scope):
+    if scope == "node" and term in _READER_PROPERTY_ONLY:
+        return f"node shape <http://ex/s> carries property-only sh:{term}"
+    message = _READER_ERRORS.get(term, {}).get(kind)
+    return None if message is None else message.format(o=_READER_OBJECTS[kind][1])
+
+
+@pytest.mark.parametrize("scope", ["node", "property"])
+@pytest.mark.parametrize("kind", list(_READER_OBJECTS))
+@pytest.mark.parametrize("term", _READER_TERMS)
+def test_reader_error_messages(term, kind, scope):
+    head = ":s a sh:NodeShape ; " if scope == "node" else ":s a sh:PropertyShape ; sh:path :r ; "
+    text = f"{head}sh:{term} {_READER_OBJECTS[kind][0]} ."
+    expected = _expected_reader_error(term, kind, scope)
+    if expected is None:
+        doc(text)
+    else:
+        with pytest.raises(sh.DocumentError) as err:
+            doc(text)
+        assert str(err.value) == expected
