@@ -13,6 +13,7 @@ comparisons across partitions are false.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,10 @@ from .rdf import (
     XSD_STRING,
     term_key,
 )
+from .scl import (AtMostAxiom, ConstraintAxiom, PsiEq, PsiFilter, PsiNot, PsiOrder, PsiShape, PsiTop,
+                  SclSentence, ShapeRel, constants_of, filter_atoms_of, psi_and_all, psi_or_all,
+                  shape_rels_of, walk_psi)
+from .shacl import NameMint
 
 HUGE_THRESHOLD = 2 ** 20
 WITNESS_LIMIT = 256
@@ -141,12 +146,14 @@ def comparison_value(t: Term):
     return None
 
 
-_OPS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def compare(op: str, a: Term, b: Term) -> bool:
+    """`a op b` under the term order: false unless both terms lie in one
+    comparison partition."""
+    av, bv = comparison_value(a), comparison_value(b)
+    return av is not None and bv is not None and av[0] == bv[0] and _OPS[op](av[1], bv[1])
 
 
 def eval_filter(atom: FilterAtom, t: Term) -> bool:
@@ -166,11 +173,7 @@ def eval_filter(atom: FilterAtom, t: Term) -> bool:
     if isinstance(atom, PatternAtom):
         s = string_repr(t)
         return s is not None and re.search(atom.regex, s) is not None
-    tv = comparison_value(t)
-    lv = comparison_value(atom.limit)
-    if tv is None or lv is None or tv[0] != lv[0]:
-        return False
-    return _OPS[atom.op](tv[1], lv[1])
+    return compare(atom.op, t, atom.limit)
 
 
 # --- filter combinations --------------------------------------------------------
@@ -926,14 +929,12 @@ _MAX_NAIVE_ATOMS = 10
 
 @dataclass(frozen=True)
 class AxiomatisationResult:
-    sentence: object  # SclSentence
+    sentence: SclSentence
     approximate: bool
     skipped: tuple = ()
 
 
 def _combo_psi(combo: FilterCombination, nu_rel):
-    from .scl import PsiEq, PsiFilter, PsiNot, PsiShape, psi_and_all
-
     parts = []
     for c in combo.conjuncts:
         if isinstance(c, Eq):
@@ -949,21 +950,16 @@ def _combo_psi(combo: FilterCombination, nu_rel):
     return psi_and_all(parts)
 
 
-def _gather(phi) -> tuple:
-    from .scl import constants_of, filter_atoms_of, shape_rels_of
-
+def _gather(phi: SclSentence) -> tuple:
     return (sorted(constants_of(phi), key=term_key),
             sorted(filter_atoms_of(phi), key=lambda a: a.describe()),
             {rel.name for rel in shape_rels_of(phi)})
 
 
-def naive_axiomatisation(phi) -> AxiomatisationResult:
+def naive_axiomatisation(phi: SclSentence) -> AxiomatisationResult:
     """One fresh shape per filter combination with a non-infinite satisfying
     set, defined both by the combination and by the enumeration of its
     witnesses (bottom when empty).  Exponential in the filter/constant count."""
-    from .scl import ConstraintAxiom, PsiEq, PsiNot, PsiTop, SclSentence, ShapeRel, psi_or_all
-    from .shacl import NameMint
-
     constants, atoms, taken = _gather(phi)
     for atom in atoms:
         if isinstance(atom, PatternAtom):
@@ -1029,15 +1025,11 @@ def _bounded_combos(constants: list, atoms: list) -> list:
     return [FilterCombination.of(c) for c in combos if c]
 
 
-def bounded_axiomatisation(phi) -> AxiomatisationResult:
+def bounded_axiomatisation(phi: SclSentence) -> AxiomatisationResult:
     """Nu's defining axiom plus one counting conjunct per bounded filter
     combination with a finite satisfying set; polynomial in the input.  Each
     filter part F (the Pos/Neg conjuncts) is counted once: Nu ∧ F drops the
     known constants from F's count, and Eq(c) ∧ F is 1 or 0 as c passes F."""
-    from .scl import (AtMostAxiom, ConstraintAxiom, PsiEq, PsiNot, PsiOrder, SclSentence,
-                      ShapeRel, psi_and_all, walk_psi)
-    from .shacl import NameMint
-
     constants, atoms, taken = _gather(phi)
     for atom in atoms:
         if isinstance(atom, PatternAtom):

@@ -9,11 +9,13 @@ usual negation shortcuts and are not separate nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from .rdf import Iri, Term, RDF_TYPE
-from .shacl import NameMint
-from .filters import FilterAtom
+from .shacl import NameMint, evaluation_order
+
+if TYPE_CHECKING:
+    from .filters import FilterAtom
 
 
 @dataclass(frozen=True)
@@ -355,19 +357,7 @@ def is_recursive_sentence(sentence: SclSentence) -> bool:
         deps.setdefault(axiom.shape, set()).update(
             n.rel for n in walk_psi(axiom.body) if isinstance(n, PsiShape)
         )
-    # Kahn's algorithm, without recursion: a shape on or above a cycle stays
-    waiting = {rel: deps.keys() & ds for rel, ds in deps.items()}
-    users: dict[ShapeRel, list] = {}
-    for rel, ds in waiting.items():
-        for d in ds:
-            users.setdefault(d, []).append(rel)
-    peeled = [rel for rel, ds in waiting.items() if not ds]
-    for rel in peeled:  # grows while it is walked
-        for user in users.get(rel, ()):
-            waiting[user].discard(rel)
-            if not waiting[user]:
-                peeled.append(user)
-    return len(peeled) < len(deps)
+    return evaluation_order(deps) is None
 
 
 def well_formed(sentence: SclSentence) -> bool:

@@ -2,7 +2,7 @@
 validation semantics, and the partial-to-total document transformation.
 
 Validation takes the stratified assignment for a non-recursive document and
-otherwise asks the CDCL solver of `decide` about one CNF encoding of the
+otherwise asks the CDCL solver of `sat` about one CNF encoding of the
 faithful assignments over the fixed graph.
 
 Constraints are evaluated through their logic translation: one strong-Kleene
@@ -18,8 +18,11 @@ from typing import Optional
 
 from .rdf import Graph, Iri, RDF_TYPE, Term, nodes_of, term_key
 from . import shacl as sh
-from .filters import comparison_value, eval_filter
+from .filters import compare, eval_filter
+from .sat import _Cnf, _dpll
 from .scl import (
+    AtMostAxiom,
+    ConstraintAxiom,
     Pi,
     PiAlt,
     PiSeq,
@@ -37,6 +40,10 @@ from .scl import (
     PsiTop,
     RelAtom,
     RelStep,
+    TargetClassAxiom,
+    TargetNodeAxiom,
+    TargetObjectsAxiom,
+    TargetSubjectsAxiom,
     walk_psi,
 )
 from .translate import shape_bodies
@@ -123,7 +130,8 @@ class SemanticsError(ValueError):
 
 @lru_cache(maxsize=128)
 def compile_document(m: sh.Document):
-    """Per-shape formula bodies plus the sigma-independent subformula set."""
+    """Per-shape formula bodies, the sigma-independent subformula set, and
+    the shapes in evaluation order (None for a recursive document)."""
     for shape in m.shapes:
         for node in sh.walk(shape.constraint):
             if isinstance(node, sh.Xone):
@@ -134,7 +142,8 @@ def compile_document(m: sh.Document):
         for node in walk_psi(body):
             if not any(isinstance(x, PsiShape) for x in walk_psi(node)):
                 ground.add(id(node))
-    return _Compiled(m, bodies, frozenset(ground))
+    order = sh.evaluation_order({s.name: sh.referenced_names(s.constraint) for s in m.shapes})
+    return _Compiled(m, bodies, frozenset(ground), order)
 
 
 @dataclass(frozen=True)
@@ -142,6 +151,7 @@ class _Compiled:
     document: sh.Document
     bodies: dict
     ground: frozenset
+    order: Optional[list]
 
 
 def target_holds(g: Graph, t: sh.TargetDecl, node: Term) -> bool:
@@ -267,19 +277,9 @@ class EvalContext:
             return TRUE if same else FALSE
         # property-pair order: every (path value, relation value) pair must
         # compare within one partition; incomparable pairs fail the atom
-        ys = self.eval_path(psi.path, node)
         zs = self.rel_values(node, psi.rel)
-        for y in ys:
-            yv = comparison_value(y)
-            for z in zs:
-                zv = comparison_value(z)
-                if yv is None or zv is None or yv[0] != zv[0]:
-                    return FALSE
-                a, b = yv[1], zv[1]
-                ok = {"<": a < b, "<=": a <= b, ">": a > b, ">=": a >= b}[psi.op]
-                if not ok:
-                    return FALSE
-        return TRUE
+        ok = all(compare(psi.op, y, z) for y in self.eval_path(psi.path, node) for z in zs)
+        return TRUE if ok else FALSE
 
 
 def eval_path(pi: Pi, node: Term, g: Graph) -> frozenset:
@@ -295,7 +295,7 @@ def eval_psi(psi: Psi, node: Term, g: Graph, sigma: Assignment) -> Truth:
     return ctx.eval(psi, node)
 
 
-_EMPTY_COMPILED = _Compiled(sh.Document(()), {}, frozenset())
+_EMPTY_COMPILED = _Compiled(sh.Document(()), {}, frozenset(), [])
 
 
 def is_faithful(g: Graph, sigma: Assignment, m: sh.Document) -> bool:
@@ -321,25 +321,13 @@ def is_faithful(g: Graph, sigma: Assignment, m: sh.Document) -> bool:
 
 def stratified_assignment(g: Graph, m: sh.Document) -> Assignment:
     """The unique total assignment faithful for the target-free document,
-    computed stratum by stratum; rejects recursive input."""
-    if sh.is_recursive(m):
-        raise SemanticsError("stratified evaluation needs a non-recursive document")
+    computed shape by shape in evaluation order; rejects recursive input."""
     compiled = compile_document(m)
-    order: list[Iri] = []
-    placed: set[Iri] = set()
-    remaining = {s.name: sh.referenced_names(s.constraint) for s in m.shapes}
-    while remaining:
-        ready = sorted([n for n, deps in remaining.items() if deps <= placed],
-                       key=lambda i: i.value)
-        if not ready:
-            raise SemanticsError("dependency cycle in a non-recursive document")
-        for n in ready:
-            order.append(n)
-            placed.add(n)
-            del remaining[n]
+    if compiled.order is None:
+        raise SemanticsError("stratified evaluation needs a non-recursive document")
     nodes = sorted(nodes_of(g, m), key=term_key)
     ctx = EvalContext(g, compiled)
-    for name in order:
+    for name in compiled.order:
         body = compiled.bodies[name]
         for node in nodes:
             v = ctx.eval(body, node)
@@ -365,13 +353,11 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
     with the targeted pairs asserted true; cautious validity adds a refutation
     of "some targeted pair is not true" over the target-free assignments of
     the same (nodes(G, M), shapes(M)) scope."""
-    from .decide import _Cnf, _dpll
-
     m = sh.eliminate_xone(m)
-    if use_fast_path and not sh.is_recursive(m):
+    compiled = compile_document(m)
+    if use_fast_path and compiled.order is not None:
         rho = stratified_assignment(g, m)
         return rho if _targets_satisfied(g, m, rho) else None
-    compiled = compile_document(m)
     ctx = EvalContext(g, compiled)
     nodes = sorted(nodes_of(g, m), key=term_key)
     targeted = _targeted_pairs(g, m, nodes)
@@ -441,9 +427,6 @@ def sentence_holds(phi, g: Graph, sigma: Assignment) -> bool:
     """Truth of a sentence over the structure induced by a graph and a total
     assignment: quantifiers range over the structure's domain (the
     assignment's node scope), constants outside it denote nothing."""
-    from .scl import (AtMostAxiom, ConstraintAxiom, TargetClassAxiom, TargetNodeAxiom,
-                      TargetObjectsAxiom, TargetSubjectsAxiom)
-
     if not sigma.is_total():
         raise SemanticsError("sentence evaluation needs a total assignment")
     ctx = EvalContext(g, _EMPTY_COMPILED)
@@ -511,87 +494,66 @@ def _split_literal(name: Iri, value: bool) -> sh.Constraint:
     return sh.And((pos, sh.Not(neg))) if value else sh.And((sh.Not(pos), neg))
 
 
+# the connective the negative half of Γ takes in place of each one
+_DUAL = {sh.And: sh.Or, sh.Or: sh.And, sh.AllValues: sh.SomeValues, sh.SomeValues: sh.AllValues}
+
+
 class _GammaRewriter:
     def __init__(self):
         self.aux: dict = {}
         self.aux_shapes: list = []
 
-    def _aux_for(self, ref: Iri, siblings: tuple, conform: bool) -> Iri:
-        """A shape for qualified values that conform (true for `ref`, false
+    def _aux_for(self, c: sh.QualifiedValue, conform: bool) -> Iri:
+        """A shape for qualified values that conform (true for `c.ref`, false
         for every sibling) or, with `conform` false, that do not violate."""
-        key = (ref, siblings, conform)
+        key = (c.ref, c.siblings, conform)
         if key in self.aux:
             return self.aux[key]
         name = Iri(f"{GAMMA_AUX_NS}{len(self.aux)}")
         if conform:
-            parts = [_split_literal(ref, True)] + [_split_literal(s, False) for s in siblings]
+            parts = [_split_literal(c.ref, True)] + [_split_literal(s, False) for s in c.siblings]
         else:
-            parts = [sh.Not(_split_literal(ref, False))] + [
-                sh.Not(_split_literal(s, True)) for s in siblings]
+            parts = [sh.Not(_split_literal(c.ref, False))] + [
+                sh.Not(_split_literal(s, True)) for s in c.siblings]
         constraint = parts[0] if len(parts) == 1 else sh.And(tuple(parts))
         self.aux[key] = name
         self.aux_shapes.append(sh.Shape(name, (), None, constraint))
         return name
 
     def _qualified(self, c: sh.QualifiedValue, positive: bool) -> sh.Constraint:
-        def conform():
-            return self._aux_for(c.ref, c.siblings, True)
-
-        def permit():
-            return self._aux_for(c.ref, c.siblings, False)
-
         parts = []
         if c.min_count is not None and c.min_count >= 1:
             # true: min values conform; false: fewer than min do not violate
-            parts.append(sh.QualifiedValue(conform(), c.min_count) if positive
-                         else sh.Not(sh.QualifiedValue(permit(), c.min_count)))
+            parts.append(sh.QualifiedValue(self._aux_for(c, True), c.min_count) if positive
+                         else sh.Not(sh.QualifiedValue(self._aux_for(c, False), c.min_count)))
         if c.max_count is not None:
             # true: at most max do not violate; false: more than max conform
-            parts.append(sh.QualifiedValue(permit(), None, c.max_count) if positive
-                         else sh.QualifiedValue(conform(), c.max_count + 1))
+            parts.append(sh.QualifiedValue(self._aux_for(c, False), None, c.max_count) if positive
+                         else sh.QualifiedValue(self._aux_for(c, True), c.max_count + 1))
         if not parts:
             return sh.Top() if positive else sh.Not(sh.Top())
         if len(parts) == 1:
             return parts[0]
         return sh.And(tuple(parts)) if positive else sh.Or(tuple(parts))
 
-    def pos(self, c: sh.Constraint) -> sh.Constraint:
+    def split(self, c: sh.Constraint, positive: bool) -> sh.Constraint:
+        """"c is true" (positive) or "c is false" over the split names: a
+        negation flips the polarity, and the false side takes each
+        connective's dual."""
         if isinstance(c, sh.Ref):
-            return _split_literal(c.name, True)
+            return _split_literal(c.name, positive)
         if isinstance(c, sh.Not):
-            return self.neg(c.inner)
-        if isinstance(c, sh.And):
-            return sh.And(tuple(self.pos(i) for i in c.items))
-        if isinstance(c, sh.Or):
-            return sh.Or(tuple(self.pos(i) for i in c.items))
-        if isinstance(c, sh.AllValues):
-            return sh.AllValues(self.pos(c.inner))
-        if isinstance(c, sh.SomeValues):
-            return sh.SomeValues(self.pos(c.inner))
+            return self.split(c.inner, not positive)
         if isinstance(c, sh.QualifiedValue):
-            return self._qualified(c, True)
+            return self._qualified(c, positive)
         if isinstance(c, sh.Xone):
             raise SemanticsError("eliminate xone before the partial-to-total rewrite")
-        return c
-
-    def neg(self, c: sh.Constraint) -> sh.Constraint:
-        if isinstance(c, sh.Ref):
-            return _split_literal(c.name, False)
-        if isinstance(c, sh.Not):
-            return self.pos(c.inner)
-        if isinstance(c, sh.And):
-            return sh.Or(tuple(self.neg(i) for i in c.items))
-        if isinstance(c, sh.Or):
-            return sh.And(tuple(self.neg(i) for i in c.items))
-        if isinstance(c, sh.AllValues):
-            return sh.SomeValues(self.neg(c.inner))
-        if isinstance(c, sh.SomeValues):
-            return sh.AllValues(self.neg(c.inner))
-        if isinstance(c, sh.QualifiedValue):
-            return self._qualified(c, False)
-        if isinstance(c, sh.Xone):
-            raise SemanticsError("eliminate xone before the partial-to-total rewrite")
-        return sh.Not(c)
+        if type(c) in _DUAL:
+            kind = type(c) if positive else _DUAL[type(c)]
+            if isinstance(c, (sh.And, sh.Or)):
+                return kind(tuple(self.split(i, positive) for i in c.items))
+            return kind(self.split(c.inner, positive))
+        return c if positive else sh.Not(c)
 
 
 def gamma_transform(m: sh.Document) -> sh.Document:
@@ -604,9 +566,9 @@ def gamma_transform(m: sh.Document) -> sh.Document:
     shapes = []
     for shape in m.shapes:
         shapes.append(sh.Shape(gamma_pos_name(shape.name), shape.targets, shape.path,
-                               rw.pos(shape.constraint)))
+                               rw.split(shape.constraint, True)))
         shapes.append(sh.Shape(gamma_neg_name(shape.name), (), shape.path,
-                               rw.neg(shape.constraint)))
+                               rw.split(shape.constraint, False)))
     return sh.Document(tuple(shapes) + tuple(rw.aux_shapes))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, fields
+from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Optional
 
 from .rdf import (
@@ -388,8 +389,18 @@ def referenced_shapes_closure(m: Document, name: Iri) -> set[Iri]:
     return seen
 
 
+def evaluation_order(references: dict) -> Optional[list]:
+    """The shapes of `references`, a map from each shape to the shapes it
+    references, each after all it references; None when the references form
+    a cycle.  A topological sort without recursion (stdlib graphlib)."""
+    try:
+        return list(TopologicalSorter(references).static_order())
+    except CycleError:
+        return None
+
+
 def is_recursive(m: Document) -> bool:
-    return any(s.name in referenced_shapes_closure(m, s.name) for s in m.shapes)
+    return evaluation_order({s.name: referenced_names(s.constraint) for s in m.shapes}) is None
 
 
 def rebuild(c: Constraint, leaf) -> Constraint:
@@ -440,7 +451,8 @@ def eliminate_xone(m: Document) -> Document:
 # Each sh: term a shape carries: the class it reads to, the kind of object it
 # takes and its scope.  Objects of kind "term", "iri", "literal" or "integer"
 # fill the class's one field; "shape" and "shapes" name a shape or a list of
-# shapes; None is an object with structure of its own.  Scope "values": on a
+# shapes; "boolean" is true or false, and false reads as if the term were
+# absent; None is an object with structure of its own.  Scope "values": on a
 # property shape the term ranges over the path values (standardisation rule
 # 3); "property": legal on property shapes only; "focus": on the focus node in
 # either kind of shape; "target": a target declaration; "parameter": read
@@ -475,12 +487,12 @@ _TERMS = {
     "xone": (Xone, "shapes", "values"),
     "node": (Ref, "shape", "values"),
     "property": (Ref, "shape", "values"),
-    "uniqueLang": (UniqueLang, None, "property"),
+    "uniqueLang": (UniqueLang, "boolean", "property"),
     "qualifiedValueShape": (QualifiedValue, "shape", "property"),
     "qualifiedMinCount": (QualifiedValue, None, "parameter"),
     "qualifiedMaxCount": (QualifiedValue, None, "parameter"),
-    "qualifiedValueShapesDisjoint": (QualifiedValue, None, "parameter"),
-    "closed": (Closed, None, "focus"),
+    "qualifiedValueShapesDisjoint": (QualifiedValue, "boolean", "parameter"),
+    "closed": (Closed, "boolean", "focus"),
     "ignoredProperties": (Closed, None, "parameter"),
 }
 _ONE_FIELD = ("term", "iri", "literal", "integer")
@@ -507,6 +519,8 @@ _TARGETS = tuple((local, sh(local), cls, kind) for local, (cls, kind, scope) in 
 _WRITTEN_AS = {cls: (sh(local), fields(cls)[0].name, kind)
                for local, (cls, kind, _) in _TERMS.items() if kind in _ONE_FIELD}
 _PATH_PREDICATE = {cls: sh(local) for local, cls in _PATHS.items()}
+# the xsd:boolean literals, by value
+_BOOLEANS = {Literal(form, XSD_BOOLEAN): form in ("true", "1") for form in ("true", "false", "1", "0")}
 
 
 # --- reading a document from its triple encoding -----------------------------
@@ -553,6 +567,10 @@ def _object_of(kind: str, local: str, obj: Term):
     if kind == "literal" and not isinstance(obj, Literal):
         # only the order comparisons take a literal
         raise DocumentError(f"order-comparison constraint expects a literal, got {obj!r}")
+    if kind == "boolean":
+        if obj not in _BOOLEANS:
+            raise DocumentError(f"sh:{local} expects true or false, got {obj!r}")
+        return _BOOLEANS[obj]
     if kind != "integer":
         return obj
     if isinstance(obj, Literal):
@@ -595,7 +613,7 @@ class _DocumentReader:
                 for head in _objects(g, n, p):
                     found.extend(_read_list(g, head))
             for o in found:
-                if o not in nodes:
+                if o not in nodes and not isinstance(o, Literal):  # ref_name rejects a literal
                     nodes.add(o)
                     frontier.append(o)
         # list/path helper blanks are not shapes
@@ -604,7 +622,10 @@ class _DocumentReader:
     def _is_structural(self, n: Term) -> bool:
         return any(_objects(self.g, n, p) for p in _STRUCTURAL_PREDICATES)
 
-    def ref_name(self, node: Term) -> Iri:
+    def ref_name(self, local: str, node: Term) -> Iri:
+        """The name of the shape that the object of an sh:`local` triple is."""
+        if isinstance(node, Literal):
+            raise DocumentError(f"sh:{local} expects a shape, got {node!r}")
         if node not in self.names:
             raise DocumentError(f"dangling shape reference {node!r}")
         return self.names[node]
@@ -646,10 +667,12 @@ class _DocumentReader:
                 return None
             raise DocumentError(f"unsupported vocabulary term sh:{local} on triple ({node!r}, sh:{local}, {obj!r})")
         cls, kind, scope = entry
-        if scope in ("target", "parameter"):
-            return None
         if scope == "property" and not in_property:
             raise DocumentError(f"node shape {node!r} carries property-only sh:{local}")
+        if kind == "boolean" and not _object_of(kind, local, obj):
+            return None
+        if scope in ("target", "parameter"):
+            return None
         if kind in _ONE_FIELD:
             atom = cls(_object_of(kind, local, obj))
         else:
@@ -680,29 +703,27 @@ class _DocumentReader:
                 raise DocumentError("sh:languageIn expects string literals")
             return LanguageIn(tuple(t.lexical.lower() for t in tags))
         if local == "not":
-            return Not(Ref(self.ref_name(obj)))
+            return Not(Ref(self.ref_name(local, obj)))
         if local in ("and", "or"):
-            refs = tuple(Ref(self.ref_name(n)) for n in _read_list(g, obj))
+            refs = tuple(Ref(self.ref_name(local, n)) for n in _read_list(g, obj))
             return And(refs) if local == "and" else Or(refs)
         if local == "xone":
-            return Xone(tuple(self.ref_name(n) for n in _read_list(g, obj)))
+            return Xone(tuple(self.ref_name(local, n) for n in _read_list(g, obj)))
         if local in ("node", "property"):
-            return Ref(self.ref_name(obj))
+            return Ref(self.ref_name(local, obj))
         if local == "uniqueLang":
-            return UniqueLang() if obj == Literal("true", XSD_BOOLEAN) else None
+            return UniqueLang()
         if local == "qualifiedValueShape":
             mn = g.one_object(node, sh("qualifiedMinCount"))
             mx = g.one_object(node, sh("qualifiedMaxCount"))
-            disjoint = g.one_object(node, sh("qualifiedValueShapesDisjoint")) == Literal("true", XSD_BOOLEAN)
+            disjoint = _BOOLEANS.get(g.one_object(node, sh("qualifiedValueShapesDisjoint")), False)
             return QualifiedValue(
-                ref=self.ref_name(obj),
+                ref=self.ref_name(local, obj),
                 min_count=_object_of("integer", "qualifiedMinCount", mn) if mn is not None else None,
                 max_count=_object_of("integer", "qualifiedMaxCount", mx) if mx is not None else None,
                 siblings=self._siblings(node) if disjoint else (),
             )
-        # sh:closed
-        if obj != Literal("true", XSD_BOOLEAN):
-            return None
+        # sh:closed true
         ignored = g.one_object(node, sh("ignoredProperties"))
         props = _read_list(g, ignored) if ignored is not None else []
         if not all(isinstance(p, Iri) for p in props):
@@ -719,7 +740,7 @@ class _DocumentReader:
                 if other == node:
                     continue
                 for q in _objects(g, other, sh("qualifiedValueShape")):
-                    sibs.add(self.ref_name(q))
+                    sibs.add(self.ref_name("qualifiedValueShape", q))
         return tuple(sorted(sibs, key=lambda i: i.value))
 
     def read_path(self, node: Term) -> PathExpr:

@@ -53,6 +53,8 @@ from .scl import (
     psi_and_all,
     psi_forall,
     psi_or_all,
+    relation_names,
+    well_formed,
 )
 
 # the fresh language tag uniqueLang quantifies over beside the declared ones
@@ -298,8 +300,6 @@ class _InverseContext:
     in_progress: set = field(default_factory=set)
 
     def all_relation_names(self) -> set:
-        from .scl import relation_names
-
         return {r for r in relation_names(self.sentence) if isinstance(r, Iri)}
 
 
@@ -450,8 +450,6 @@ def _build_shape(name: Iri, ctx: _InverseContext) -> None:
 
 def tau_inverse(phi: SclSentence) -> sh.Document:
     """Read a well-formed sentence back into a document."""
-    from .scl import well_formed
-
     if not well_formed(phi):
         raise TranslationError("inverse translation requires a well-formed sentence")
     named_bodies: dict = {}

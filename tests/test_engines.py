@@ -9,8 +9,9 @@ import tracemalloc
 
 from sclkit import automata
 from sclkit.automata import ALPHABET_SIZE, CharSet, compile_pattern
-from sclkit.decide import SearchBudget, _Cnf, _dpll, bounded_sat, scl_bounded_sat
+from sclkit.decide import SearchBudget, bounded_sat, scl_bounded_sat
 from sclkit.filters import bounded_axiomatisation
+from sclkit.sat import _Cnf, _dpll
 from sclkit.semantics import SemanticsMode
 from sclkit.translate import tau
 from sclkit.corpus import random_document

@@ -417,7 +417,7 @@ def test_cautious_covers_absent_target_nodes():
 
 
 def test_false_sign_free_target_body_skips_the_solver(monkeypatch):
-    import sclkit.decide
+    import sclkit.semantics
 
     # :s has no shape atom and fails at its target; :r makes the document
     # recursive, so validation cannot take the stratified fast path
@@ -429,7 +429,7 @@ def test_false_sign_free_target_body_skips_the_solver(monkeypatch):
     def no_solver(*args):
         raise AssertionError("the solver was called")
 
-    monkeypatch.setattr(sclkit.decide, "_dpll", no_solver)
+    monkeypatch.setattr(sclkit.semantics, "_dpll", no_solver)
     for mode in ALL_MODES:
         assert validation_witness(g, m, mode) is None
         assert not expected[mode]

@@ -224,6 +224,10 @@ _READER_ERRORS = {
                     "targetObjectsOf")},
     "severity": {kind: "unsupported vocabulary term sh:severity on triple "
                        "(<http://ex/s>, sh:severity, {o})" for kind in _READER_OBJECTS},
+    **{term: {kind: f"sh:{term} expects a shape, got {{o}}" for kind in ("literal", "integer", "bad-regex")}
+       for term in ("not", "node", "property", "qualifiedValueShape")},
+    **{term: {kind: f"sh:{term} expects true or false, got {{o}}" for kind in _READER_OBJECTS}
+       for term in ("uniqueLang", "closed", "qualifiedValueShapesDisjoint")},
 }
 # in a node shape these fail before their object is read
 _READER_PROPERTY_ONLY = ("minCount", "maxCount", "uniqueLang", "equals", "disjoint",
@@ -250,3 +254,22 @@ def test_reader_error_messages(term, kind, scope):
         with pytest.raises(sh.DocumentError) as err:
             doc(text)
         assert str(err.value) == expected
+
+
+@pytest.mark.parametrize("term", ["and", "or", "xone"])
+def test_reader_rejects_a_literal_in_a_shape_list(term):
+    with pytest.raises(sh.DocumentError) as err:
+        doc(f':s a sh:NodeShape ; sh:{term} ( :t "x" ) . :t a sh:NodeShape .')
+    assert str(err.value) == f'sh:{term} expects a shape, got "x"'
+
+
+def test_reader_booleans():
+    prop = ":s a sh:PropertyShape ; sh:path :p ; "
+    assert doc(prop + "sh:uniqueLang false .").shape(iri("s")).constraint == sh.Top()
+    assert doc(prop + 'sh:uniqueLang "1"^^<http://www.w3.org/2001/XMLSchema#boolean> .').shape(iri("s")).constraint == sh.UniqueLang()
+    assert doc(":s a sh:NodeShape ; sh:closed false .").shape(iri("s")).constraint == sh.Top()
+    qualified = doc(prop + "sh:qualifiedValueShape :t ; sh:qualifiedMinCount 1 ; "
+                           "sh:qualifiedValueShapesDisjoint false . :t a sh:NodeShape .")
+    assert qualified.shape(iri("s")).constraint == sh.QualifiedValue(iri("t"), 1)
+    # the qualified counts without sh:qualifiedValueShape do not activate the component
+    assert doc(':s a sh:NodeShape ; sh:qualifiedMinCount "x" .').shape(iri("s")).constraint == sh.Top()
