@@ -19,7 +19,6 @@ from .translate import TranslationError, tau, tau_inverse
 from .semantics import (
     Assignment,
     SemanticsMode,
-    Truth,
     eval_path,
     eval_psi,
     gamma_assignment,

@@ -10,11 +10,15 @@ matches before a final '\\n'.  '^', '\\A', '$' and '\\Z' count at the ends of
 each top-level alternative; an unanchored end is wrapped in an implicit match
 of any string (search semantics).  Inline flags, back-references, lookarounds,
 word boundaries, possessive and atomic groups, and anchors anywhere else raise
-UnsupportedPattern, as does a pattern `re` rejects.
+UnsupportedPattern, as does a pattern `re` rejects.  So does a pattern whose
+automata outgrow MAX_NFA_STATES or MAX_DFA_STATES: the subset construction
+can take exponentially many states (search semantics give `a.{k}` 3 * 2**k),
+and the caps bound the time and memory one compilation takes.
 """
 from __future__ import annotations
 
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,6 +32,10 @@ except ImportError:  # Python 3.10
 
 # Unicode scalar values (code points minus surrogates).
 ALPHABET_SIZE = 0x110000 - 0x800
+
+# Larger automata raise UnsupportedPattern.
+MAX_NFA_STATES = 2000
+MAX_DFA_STATES = 4096
 
 
 class UnsupportedPattern(ValueError):
@@ -159,11 +167,14 @@ class Nfa:
     def __init__(self):
         self.n_states = 0
         self.eps: list[set] = []
-        self.edges: list[list] = []  # per state: list of (CharSet, dst)
+        self.edges: list[list] = []  # per state: list of (label index, dst)
+        self.labels: dict = {}  # each distinct CharSet on an edge -> its index
         self.start = self.new_state()
         self.accept = self.new_state()
 
     def new_state(self) -> int:
+        if self.n_states == MAX_NFA_STATES:
+            raise UnsupportedPattern(f"more than {MAX_NFA_STATES} NFA states")
         self.n_states += 1
         self.eps.append(set())
         self.edges.append([])
@@ -174,7 +185,7 @@ class Nfa:
 
     def add_edge(self, a: int, cs: CharSet, b: int) -> None:
         if not cs.is_empty():
-            self.edges[a].append((cs, b))
+            self.edges[a].append((self.labels.setdefault(cs, len(self.labels)), b))
 
 
 def _build(nfa: Nfa, items, src: int, dst: int) -> None:
@@ -255,65 +266,61 @@ class Dfa:
         return state in self.accepting
 
     def _live_states(self) -> set:
+        """The states on a path from the start to an accepting state: those
+        reached forwards, then those of them reached backwards from one."""
         reach = {self.start}
         stack = [self.start]
+        preds: dict = {}
         while stack:
             s = stack.pop()
             for _, nxt in self.transitions.get(s, ()):
+                preds.setdefault(nxt, []).append(s)
                 if nxt not in reach:
                     reach.add(nxt)
                     stack.append(nxt)
-        coreach = set(self.accepting)
-        changed = True
-        while changed:
-            changed = False
-            for s, edges in self.transitions.items():
-                if s not in coreach and any(nxt in coreach for _, nxt in edges):
-                    coreach.add(s)
-                    changed = True
-        return reach & coreach
+        live = reach & set(self.accepting)
+        stack = list(live)
+        while stack:
+            for s in preds.get(stack.pop(), ()):
+                if s not in live:
+                    live.add(s)
+                    stack.append(s)
+        return live
 
     def is_empty(self) -> bool:
         return self.start not in self._live_states()
 
+    def _live_order(self) -> Optional[list]:
+        """The live states in topological order (Kahn's algorithm), or None
+        when a cycle runs through them."""
+        live = self._live_states()
+        succ = {s: [nxt for _, nxt in self.transitions.get(s, ()) if nxt in live] for s in live}
+        indegree = dict.fromkeys(live, 0)
+        for s in live:
+            for nxt in succ[s]:
+                indegree[nxt] += 1
+        order = [s for s in live if indegree[s] == 0]
+        for s in order:
+            for nxt in succ[s]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    order.append(nxt)
+        return order if len(order) == len(live) else None
+
     def is_finite(self) -> bool:
         """No cycle through a live state."""
-        live = self._live_states()
-        colour: dict = {}
-
-        def visit(s) -> bool:
-            colour[s] = 1
-            for _, nxt in self.transitions.get(s, ()):
-                if nxt not in live:
-                    continue
-                c = colour.get(nxt)
-                if c == 1 or (c is None and visit(nxt)):
-                    return True
-            colour[s] = 2
-            return False
-
-        return not any(visit(s) for s in live if s not in colour)
+        return self._live_order() is not None
 
     def count_words(self, limit: int) -> Optional[int]:
         """Exact number of accepted words, or None if infinite or above limit."""
-        if not self.is_finite():
+        order = self._live_order()
+        if order is None:
             return None
-        live = self._live_states()
-        memo: dict = {}
-
-        def count(s) -> int:
-            if s in memo:
-                return memo[s]
-            total = 1 if s in self.accepting else 0
-            for cs, nxt in self.transitions.get(s, ()):
-                if nxt in live:
-                    total += cs.size() * count(nxt)
-            memo[s] = total
-            return total
-
-        if self.start not in live:
-            return 1 if self.start in self.accepting else 0
-        n = count(self.start)
+        count: dict = {}
+        for s in reversed(order):
+            count[s] = (s in self.accepting) + sum(
+                cs.size() * count[nxt] for cs, nxt in self.transitions.get(s, ()) if nxt in count)
+        n = count.get(self.start, 0)  # an accepting start is live
         return None if n > limit else n
 
     def enumerate_words(self, max_words: int) -> list:
@@ -387,6 +394,9 @@ class Dfa:
 
 
 def nfa_to_dfa(nfa: Nfa) -> Dfa:
+    """Subset construction.  A DFA state is named by its subset's NFA states
+    packed in order, 4 bytes each where a set takes some 40, and the subset
+    itself lives only until its edges are built."""
     def closure(states: frozenset) -> frozenset:
         out = set(states)
         stack = list(states)
@@ -398,28 +408,44 @@ def nfa_to_dfa(nfa: Nfa) -> Dfa:
                     stack.append(t)
         return frozenset(out)
 
+    def name(group: frozenset) -> bytes:
+        return array("I", sorted(group)).tobytes()
+
+    labels = list(nfa.labels)
     start = closure(frozenset({nfa.start}))
+    splits: dict = {}  # label indices -> the partition's atoms, each with the indices it meets
     transitions: dict = {}
     accepting = set()
-    stack = [start]
-    seen = {start}
+    stack = [(name(start), start)]
+    seen = {stack[0][0]}
     while stack:
-        group = stack.pop()
+        here, group = stack.pop()
         if nfa.accept in group:
-            accepting.add(group)
-        charsets = [cs for s in group for cs, _ in nfa.edges[s]]
+            accepting.add(here)
+        targets_of: dict = {}  # each label index of the group -> its targets
+        for s in group:
+            for i, dst in nfa.edges[s]:
+                targets_of.setdefault(i, set()).add(dst)
+        key = tuple(targets_of)
+        if key not in splits:
+            charsets = [labels[i] for i in key]
+            splits[key] = [(atom, [i for i, cs in zip(key, charsets) if not cs.intersect(atom).is_empty()])
+                           for atom in _partition(charsets)]
         edges = []
-        for atom in _partition(charsets):
-            targets = {dst for s in group for cs, dst in nfa.edges[s] if not cs.intersect(atom).is_empty()}
+        for atom, meets in splits[key]:
+            targets = set().union(*(targets_of[i] for i in meets))
             if not targets:
                 continue
             t = closure(frozenset(targets))
-            edges.append((atom, t))
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-        transitions[group] = edges
-    return Dfa(start, transitions, accepting)
+            there = name(t)
+            edges.append((atom, there))
+            if there not in seen:
+                if len(seen) == MAX_DFA_STATES:
+                    raise UnsupportedPattern(f"more than {MAX_DFA_STATES} DFA states")
+                seen.add(there)
+                stack.append((there, t))
+        transitions[here] = edges
+    return Dfa(name(start), transitions, accepting)
 
 
 _ANY_STRING = (_sre.MAX_REPEAT, (0, _sre.MAXREPEAT, [(_sre.ANY_ALL, None)]))
@@ -448,19 +474,24 @@ def _search_alternatives(items, anchored=False, end=None) -> Iterator[list]:
         yield ([] if anchored else [_ANY_STRING]) + items + _END_TAILS[end]
 
 
+def pattern_nfa(pattern: str) -> Nfa:
+    """NFA of the strings in which re.search finds the pattern."""
+    nfa = Nfa()
+    parsed = _sre_parse.parse(pattern)
+    if parsed.state.flags & ~_sre.SRE_FLAG_UNICODE:
+        raise UnsupportedPattern("inline flags are unsupported")
+    for alt in _search_alternatives(parsed):
+        _build(nfa, alt, nfa.start, nfa.accept)
+    return nfa
+
+
 @lru_cache(maxsize=512)
 def compile_pattern(pattern: str) -> Dfa:
     """DFA of the strings in which re.search finds the pattern."""
-    nfa = Nfa()
     try:
-        parsed = _sre_parse.parse(pattern)
-        if parsed.state.flags & ~_sre.SRE_FLAG_UNICODE:
-            raise UnsupportedPattern("inline flags are unsupported")
-        for alt in _search_alternatives(parsed):
-            _build(nfa, alt, nfa.start, nfa.accept)
+        return nfa_to_dfa(pattern_nfa(pattern))
     except (_sre.error, UnsupportedPattern) as exc:
         raise UnsupportedPattern(f"{exc} in pattern {pattern!r}") from None
-    return nfa_to_dfa(nfa)
 
 def length_window_dfa(min_len: int, max_len: Optional[int]) -> Dfa:
     """Accepts strings whose length lies in [min_len, max_len]."""

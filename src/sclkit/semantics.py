@@ -6,8 +6,9 @@ otherwise asks the CDCL solver of `sat` about one CNF encoding of the
 faithful assignments over the fixed graph.
 
 Constraints are evaluated through their logic translation: one strong-Kleene
-evaluator over unary formulae covers every constraint kind.  Shape atoms are
-the only source of the undefined value; everything else is two-valued.
+evaluator over unary formulae covers every constraint kind.  Its values are
+the ones an assignment stores, True, False and None for undefined.  Shape
+atoms are the only source of None; everything else is two-valued.
 """
 from __future__ import annotations
 
@@ -47,23 +48,6 @@ from .scl import (
     walk_psi,
 )
 from .translate import shape_bodies
-
-
-class Truth(Enum):
-    FALSE = 0
-    UNDEF = 1
-    TRUE = 2
-
-
-TRUE, FALSE, UNDEF = Truth.TRUE, Truth.FALSE, Truth.UNDEF
-
-
-def kleene_not(v: Truth) -> Truth:
-    return Truth(2 - v.value)
-
-
-def kleene_and(a: Truth, b: Truth) -> Truth:
-    return a if a.value <= b.value else b
 
 
 class SemanticsMode(Enum):
@@ -217,7 +201,7 @@ class EvalContext:
         self._paths[key] = out
         return out
 
-    def eval(self, psi: Psi, node: Term) -> Truth:
+    def eval(self, psi: Psi, node: Term) -> Optional[bool]:
         ground = id(psi) in self.compiled.ground
         if ground:
             got = self._ground_vals.get((id(psi), node))
@@ -228,58 +212,55 @@ class EvalContext:
             self._ground_vals[(id(psi), node)] = v
         return v
 
-    def _eval(self, psi: Psi, node: Term) -> Truth:
+    def _eval(self, psi: Psi, node: Term) -> Optional[bool]:
         if isinstance(psi, PsiTop):
-            return TRUE
+            return True
         if isinstance(psi, PsiNot):
-            return kleene_not(self.eval(psi.inner, node))
+            v = self.eval(psi.inner, node)
+            return None if v is None else not v
         if isinstance(psi, PsiAnd):
             left = self.eval(psi.left, node)
-            if left is FALSE:
-                return FALSE
-            return kleene_and(left, self.eval(psi.right, node))
+            if left is False:
+                return False
+            right = self.eval(psi.right, node)
+            return False if right is False else left and right
         if isinstance(psi, PsiEq):
-            return TRUE if node == psi.constant else FALSE
+            return node == psi.constant
         if isinstance(psi, PsiFilter):
-            return TRUE if eval_filter(psi.atom, node) else FALSE
+            return eval_filter(psi.atom, node)
         if isinstance(psi, PsiShape):
-            s = self.sign.get((node, psi.rel.name))
-            if s is None:
-                return UNDEF
-            return TRUE if s else FALSE
+            return self.sign.get((node, psi.rel.name))
         if isinstance(psi, PsiExists):
-            best = FALSE
+            best = False
             for y in self.eval_path(psi.path, node):
                 v = self.eval(psi.body, y)
-                if v is TRUE:
-                    return TRUE
-                if v is UNDEF:
-                    best = UNDEF
+                if v:
+                    return True
+                if v is None:
+                    best = None
             return best
         if isinstance(psi, PsiCount):
             true_n = undef_n = 0
             for y in self.eval_path(psi.path, node):
                 v = self.eval(psi.body, y)
-                if v is TRUE:
+                if v:
                     true_n += 1
-                elif v is UNDEF:
+                elif v is None:
                     undef_n += 1
             if true_n >= psi.n:
-                return TRUE
+                return True
             if true_n + undef_n < psi.n:
-                return FALSE
-            return UNDEF
+                return False
+            return None
         if isinstance(psi, PsiDisjoint):
             shared = self.eval_path(psi.path, node) & self.rel_values(node, psi.rel)
-            return FALSE if shared else TRUE
+            return not shared
         if isinstance(psi, PsiEquals):
-            same = self.eval_path(psi.path, node) == self.rel_values(node, psi.rel)
-            return TRUE if same else FALSE
+            return self.eval_path(psi.path, node) == self.rel_values(node, psi.rel)
         # property-pair order: every (path value, relation value) pair must
         # compare within one partition; incomparable pairs fail the atom
         zs = self.rel_values(node, psi.rel)
-        ok = all(compare(psi.op, y, z) for y in self.eval_path(psi.path, node) for z in zs)
-        return TRUE if ok else FALSE
+        return all(compare(psi.op, y, z) for y in self.eval_path(psi.path, node) for z in zs)
 
 
 def eval_path(pi: Pi, node: Term, g: Graph) -> frozenset:
@@ -288,8 +269,9 @@ def eval_path(pi: Pi, node: Term, g: Graph) -> frozenset:
     return ctx.eval_path(pi, node)
 
 
-def eval_psi(psi: Psi, node: Term, g: Graph, sigma: Assignment) -> Truth:
-    """Strong-Kleene value of a formula at a node under an assignment."""
+def eval_psi(psi: Psi, node: Term, g: Graph, sigma: Assignment) -> Optional[bool]:
+    """Strong-Kleene value of a formula at a node under an assignment: True,
+    False, or None for undefined."""
     ctx = EvalContext(g, _EMPTY_COMPILED)
     ctx.sign = dict(sigma.signs)
     return ctx.eval(psi, node)
@@ -310,11 +292,7 @@ def is_faithful(g: Graph, sigma: Assignment, m: sh.Document) -> bool:
     for shape in m.shapes:
         body = compiled.bodies[shape.name]
         for node in sigma.nodes:
-            v = ctx.eval(body, node)
-            s = sigma.sign(node, shape.name)
-            if (s is True) != (v is TRUE):
-                return False
-            if (s is False) != (v is FALSE):
+            if ctx.eval(body, node) != sigma.sign(node, shape.name):
                 return False
     return _targets_satisfied(g, m, sigma)
 
@@ -331,9 +309,9 @@ def stratified_assignment(g: Graph, m: sh.Document) -> Assignment:
         body = compiled.bodies[name]
         for node in nodes:
             v = ctx.eval(body, node)
-            if v is UNDEF:
+            if v is None:
                 raise SemanticsError(f"undefined evaluation in stratum of {name!r}")
-            ctx.sign[(node, name)] = v is TRUE
+            ctx.sign[(node, name)] = v
     return Assignment(nodes, m.names(), ctx.sign)
 
 
@@ -363,7 +341,7 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
     targeted = _targeted_pairs(g, m, nodes)
     for node, name in targeted:
         body = compiled.bodies[name]
-        if id(body) in compiled.ground and ctx.eval(body, node) is not TRUE:
+        if id(body) in compiled.ground and not ctx.eval(body, node):
             return None
     cnf = _Cnf()
     shapes = sorted(m.names(), key=lambda i: i.value)
@@ -378,7 +356,7 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
     def ground(psi: Psi, node: Term) -> tuple:
         """The (is true, is false) literals of a formula at a node."""
         if id(psi) in compiled.ground:
-            return (cnf.TRUE, cnf.FALSE) if ctx.eval(psi, node) is TRUE else (cnf.FALSE, cnf.TRUE)
+            return (cnf.TRUE, cnf.FALSE) if ctx.eval(psi, node) else (cnf.FALSE, cnf.TRUE)
         key = (id(psi), node)
         if key in memo:
             return memo[key]
@@ -424,8 +402,8 @@ def validate(g: Graph, m: sh.Document, mode: SemanticsMode, use_fast_path: bool 
 
 
 def sentence_holds(phi, g: Graph, sigma: Assignment) -> bool:
-    """Truth of a sentence over the structure induced by a graph and a total
-    assignment: quantifiers range over the structure's domain (the
+    """Whether a sentence holds over the structure induced by a graph and a
+    total assignment: quantifiers range over the structure's domain (the
     assignment's node scope), constants outside it denote nothing."""
     if not sigma.is_total():
         raise SemanticsError("sentence evaluation needs a total assignment")
@@ -437,10 +415,10 @@ def sentence_holds(phi, g: Graph, sigma: Assignment) -> bool:
         # relations the assignment does not cover hold nowhere
         return bool(ctx.sign.get((node, name)))
 
-    def holds(v: Truth) -> bool:
-        if v is UNDEF:
+    def holds(v: Optional[bool]) -> bool:
+        if v is None:
             raise SemanticsError("undefined truth value over a total structure")
-        return v is TRUE
+        return v
 
     domain = sigma.nodes
     for axiom in phi.axioms:
@@ -600,7 +578,7 @@ def complete_gamma_assignment(sigma_gamma: Assignment, gm: sh.Document, g: Graph
     for name in aux_names:
         for node in sigma_gamma.nodes:
             v = ctx.eval(compiled.bodies[name], node)
-            if v is UNDEF:
+            if v is None:
                 raise SemanticsError("auxiliary shape evaluation must be two-valued")
-            signs[(node, name)] = v is TRUE
+            signs[(node, name)] = v
     return Assignment(sigma_gamma.nodes, list(sigma_gamma.shapes) + aux_names, signs)

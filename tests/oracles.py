@@ -9,7 +9,10 @@ library's grounder and solver but asserts every axiom at every domain
 element, which the library's goal-directed grounding no longer does.  The
 reference bounded axiomatisation counts every filter combination afresh with
 `combo_cardinality`; the library counts each filter part once and derives
-the bounds of its equality and Nu combinations from that count.
+the bounds of its equality and Nu combinations from that count.  The
+reference subset construction partitions every subset state's edge labels
+afresh, duplicates included, and rescans all the state's edges for each
+atom; the library partitions each set of distinct labels once.
 """
 from __future__ import annotations
 
@@ -35,6 +38,7 @@ from sclkit.rdf import (
     term_key,
 )
 from sclkit import shacl as sh
+from sclkit.automata import Dfa, Nfa, _partition
 from sclkit.decide import SatResult, _Cnf, _Grounder, _dpll
 from sclkit.filters import (
     NU_NAME,
@@ -67,9 +71,6 @@ from sclkit.semantics import (
     Assignment,
     EvalContext,
     SemanticsMode,
-    TRUE,
-    FALSE,
-    UNDEF,
     compile_document,
     target_holds,
 )
@@ -93,9 +94,7 @@ def brute_force_faithful(g: Graph, m: sh.Document, total: bool, extra_nodes=()):
         ctx.sign = {p: v for p, v in zip(pairs, combo) if v is not None}
         ok = True
         for (node, name), assigned in zip(pairs, combo):
-            v = ctx.eval(compiled.bodies[name], node)
-            want = {True: TRUE, False: FALSE, None: UNDEF}[assigned]
-            if v is not want:
+            if ctx.eval(compiled.bodies[name], node) is not assigned:
                 ok = False
                 break
             if (node, name) in targeted and assigned is not True:
@@ -127,6 +126,37 @@ def brute_force_validate(g: Graph, m: sh.Document, mode: SemanticsMode) -> bool:
                         ok = False
         targeted_ok.append(ok)
     return all(targeted_ok)
+
+
+def reference_nfa_to_dfa(nfa: Nfa) -> Dfa:
+    """Subset construction without caps or shared partitions."""
+    def closure(states) -> frozenset:
+        out, stack = set(states), list(states)
+        while stack:
+            for t in nfa.eps[stack.pop()]:
+                if t not in out:
+                    out.add(t)
+                    stack.append(t)
+        return frozenset(out)
+
+    labels = list(nfa.labels)
+    start = closure({nfa.start})
+    transitions, accepting, stack, seen = {}, set(), [start], {start}
+    while stack:
+        group = stack.pop()
+        if nfa.accept in group:
+            accepting.add(group)
+        labelled = [(labels[i], dst) for s in group for i, dst in nfa.edges[s]]
+        transitions[group] = []
+        for atom in _partition([cs for cs, _ in labelled]):
+            targets = {dst for cs, dst in labelled if not cs.intersect(atom).is_empty()}
+            if targets:
+                t = closure(targets)
+                transitions[group].append((atom, t))
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+    return Dfa(start, transitions, accepting)
 
 
 def full_ground_problem(sentence: SclSentence, domain: list, const_index: dict,

@@ -193,6 +193,16 @@ def test_axiomatise(capsys):
     assert code == 0
 
 
+def test_axiomatise_rejects_patterns_past_the_automaton_caps(tmp_path, capsys):
+    doc = tmp_path / "doc.ttl"
+    for pattern, want in (("a{1000}", 0), ("a.{20}", 1), ("a{100000}", 1)):
+        doc.write_text("@prefix sh: <http://www.w3.org/ns/shacl#> . @prefix : <http://ex/> .\n"
+                       f':s a sh:NodeShape ; sh:targetClass :C ; sh:pattern "{pattern}" .')
+        code, _, err = run(capsys, "axiomatise", "--doc", str(doc), "--mode", "naive")
+        assert code == want, (pattern, err)
+        assert ("states in pattern" in err) == (want == 1), err
+
+
 def test_emit(capsys):
     code, out, _ = run(capsys, "emit", "--doc", fx("fig1-shapes.ttl"), "--format", "smtlib2")
     assert code == 0

@@ -7,14 +7,25 @@ import re
 import time
 import tracemalloc
 
+import pytest
+
 from sclkit import automata
-from sclkit.automata import ALPHABET_SIZE, CharSet, compile_pattern
+from sclkit.automata import (
+    ALPHABET_SIZE,
+    MAX_NFA_STATES,
+    CharSet,
+    UnsupportedPattern,
+    compile_pattern,
+    nfa_to_dfa,
+    pattern_nfa,
+)
 from sclkit.decide import SearchBudget, bounded_sat, scl_bounded_sat
 from sclkit.filters import bounded_axiomatisation
 from sclkit.sat import _Cnf, _dpll
 from sclkit.semantics import SemanticsMode
 from sclkit.translate import tau
 from sclkit.corpus import random_document
+from oracles import reference_nfa_to_dfa
 
 
 def _truth_table_sat(n_vars, clauses):
@@ -129,6 +140,54 @@ def test_automata_agree_with_stdlib_matcher():
         for _ in range(250):
             word = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
             assert dfa.accepts(word) == (re.search(pattern, word) is not None), (pattern, word)
+
+
+def _numbered(dfa):
+    """Per state, in breadth-first order from the start: whether it accepts,
+    and its edges with their targets' positions in that order."""
+    position = {dfa.start: 0}
+    order, out = [dfa.start], []
+    for state in order:
+        edges = []
+        for cs, nxt in dfa.transitions.get(state, ()):
+            if nxt not in position:
+                position[nxt] = len(order)
+                order.append(nxt)
+            edges.append((cs, position[nxt]))
+        out.append((state in dfa.accepting, edges))
+    return out
+
+
+def test_subset_construction_matches_the_reference():
+    extra = ["[a-c]+x|y{2,5}", "^\\s*\\w+\\s*$", "(\\d|[a-f]){2,3}", "a{30}", "a.{6}",
+             "[^\\d\\s]z*", "^(a|b)*abb$", "\\Aab\\Z", "a$", "x*?y", "(a|ab)(c|bcd)(d*)",
+             "\\W\\S\\D", "(\\w|\\d|\\s){5}"]
+    for pattern in _REGEX_POOL + extra:
+        nfa = pattern_nfa(pattern)
+        assert _numbered(nfa_to_dfa(nfa)) == _numbered(reference_nfa_to_dfa(nfa)), pattern
+
+
+def test_pattern_automata_are_bounded():
+    start = time.perf_counter()
+    dfa = compile_pattern.__wrapped__("a{1000}")
+    assert time.perf_counter() - start < 10
+    assert dfa.accepts("b" + "a" * 1000) and not dfa.accepts("a" * 999)
+    # a chain of 1,500 states is counted without deep recursion
+    assert compile_pattern("\\Aa{1500}\\Z").count_words(10) == 1
+    # a.{20} needs 3 * 2**20 DFA states, a{100000} about 100,000 NFA states
+    for pattern in ("a.{20}", "a{100000}", f"a{{{MAX_NFA_STATES}}}"):
+        start = time.perf_counter()
+        with pytest.raises(UnsupportedPattern, match="more than"):
+            compile_pattern(pattern)
+        assert time.perf_counter() - start < 5, pattern
+    # 602 subsets of up to 306 NFA states each, named in 4 bytes per state
+    tracemalloc.start()
+    try:
+        compile_pattern.__wrapped__("a{300}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_automata_counting_matches_enumeration():

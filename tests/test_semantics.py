@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -9,11 +10,8 @@ from sclkit.scl import PiAlt, PiSeq, PiStar, PiZeroOrOne, RelAtom, RelStep
 from sclkit.semantics import (
     ALL_MODES,
     Assignment,
-    FALSE,
     SemanticsMode,
     SemanticsError,
-    TRUE,
-    UNDEF,
     complete_gamma_assignment,
     eval_path,
     eval_psi,
@@ -87,12 +85,12 @@ def test_eval_psi_fig1_cases():
     bodies = shape_bodies(m)
     from sclkit.scl import PsiShape, PsiTop, ShapeRel
 
-    assert eval_psi(PsiTop(), iri("Alex"), g, sigma) is TRUE
-    assert eval_psi(PsiShape(ShapeRel(iri("disjFacultyShape"))), iri("Alex"), g, sigma) is FALSE
+    assert eval_psi(PsiTop(), iri("Alex"), g, sigma) is True
+    assert eval_psi(PsiShape(ShapeRel(iri("disjFacultyShape"))), iri("Alex"), g, sigma) is False
     # the disjointness body is two-valued and false at Alex (witness CS)
     empty = Assignment(sigma.nodes, sigma.shapes, {})
-    assert eval_psi(bodies[iri("disjFacultyShape")], iri("Alex"), g, empty) is FALSE
-    assert eval_psi(bodies[iri("studentShape")], iri("Alex"), g, empty) is UNDEF
+    assert eval_psi(bodies[iri("disjFacultyShape")], iri("Alex"), g, empty) is False
+    assert eval_psi(bodies[iri("studentShape")], iri("Alex"), g, empty) is None
 
 
 def test_counting_window_rule():
@@ -110,11 +108,65 @@ def test_counting_window_rule():
 
     two_true = sigma({(iri("a"), iri("s")): True, (iri("b"), iri("s")): True,
                       (iri("c"), iri("s")): False})
-    assert eval_psi(body, iri("x"), g, two_true) is TRUE
+    assert eval_psi(body, iri("x"), g, two_true) is True
     all_false_but_one = sigma({(iri("a"), iri("s")): False, (iri("b"), iri("s")): False})
-    assert eval_psi(body, iri("x"), g, all_false_but_one) is FALSE  # 0 true + 1 undef < 2
+    assert eval_psi(body, iri("x"), g, all_false_but_one) is False  # 0 true + 1 undef < 2
     open_window = sigma({(iri("a"), iri("s")): True})
-    assert eval_psi(body, iri("x"), g, open_window) is UNDEF  # 1 true + 2 undef
+    assert eval_psi(body, iri("x"), g, open_window) is None  # 1 true + 2 undef
+
+
+def _kleene_not(a):
+    return None if a is None else not a
+
+
+def _kleene_and(a, b):
+    if a is False or b is False:
+        return False
+    return None if a is None or b is None else True
+
+
+def _kleene_at_least(n, values):
+    trues, undefs = values.count(True), values.count(None)
+    if trues >= n:
+        return True
+    return False if trues + undefs < n else None
+
+
+def test_connectives_follow_the_strong_kleene_tables():
+    """¬, ∧, ∃ over two successors and ∃≥2 over three, at every operand
+    combination.  Each operand is a shape atom whose sign is set or left
+    out; the expected value is read through one more shape atom, `want`,
+    so the check holds whatever the evaluator returns for a value."""
+    from sclkit.scl import PsiAnd, PsiCount, PsiExists, PsiNot, PsiShape, ShapeRel
+
+    r = RelStep(RelAtom(iri("r")))
+    ys = [iri(f"y{k}") for k in range(3)]
+    g = Graph(tuple(Triple(iri("x"), iri("r"), y) for y in ys))
+    nodes = sorted(nodes_of(g, None), key=repr)
+    p, q, s, want = (iri(n) for n in ("p", "q", "s", "want"))
+
+    def atom(name):
+        return PsiShape(ShapeRel(name))
+
+    def check(psi, operands, expected, graph=g):
+        signs = {pair: v for pair, v in operands if v is not None}
+        if expected is not None:
+            signs[(iri("x"), want)] = expected
+        sigma = Assignment(nodes, [p, q, s, want], signs)
+        assert eval_psi(psi, iri("x"), graph, sigma) is eval_psi(atom(want), iri("x"), graph, sigma), (
+            psi, operands, expected)
+
+    values = (True, False, None)
+    two_successors = Graph(tuple(Triple(iri("x"), iri("r"), y) for y in ys[:2]))
+    for a in values:
+        check(PsiNot(atom(p)), [((iri("x"), p), a)], _kleene_not(a))
+    for a, b in itertools.product(values, repeat=2):
+        check(PsiAnd(atom(p), atom(q)), [((iri("x"), p), a), ((iri("x"), q), b)], _kleene_and(a, b))
+        check(PsiExists(r, atom(s)), [((ys[0], s), a), ((ys[1], s), b)],
+              _kleene_at_least(1, [a, b]), graph=two_successors)
+    for combo in itertools.product(values, repeat=3):
+        check(PsiCount(2, r, atom(s)), [((y, s), v) for y, v in zip(ys, combo)],
+              _kleene_at_least(2, list(combo)))
 
 
 def test_is_faithful_fig1_and_scope_check():
@@ -312,9 +364,9 @@ def test_gamma_lemma_on_small_instances():
                     v = ctx.eval(compiled.bodies[shape.name], node)
                     pv = gctx.eval(pos_body, node)
                     nv = gctx.eval(neg_body, node)
-                    assert (v is TRUE) == (pv is TRUE)
-                    assert (v is FALSE) == (nv is TRUE)
-                    assert (v is UNDEF) == (pv is FALSE and nv is FALSE)
+                    assert (v is True) == (pv is True)
+                    assert (v is False) == (nv is True)
+                    assert (v is None) == (pv is False and nv is False)
                     checked += 1
     assert checked > 100
 
@@ -394,8 +446,8 @@ def test_condition_one_alone_equals_target_free_faithfulness():
             sigma = Assignment(nodes, m.names(), signs)
             ctx.sign = dict(signs)
             condition_one = all(
-                ((sigma.sign(n, s.name) is True) == (ctx.eval(compiled.bodies[s.name], n) is TRUE))
-                and ((sigma.sign(n, s.name) is False) == (ctx.eval(compiled.bodies[s.name], n) is FALSE))
+                ((sigma.sign(n, s.name) is True) == (ctx.eval(compiled.bodies[s.name], n) is True))
+                and ((sigma.sign(n, s.name) is False) == (ctx.eval(compiled.bodies[s.name], n) is False))
                 for s in m.shapes for n in nodes
             )
             assert condition_one == is_faithful(g, sigma, sh.strip_targets(m))
