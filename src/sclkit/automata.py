@@ -20,9 +20,10 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
+
+from .value import value_class
 
 try:
     from re import _constants as _sre, _parser as _sre_parse
@@ -67,7 +68,7 @@ def _intersection(x: tuple, y: tuple) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@value_class
 class CharSet:
     """A set of code points, possibly represented as a complement.  `bounds`
     lists its ranges [lo, hi) as strictly ascending lo0, hi0, lo1, hi1, ...,
@@ -345,10 +346,17 @@ class Dfa:
                             break
                         nxt_frontier.append((word + chr(cp), nxt))
             nxt_frontier.sort(key=lambda ws: ws[0])
+            # A word behind max_words smaller words in the same state stays
+            # behind them under every suffix, so it can never be output.
+            per_state: dict = {}
+            frontier = []
             for word, state in nxt_frontier:
+                if per_state.get(state, 0) == max_words:
+                    continue
+                per_state[state] = per_state.get(state, 0) + 1
+                frontier.append((word, state))
                 if state in self.accepting and len(out) < max_words:
                     out.append(word)
-            frontier = nxt_frontier
         return out
 
     def intersect(self, other: "Dfa") -> "Dfa":

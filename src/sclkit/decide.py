@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional
 
 from .rdf import (Graph, Iri, Literal, RDF_TYPE, Term, Triple, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER,
@@ -78,6 +77,7 @@ from .sat import _Cnf, _dpll
 from .semantics import (Assignment, SemanticsMode, gamma_pos_name, gamma_transform, validate,
                         validation_witness)
 from .translate import CLOSED_RELATION, tau
+from .value import value_class
 
 
 class DecisionError(ValueError):
@@ -100,7 +100,7 @@ FMP_NO = "No"
 FMP_UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
+@value_class
 class Verdict:
     decidability: str
     complexity: Optional[str]
@@ -192,19 +192,20 @@ def classify(phi: SclSentence) -> Verdict:
 
 # --- budgets and results ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class SearchBudget:
-    max_fresh: int = 2
-    max_triples: int = 8
-    max_seconds: float = 30.0
+    max_fresh: int
+    max_triples: int
+    max_seconds: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_fresh: int = 2, max_triples: int = 8, max_seconds: float = 30.0):
         # "not >= 0" also rejects NaN, against which no deadline ever expires
-        if self.max_fresh < 0 or self.max_triples < 0 or not self.max_seconds >= 0:
+        if max_fresh < 0 or max_triples < 0 or not max_seconds >= 0:
             raise ValueError("search budget bounds must be non-negative numbers")
+        super().__init__(max_fresh, max_triples, max_seconds)
 
 
-@dataclass(frozen=True)
+@value_class
 class SatResult:
     status: str  # "sat" or "unknown"; no search claims "unsat"
     witness_graph: Optional[Graph] = None
@@ -435,7 +436,7 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
                              witness_assignment=result.witness_assignment,
                              witness_node=f, approximate=ax.approximate)
         if result.reason == "time budget exhausted":
-            return replace(result, approximate=ax.approximate)
+            return SatResult("unknown", reason=result.reason, approximate=ax.approximate)
     return SatResult("unknown", reason="no model within budget", approximate=ax.approximate)
 
 
@@ -460,19 +461,22 @@ def constraint_satisfiability(m: sh.Document, constraint: sh.Constraint,
 
 # --- uninterpreted bounded model search -------------------------------------------
 
-@dataclass
 class _Grounder:
-    cnf: _Cnf
-    domain: list
-    const_index: dict
-    rel_vars: dict = field(default_factory=dict)
-    filt_vars: dict = field(default_factory=dict)
-    shape_vars: dict = field(default_factory=dict)
-    ord_vars: dict = field(default_factory=dict)
-    psi_memo: dict = field(default_factory=dict)
-    pi_memo: dict = field(default_factory=dict)
-    definitions: dict = field(default_factory=dict)  # shape name -> body, grounded on demand
-    undefined: list = field(default_factory=list)  # mentioned pairs whose definition is not grounded
+    __slots__ = ("cnf", "domain", "const_index", "rel_vars", "filt_vars", "shape_vars", "ord_vars",
+                 "psi_memo", "pi_memo", "definitions", "undefined")
+
+    def __init__(self, cnf: _Cnf, domain: list, const_index: dict, definitions: Optional[dict] = None):
+        self.cnf = cnf
+        self.domain = domain
+        self.const_index = const_index
+        self.rel_vars: dict = {}
+        self.filt_vars: dict = {}
+        self.shape_vars: dict = {}
+        self.ord_vars: dict = {}
+        self.psi_memo: dict = {}
+        self.pi_memo: dict = {}
+        self.definitions = definitions or {}  # shape name -> body, grounded on demand
+        self.undefined: list = []  # mentioned pairs whose definition is not grounded
 
     def _var(self, table: dict, key) -> int:
         if key not in table:

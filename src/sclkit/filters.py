@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
@@ -37,6 +36,7 @@ from .scl import (AtMostAxiom, ConstraintAxiom, PsiEq, PsiFilter, PsiNot, PsiOrd
                   SclSentence, ShapeRel, constants_of, filter_atoms_of, psi_and_all, psi_or_all,
                   shape_rels_of, walk_psi)
 from .shacl import NameMint
+from .value import value_class
 
 HUGE_THRESHOLD = 2 ** 20
 WITNESS_LIMIT = 256
@@ -51,7 +51,7 @@ class FilterAxiomError(ValueError):
 
 # --- filter atoms -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class KindAtom:
     kind: str  # "IRI" | "Literal" | "BlankNode"
 
@@ -59,7 +59,7 @@ class KindAtom:
         return f"F_is{self.kind}"
 
 
-@dataclass(frozen=True)
+@value_class
 class DatatypeAtom:
     datatype: Iri
 
@@ -67,7 +67,7 @@ class DatatypeAtom:
         return f"F_dt=<{self.datatype.value}>"
 
 
-@dataclass(frozen=True)
+@value_class
 class LanguageTagAtom:
     tag: str
 
@@ -75,7 +75,7 @@ class LanguageTagAtom:
         return f"F_lang={self.tag}"
 
 
-@dataclass(frozen=True)
+@value_class
 class MinLengthAtom:
     length: int
 
@@ -83,7 +83,7 @@ class MinLengthAtom:
         return f"F_len≥{self.length}"
 
 
-@dataclass(frozen=True)
+@value_class
 class MaxLengthAtom:
     length: int
 
@@ -91,7 +91,7 @@ class MaxLengthAtom:
         return f"F_len≤{self.length}"
 
 
-@dataclass(frozen=True)
+@value_class
 class PatternAtom:
     regex: str
 
@@ -99,7 +99,7 @@ class PatternAtom:
         return f"F_re({self.regex})"
 
 
-@dataclass(frozen=True)
+@value_class
 class OrderCmp:
     op: str  # "<" | "<=" | ">" | ">="
     limit: Literal
@@ -178,27 +178,27 @@ def eval_filter(atom: FilterAtom, t: Term) -> bool:
 
 # --- filter combinations --------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class Eq:
     constant: Term
 
 
-@dataclass(frozen=True)
+@value_class
 class NotEq:
     constant: Term
 
 
-@dataclass(frozen=True)
+@value_class
 class Nu:
     """The "none of the known constants" shape atom."""
 
 
-@dataclass(frozen=True)
+@value_class
 class Pos:
     atom: FilterAtom
 
 
-@dataclass(frozen=True)
+@value_class
 class Neg:
     atom: FilterAtom
 
@@ -253,7 +253,7 @@ def _conjunct_key(c: Conjunct) -> tuple:
     return (sign, (c.atom.describe(),))
 
 
-@dataclass(frozen=True)
+@value_class
 class FilterCombination:
     conjuncts: tuple
 
@@ -277,17 +277,17 @@ class FilterCombination:
 
 # --- cardinality bounds ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class Finite:
     n: int
 
 
-@dataclass(frozen=True)
+@value_class
 class Infinite:
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class Huge:
     """Finite, but above the counting threshold."""
 
@@ -409,59 +409,56 @@ _INT_CANONICAL = "^(0|-?[1-9][0-9]*)\\Z"
 _DEC_CANONICAL = "^(0|-?[1-9][0-9]*)(\\.[0-9]*[1-9])?\\Z"
 
 
-@dataclass
 class _Atoms:
     """Structured view of the positive/negative filter atoms of a combination."""
 
-    pos_kinds: list
-    neg_kinds: list
-    pos_dts: list
-    neg_dts: list
-    pos_tags: list
-    neg_tags: list
-    min_len: int
-    max_len: Optional[int]
-    orders: list  # (op, limit, positive)
-    pos_patterns: list
-    neg_patterns: list
-    all_conjuncts: list
+    __slots__ = ("pos_kinds", "neg_kinds", "pos_dts", "neg_dts", "pos_tags", "neg_tags", "min_len",
+                 "max_len", "orders", "pos_patterns", "neg_patterns", "all_conjuncts")
 
-    @staticmethod
-    def of(pos: list, neg: list) -> "_Atoms":
-        a = _Atoms([], [], [], [], [], [], 0, None, [], [], [],
-                   [Pos(x) for x in pos] + [Neg(x) for x in neg])
+    def __init__(self, pos: list, neg: list):
+        self.pos_kinds: list = []
+        self.neg_kinds: list = []
+        self.pos_dts: list = []
+        self.neg_dts: list = []
+        self.pos_tags: list = []
+        self.neg_tags: list = []
+        self.min_len = 0
+        self.max_len: Optional[int] = None
+        self.orders: list = []  # (op, limit, positive)
+        self.pos_patterns: list = []
+        self.neg_patterns: list = []
+        self.all_conjuncts = [Pos(x) for x in pos] + [Neg(x) for x in neg]
         for atom in pos:
             if isinstance(atom, KindAtom):
-                a.pos_kinds.append(atom.kind)
+                self.pos_kinds.append(atom.kind)
             elif isinstance(atom, DatatypeAtom):
-                a.pos_dts.append(atom.datatype)
+                self.pos_dts.append(atom.datatype)
             elif isinstance(atom, LanguageTagAtom):
-                a.pos_tags.append(atom.tag.lower())
+                self.pos_tags.append(atom.tag.lower())
             elif isinstance(atom, MinLengthAtom):
-                a.min_len = max(a.min_len, atom.length)
+                self.min_len = max(self.min_len, atom.length)
             elif isinstance(atom, MaxLengthAtom):
-                a.max_len = atom.length if a.max_len is None else min(a.max_len, atom.length)
+                self.max_len = atom.length if self.max_len is None else min(self.max_len, atom.length)
             elif isinstance(atom, PatternAtom):
-                a.pos_patterns.append(atom.regex)
+                self.pos_patterns.append(atom.regex)
             else:
-                a.orders.append((atom.op, atom.limit, True))
+                self.orders.append((atom.op, atom.limit, True))
         for atom in neg:
             if isinstance(atom, KindAtom):
-                a.neg_kinds.append(atom.kind)
+                self.neg_kinds.append(atom.kind)
             elif isinstance(atom, DatatypeAtom):
-                a.neg_dts.append(atom.datatype)
+                self.neg_dts.append(atom.datatype)
             elif isinstance(atom, LanguageTagAtom):
-                a.neg_tags.append(atom.tag.lower())
+                self.neg_tags.append(atom.tag.lower())
             elif isinstance(atom, MinLengthAtom):
                 # not(length >= n): length <= n - 1
-                a.max_len = atom.length - 1 if a.max_len is None else min(a.max_len, atom.length - 1)
+                self.max_len = atom.length - 1 if self.max_len is None else min(self.max_len, atom.length - 1)
             elif isinstance(atom, MaxLengthAtom):
-                a.min_len = max(a.min_len, atom.length + 1)
+                self.min_len = max(self.min_len, atom.length + 1)
             elif isinstance(atom, PatternAtom):
-                a.neg_patterns.append(atom.regex)
+                self.neg_patterns.append(atom.regex)
             else:
-                a.orders.append((atom.op, atom.limit, False))
-        return a
+                self.orders.append((atom.op, atom.limit, False))
 
     def kind_allows(self, kind: str) -> bool:
         if any(k != kind for k in self.pos_kinds):
@@ -855,7 +852,7 @@ def _combo_count(combo: FilterCombination, known_constants: frozenset) -> tuple:
 
 def _filter_count(filter_conjuncts: list) -> _Count:
     """The terms satisfying the Pos/Neg conjuncts."""
-    atoms = _Atoms.of([c.atom for c in filter_conjuncts if isinstance(c, Pos)],
+    atoms = _Atoms([c.atom for c in filter_conjuncts if isinstance(c, Pos)],
                       [c.atom for c in filter_conjuncts if isinstance(c, Neg)])
     return _blank_branch(atoms).add(_iri_branch(atoms)).add(_literal_branches(atoms))
 
@@ -927,7 +924,7 @@ NU_NAME = Iri("urn:sclkit:nu")
 _MAX_NAIVE_ATOMS = 10
 
 
-@dataclass(frozen=True)
+@value_class
 class AxiomatisationResult:
     sentence: SclSentence
     approximate: bool

@@ -7,34 +7,48 @@ tag; no value-space canonicalisation happens here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
+from .value import _set, value_class
 
-@dataclass(frozen=True, order=False)
+
+# The reader builds IRIs, literals and triples in its inner loop, so they set
+# their own fields; graph lookups compare IRIs most.
+@value_class
 class Iri:
     value: str
+
+    def __init__(self, value: str):
+        _set(self, "value", value)
+        _set(self, "_hash", hash((value,)))
+
+    def __eq__(self, other) -> bool:
+        return self is other or (type(other) is Iri and self.value == other.value)
 
     def __repr__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True, order=False)
+@value_class
 class Literal:
     lexical: str
-    datatype: Optional[Iri] = None
-    language: Optional[str] = None
+    datatype: Iri
+    language: Optional[str]
 
-    def __post_init__(self) -> None:
+    def __init__(self, lexical: str, datatype: Optional[Iri] = None, language: Optional[str] = None):
         # Simple literals carry xsd:string; tagged ones carry rdf:langString.
-        if self.language is not None:
-            object.__setattr__(self, "language", self.language.lower())
-            if self.datatype is None:
-                object.__setattr__(self, "datatype", RDF_LANGSTRING)
-            elif self.datatype != RDF_LANGSTRING:
+        if language is not None:
+            language = language.lower()
+            if datatype is None:
+                datatype = RDF_LANGSTRING
+            elif datatype != RDF_LANGSTRING:
                 raise ValueError("language-tagged literal must have rdf:langString datatype")
-        elif self.datatype is None:
-            object.__setattr__(self, "datatype", XSD_STRING)
+        elif datatype is None:
+            datatype = XSD_STRING
+        _set(self, "lexical", lexical)
+        _set(self, "datatype", datatype)
+        _set(self, "language", language)
+        _set(self, "_hash", hash((lexical, datatype, language)))
 
     def __repr__(self) -> str:
         if self.language:
@@ -44,7 +58,7 @@ class Literal:
         return f'"{self.lexical}"^^{self.datatype!r}'
 
 
-@dataclass(frozen=True, order=False)
+@value_class
 class Blank:
     label: str
 
@@ -80,11 +94,17 @@ def term_key(t: Term) -> tuple:
     return (2, t.label)
 
 
-@dataclass(frozen=True, order=False)
+@value_class
 class Triple:
     subject: Term
     predicate: Term
     object: Term
+
+    def __init__(self, subject: Term, predicate: Term, object: Term):
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
+        _set(self, "_hash", hash((subject, predicate, object)))
 
     def __iter__(self) -> Iterator[Term]:
         return iter((self.subject, self.predicate, self.object))
@@ -94,14 +114,16 @@ def triple_key(t: Triple) -> tuple:
     return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
 
 
+@value_class
 class Graph:
     """An immutable finite set of triples with predicate indexes."""
 
-    __slots__ = ("triples", "_fwd", "_bwd", "_nodes", "_hash")
+    triples: frozenset
+    __slots__ = ("_fwd", "_bwd", "_nodes")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         ts = frozenset(triples)
-        object.__setattr__(self, "triples", ts)
+        _set(self, "triples", ts)
         fwd: dict = {}
         bwd: dict = {}
         nodes = set()
@@ -110,19 +132,10 @@ class Graph:
             bwd.setdefault(tr.predicate, {}).setdefault(tr.object, set()).add(tr.subject)
             nodes.add(tr.subject)
             nodes.add(tr.object)
-        object.__setattr__(self, "_fwd", fwd)
-        object.__setattr__(self, "_bwd", bwd)
-        object.__setattr__(self, "_nodes", frozenset(nodes))
-        object.__setattr__(self, "_hash", hash(ts))
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Graph is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.triples == other.triples
-
-    def __hash__(self) -> int:
-        return self._hash
+        _set(self, "_fwd", fwd)
+        _set(self, "_bwd", bwd)
+        _set(self, "_nodes", frozenset(nodes))
+        _set(self, "_hash", hash(ts))
 
     def __len__(self) -> int:
         return len(self.triples)

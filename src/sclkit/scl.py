@@ -8,52 +8,52 @@ usual negation shortcuts and are not separate nodes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Union
 
 from .rdf import Iri, Term, RDF_TYPE
 from .shacl import NameMint, evaluation_order
+from .value import value_class
 
 if TYPE_CHECKING:
     from .filters import FilterAtom
 
 
-@dataclass(frozen=True)
+@value_class
 class ShapeRel:
     name: Iri
 
 
 # --- path formulae -----------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class RelAtom:
     name: Term
     inverted: bool = False
 
 
-@dataclass(frozen=True)
+@value_class
 class RelStep:
     rel: RelAtom
 
 
-@dataclass(frozen=True)
+@value_class
 class PiSeq:
     left: "Pi"
     right: "Pi"
 
 
-@dataclass(frozen=True)
+@value_class
 class PiZeroOrOne:
     inner: "Pi"
 
 
-@dataclass(frozen=True)
+@value_class
 class PiAlt:
     left: "Pi"
     right: "Pi"
 
 
-@dataclass(frozen=True)
+@value_class
 class PiStar:
     inner: "Pi"
 
@@ -63,71 +63,72 @@ Pi = Union[RelStep, PiSeq, PiZeroOrOne, PiAlt, PiStar]
 
 # --- unary formulae ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class PsiTop:
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiNot:
     inner: "Psi"
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiAnd:
     left: "Psi"
     right: "Psi"
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiEq:
     constant: Term
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiFilter:
     atom: FilterAtom
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiShape:
     rel: ShapeRel
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiExists:
     path: Pi
     body: "Psi"
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiDisjoint:
     path: Pi
     rel: RelAtom
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiEquals:
     path: Pi
     rel: RelAtom
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiOrder:
     path: Pi
     rel: RelAtom
     op: str  # "<", "<=", ">", ">=" comparing path value against rel value
 
 
-@dataclass(frozen=True)
+@value_class
 class PsiCount:
     n: int
     path: Pi
     body: "Psi"
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, path: Pi, body: Psi):
+        if n < 1:
             raise ValueError("counting quantifier needs n >= 1")
+        super().__init__(n, path, body)
 
 
 Psi = Union[PsiTop, PsiNot, PsiAnd, PsiEq, PsiFilter, PsiShape, PsiExists,
@@ -162,37 +163,37 @@ def psi_forall(path: Pi, body: Psi) -> Psi:
 
 # --- axioms and sentences ----------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class TargetNodeAxiom:
     shape: ShapeRel
     constant: Term
 
 
-@dataclass(frozen=True)
+@value_class
 class TargetClassAxiom:
     shape: ShapeRel
     cls: Term
 
 
-@dataclass(frozen=True)
+@value_class
 class TargetSubjectsAxiom:
     shape: ShapeRel
     rel: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class TargetObjectsAxiom:
     shape: ShapeRel
     rel: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class ConstraintAxiom:
     shape: ShapeRel
     body: Psi
 
 
-@dataclass(frozen=True)
+@value_class
 class AtMostAxiom:
     """Top-level counting conjunct of the bounded filter axiomatisation.
 
@@ -210,7 +211,7 @@ Axiom = Union[TargetNodeAxiom, TargetClassAxiom, TargetSubjectsAxiom,
 TargetAxiom = (TargetNodeAxiom, TargetClassAxiom, TargetSubjectsAxiom, TargetObjectsAxiom)
 
 
-@dataclass(frozen=True)
+@value_class
 class SclSentence:
     axioms: tuple = ()
 
@@ -307,7 +308,7 @@ def filter_atoms_of(sentence: SclSentence) -> set[FilterAtom]:
 FEATURES = ("S", "Z", "A", "T", "D", "O", "O'", "E", "C")
 
 
-@dataclass(frozen=True)
+@value_class
 class FeatureSet:
     flags: frozenset
     recursive: bool

@@ -12,7 +12,6 @@ atoms are the only source of None; everything else is two-valued.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import Optional
@@ -83,7 +82,7 @@ class Assignment:
                 raise ValueError(f"assignment entry ({node!r}, {name!r}) outside scope")
             clean[(node, name)] = bool(sign)
         self.signs = clean
-        self._hash = hash((self.nodes, self.shapes, frozenset(clean.items())))
+        self._hash = None  # computed on the first hash()
 
     def sign(self, node: Term, name: Iri) -> Optional[bool]:
         return self.signs.get((node, name))
@@ -96,6 +95,8 @@ class Assignment:
                 and self.shapes == other.shapes and self.signs == other.signs)
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.nodes, self.shapes, frozenset(self.signs.items())))
         return self._hash
 
     def __repr__(self) -> str:
@@ -130,12 +131,14 @@ def compile_document(m: sh.Document):
     return _Compiled(m, bodies, frozenset(ground), order)
 
 
-@dataclass(frozen=True)
 class _Compiled:
-    document: sh.Document
-    bodies: dict
-    ground: frozenset
-    order: Optional[list]
+    __slots__ = ("document", "bodies", "ground", "order")
+
+    def __init__(self, document: sh.Document, bodies: dict, ground: frozenset, order: Optional[list]):
+        self.document = document
+        self.bodies = bodies
+        self.ground = ground
+        self.order = order
 
 
 def target_holds(g: Graph, t: sh.TargetDecl, node: Term) -> bool:

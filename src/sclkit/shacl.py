@@ -8,7 +8,6 @@ of the atoms below.  Constraints that scope over the values of the path
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Optional
 
@@ -28,6 +27,7 @@ from .rdf import (
     XSD_INTEGER,
     term_key,
 )
+from .value import value_class
 
 FRESH_NS = "urn:sclkit:fresh:"
 
@@ -52,22 +52,22 @@ class NameMint:
 
 # --- target declarations ----------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class NodeTarget:
     node: Term
 
 
-@dataclass(frozen=True)
+@value_class
 class ClassTarget:
     cls: Term
 
 
-@dataclass(frozen=True)
+@value_class
 class SubjectsOfTarget:
     rel: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class ObjectsOfTarget:
     rel: Iri
 
@@ -77,37 +77,37 @@ TargetDecl = NodeTarget | ClassTarget | SubjectsOfTarget | ObjectsOfTarget
 
 # --- property paths ---------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class PredPath:
     iri: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class InversePath:
     iri: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class SeqPath:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@value_class
 class AltPath:
     parts: tuple
 
 
-@dataclass(frozen=True)
+@value_class
 class ZeroOrMorePath:
     inner: "PathExpr"
 
 
-@dataclass(frozen=True)
+@value_class
 class OneOrMorePath:
     inner: "PathExpr"
 
 
-@dataclass(frozen=True)
+@value_class
 class ZeroOrOnePath:
     inner: "PathExpr"
 
@@ -128,139 +128,139 @@ def path_relation_names(p: PathExpr) -> set[Iri]:
 
 # --- constraints -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@value_class
 class Top:
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class HasValue:
     value: Term
 
 
-@dataclass(frozen=True)
+@value_class
 class InSet:
     values: tuple
 
 
-@dataclass(frozen=True)
+@value_class
 class ClassConstraint:
     cls: Term
 
 
-@dataclass(frozen=True)
+@value_class
 class DatatypeConstraint:
     datatype: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class NodeKindConstraint:
     # one of IRI, Literal, BlankNode, BlankNodeOrIRI, BlankNodeOrLiteral, IRIOrLiteral
     kind: str
 
 
-@dataclass(frozen=True)
+@value_class
 class MinExclusive:
     limit: Literal
 
 
-@dataclass(frozen=True)
+@value_class
 class MinInclusive:
     limit: Literal
 
 
-@dataclass(frozen=True)
+@value_class
 class MaxExclusive:
     limit: Literal
 
 
-@dataclass(frozen=True)
+@value_class
 class MaxInclusive:
     limit: Literal
 
 
-@dataclass(frozen=True)
+@value_class
 class MinLengthConstraint:
     length: int
 
 
-@dataclass(frozen=True)
+@value_class
 class MaxLengthConstraint:
     length: int
 
 
-@dataclass(frozen=True)
+@value_class
 class PatternConstraint:
     regex: str
 
 
-@dataclass(frozen=True)
+@value_class
 class LanguageIn:
     tags: tuple
 
 
-@dataclass(frozen=True)
+@value_class
 class Not:
     inner: "Constraint"
 
 
-@dataclass(frozen=True)
+@value_class
 class And:
     items: tuple
 
 
-@dataclass(frozen=True)
+@value_class
 class Or:
     items: tuple
 
 
-@dataclass(frozen=True)
+@value_class
 class Xone:
     # exclusive-or over shape references; eliminated before translation
     names: tuple
 
 
-@dataclass(frozen=True)
+@value_class
 class Ref:
     name: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class MinCount:
     n: int
 
 
-@dataclass(frozen=True)
+@value_class
 class MaxCount:
     n: int
 
 
-@dataclass(frozen=True)
+@value_class
 class UniqueLang:
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class EqualsRel:
     rel: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class DisjointRel:
     rel: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class LessThanRel:
     rel: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class LessThanOrEqualsRel:
     rel: Iri
 
 
-@dataclass(frozen=True)
+@value_class
 class QualifiedValue:
     ref: Iri
     min_count: Optional[int] = None
@@ -268,19 +268,19 @@ class QualifiedValue:
     siblings: tuple = ()
 
 
-@dataclass(frozen=True)
+@value_class
 class Closed:
     ignored: tuple = ()
 
 
-@dataclass(frozen=True)
+@value_class
 class AllValues:
     """Every value reachable over the shape's path satisfies `inner`."""
 
     inner: "Constraint"
 
 
-@dataclass(frozen=True)
+@value_class
 class SomeValues:
     """Some value reachable over the shape's path satisfies `inner`."""
 
@@ -320,7 +320,7 @@ def referenced_names(c: Constraint) -> set[Iri]:
     return names
 
 
-@dataclass(frozen=True)
+@value_class
 class Shape:
     name: Iri
     targets: tuple = ()
@@ -332,11 +332,13 @@ class DocumentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@value_class
 class Document:
-    shapes: tuple = ()
+    shapes: tuple
+    __slots__ = ("_by_name",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, shapes: tuple = ()):
+        super().__init__(shapes)
         seen = set()
         for s in self.shapes:
             if s.name in seen:
@@ -516,7 +518,7 @@ def sh(local: str) -> Iri:
 _TARGETS = tuple((local, sh(local), cls, kind) for local, (cls, kind, scope) in _TERMS.items()
                  if scope == "target")
 # class -> (predicate, field, object kind) of the terms that fill one field
-_WRITTEN_AS = {cls: (sh(local), fields(cls)[0].name, kind)
+_WRITTEN_AS = {cls: (sh(local), cls._fields[0], kind)
                for local, (cls, kind, _) in _TERMS.items() if kind in _ONE_FIELD}
 _PATH_PREDICATE = {cls: sh(local) for local, cls in _PATHS.items()}
 # the xsd:boolean literals, by value

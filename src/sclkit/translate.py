@@ -7,7 +7,6 @@ document, minting fresh names for anonymous subformulae.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
 
@@ -109,24 +108,18 @@ _NODE_KIND_FILTERS = {
 }
 
 
-@dataclass
 class _TauContext:
-    document: sh.Document
-    language_tags: tuple
-    relation_names: tuple
+    __slots__ = ("document", "language_tags", "relation_names")
 
-    @staticmethod
-    def of(m: sh.Document, extra_documents: tuple = ()) -> "_TauContext":
+    def __init__(self, m: sh.Document, extra_documents: tuple = ()):
         tags: set[str] = set(sh.document_language_tags(m))
         rels: set[Iri] = set(sh.document_relation_names(m))
         for other in extra_documents:
             tags |= sh.document_language_tags(other)
             rels |= sh.document_relation_names(other)
-        return _TauContext(
-            m,
-            tuple(sorted(tags)) + (UNIQUE_LANG_TAG,),
-            tuple(sorted(rels, key=lambda i: i.value)),
-        )
+        self.document = m
+        self.language_tags = tuple(sorted(tags)) + (UNIQUE_LANG_TAG,)
+        self.relation_names = tuple(sorted(rels, key=lambda i: i.value))
 
 
 def _declared_property_relations(shape: sh.Shape, m: sh.Document) -> set[Iri]:
@@ -258,7 +251,7 @@ def constraint_psi(shape: sh.Shape, ctx: _TauContext) -> Psi:
 
 def shape_bodies(m: sh.Document) -> dict:
     """The per-shape constraint formula of every shape in the document."""
-    ctx = _TauContext.of(m)
+    ctx = _TauContext(m)
     return {shape.name: constraint_psi(shape, ctx) for shape in m.shapes}
 
 
@@ -277,7 +270,7 @@ def tau(m: sh.Document, extra_documents: tuple = ()) -> SclSentence:
     language-tag and closed-relation universes when two documents are
     compared (containment)."""
     m = sh.eliminate_xone(m)
-    ctx = _TauContext.of(m, extra_documents)
+    ctx = _TauContext(m, extra_documents)
     axioms = []
     for shape in m.shapes:
         rel = ShapeRel(shape.name)
@@ -290,14 +283,16 @@ def tau(m: sh.Document, extra_documents: tuple = ()) -> SclSentence:
 # --- inverse translation -----------------------------------------------------
 
 
-@dataclass
 class _InverseContext:
-    sentence: SclSentence
-    mint: sh.NameMint
-    named_bodies: dict
-    built: dict = field(default_factory=dict)  # Iri -> Shape
-    memo: dict = field(default_factory=dict)  # Psi -> Iri
-    in_progress: set = field(default_factory=set)
+    __slots__ = ("sentence", "mint", "named_bodies", "built", "memo", "in_progress")
+
+    def __init__(self, sentence: SclSentence, mint: sh.NameMint, named_bodies: dict):
+        self.sentence = sentence
+        self.mint = mint
+        self.named_bodies = named_bodies
+        self.built: dict = {}  # Iri -> Shape
+        self.memo: dict = {}  # Psi -> Iri
+        self.in_progress: set = set()
 
     def all_relation_names(self) -> set:
         return {r for r in relation_names(self.sentence) if isinstance(r, Iri)}

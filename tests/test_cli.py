@@ -127,6 +127,40 @@ def test_template_sat_json_is_hash_seed_independent():
     assert json.loads(outs[0])["reason"] == "no model within budget"
 
 
+def test_json_output_is_hash_seed_independent():
+    # value classes hash like tuples of their fields, so set iteration order
+    # follows PYTHONHASHSEED; no command's output may follow it
+    import subprocess
+    import sys
+
+    import sclkit
+
+    src = os.path.dirname(os.path.dirname(sclkit.__file__))
+    fig1 = ("--doc", fx("fig1-shapes.ttl"))
+    commands = [
+        *(("validate", "--graph", fx("fig1-graph.ttl"), *fig1, "--mode", mode)
+          for mode in ("brave-partial", "brave-total", "cautious-partial", "cautious-total")),
+        ("sat", *fig1, "--triples", "2", "--fresh", "1"),
+        ("contains", "--doc1", fx("fig1-shapes.ttl"), "--doc2", fx("filtered.ttl"),
+         "--triples", "2", "--fresh", "1"),
+        ("classify", *fig1),
+        ("template-sat", "--doc", fx("template.ttl"), "--template", "http://ex/probe", "--fresh", "1"),
+        ("shape-contains", *fig1, "--shape1", "http://ex/studentShape",
+         "--shape2", "http://ex/disjFacultyShape", "--fresh", "1"),
+    ]
+    driver = ("import json, sys\nfrom sclkit.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    print('exit', main(['--json', *argv]))\n")
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", driver, json.dumps(commands)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    assert outs[0].count("exit ") == len(commands)
+
+
 def test_deep_nesting_is_an_error_not_a_crash(tmp_path):
     import subprocess
     import sys

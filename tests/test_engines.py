@@ -204,6 +204,47 @@ def test_automata_counting_matches_enumeration():
         assert sorted(dfa.enumerate_words(n)) == sorted(set(words))
 
 
+def _first_words(pattern: str, max_words: int, alphabet: str, max_len: int) -> list:
+    """Brute force: the strings over `alphabet` in which re.search finds the
+    pattern, shortest first and lexicographic within a length."""
+    out = []
+    for n in range(max_len + 1):
+        for chars in itertools.product(sorted(set(alphabet)), repeat=n):
+            if re.search(pattern, "".join(chars)):
+                out.append("".join(chars))
+                if len(out) == max_words:
+                    return out
+    return out
+
+
+def test_word_enumeration_matches_brute_force():
+    # The first words put at each position one of the max_words smallest
+    # characters its transition allows.  For patterns over a, b and c those
+    # are letters, '\n' (which '$' matches before) or code points below
+    # max_words + 2 ('.' skips one, '\n').
+    patterns = ["a", "ab|b", "^a?b{1,2}$", "a.b", "[ab]c", "^(a|bc)*$", "a{3}", "^[^a]b", "b$",
+                "^(ab|a)*c?$", "^.?$"]
+    for max_words in (1, 3, 12):
+        alphabet = "".join(map(chr, range(max_words + 2))) + "\nabc"
+        for pattern in patterns:
+            expected = _first_words(pattern, max_words, alphabet, 4)
+            assert compile_pattern(pattern).enumerate_words(max_words) == expected, (pattern, max_words)
+
+
+def test_word_enumeration_of_an_infinite_language_stays_small():
+    # search semantics make the language of a{30} infinite; the frontier
+    # once kept every prefix and ran out of memory
+    dfa = compile_pattern("a{30}")
+    tracemalloc.start()
+    try:
+        words = dfa.enumerate_words(5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert words == ["a" * 30] + [chr(i) + "a" * 30 for i in range(4)]
+    assert peak < 2**20
+
+
 def test_character_set_ranges_agree_with_explicit_sets():
     # sets of code points near 0, the surrogates and the last code point;
     # a complement stands for the scalar values outside its points

@@ -1,7 +1,7 @@
 """Hygiene guards on the library modules: no unused import, no private
 module-level name that nothing references beyond its own definition, no
-regex syntax that an older supported Python rejects, and an import structure
-without cycles.  Also the two shape-dependency analyses against plain
+`dataclasses` import, no regex syntax that an older supported Python rejects,
+and an import structure without cycles.  Also the two shape-dependency analyses against plain
 reachability."""
 import ast
 import importlib
@@ -86,6 +86,15 @@ def test_every_private_module_name_is_referenced():
                 if private and readers[name] - (name in refs) == 0:
                     unreferenced.append(f"{path.name}:{stmt.lineno} {name}")
     assert not unreferenced, unreferenced
+
+
+def test_no_library_module_imports_dataclasses():
+    # declaring dataclasses made up most of the package's import time;
+    # value classes derive from sclkit.value.Value
+    found = [f"{path.name}:{n.lineno}" for path in LIBRARY for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, ast.Import) and any(a.name == "dataclasses" for a in n.names)
+             or isinstance(n, ast.ImportFrom) and n.module == "dataclasses"]
+    assert not found, found
 
 
 def _regex_syntax_newer_than_3_10(items) -> list:
