@@ -74,8 +74,8 @@ from .scl import (
     walk_psi,
 )
 from .sat import _Cnf, _dpll
-from .semantics import (Assignment, SemanticsMode, gamma_pos_name, gamma_transform, validate,
-                        validation_witness)
+from .semantics import (Assignment, SemanticsMode, compile_document, gamma_pos_name, gamma_transform,
+                        validate, validation_witness)
 from .translate import CLOSED_RELATION, tau
 from .value import value_class
 
@@ -329,18 +329,30 @@ def candidate_graphs(m: sh.Document, budget: SearchBudget,
                 yield Graph(combo)
 
 
-def bounded_sat(m: sh.Document, mode: SemanticsMode, budget: SearchBudget) -> SatResult:
-    """Search for a graph the document validates; first witness in the
-    deterministic enumeration order wins."""
+def _graph_search(m: sh.Document, budget: SearchBudget, verdict, exhausted: str,
+                  *vocabulary) -> SatResult:
+    """The first result `verdict` gives on a candidate graph (see
+    `candidate_graphs` for the extra vocabulary), in the deterministic
+    enumeration order; "unknown" once time or graphs run out."""
     deadline = _Deadline(budget.max_seconds)
-    m = sh.eliminate_xone(m)
-    for g in candidate_graphs(m, budget):
+    for g in candidate_graphs(m, budget, *vocabulary):
         if deadline.expired():
             return SatResult("unknown", reason="time budget exhausted")
+        result = verdict(g)
+        if result is not None:
+            return result
+    return SatResult("unknown", reason=exhausted)
+
+
+def bounded_sat(m: sh.Document, mode: SemanticsMode, budget: SearchBudget) -> SatResult:
+    """Search for a graph the document validates."""
+    m = compile_document(m).document
+
+    def witness(g: Graph) -> Optional[SatResult]:
         sigma = validation_witness(g, m, mode)
-        if sigma is not None:
-            return SatResult("sat", witness_graph=g, witness_assignment=sigma)
-    return SatResult("unknown", reason="no model within budget")
+        return None if sigma is None else SatResult("sat", witness_graph=g, witness_assignment=sigma)
+
+    return _graph_search(m, budget, witness, "no model within budget")
 
 
 def _rename_apart(m: sh.Document, taken: set, suffix: str) -> sh.Document:
@@ -383,17 +395,15 @@ def check_containment(m1: sh.Document, m2: sh.Document, mode: SemanticsMode,
                       budget: SearchBudget) -> SatResult:
     """Counterexample search: sat means NOT contained, with the separating
     graph as witness."""
-    deadline = _Deadline(budget.max_seconds)
-    m1 = sh.eliminate_xone(m1)
-    m2 = sh.eliminate_xone(m2)
-    consts = sh.document_constants(m2)
-    rels = sh.document_relation_names(m2)
-    for g in candidate_graphs(m1, budget, extra_constants=consts, extra_relations=rels):
-        if deadline.expired():
-            return SatResult("unknown", reason="time budget exhausted")
-        if validate(g, m1, mode) and not validate(g, m2, mode):
-            return SatResult("sat", witness_graph=g)
-    return SatResult("unknown", reason="no counterexample within budget")
+    m1 = compile_document(m1).document
+    m2 = compile_document(m2).document
+
+    def counterexample(g: Graph) -> Optional[SatResult]:
+        separates = validate(g, m1, mode) and not validate(g, m2, mode)
+        return SatResult("sat", witness_graph=g) if separates else None
+
+    return _graph_search(m1, budget, counterexample, "no counterexample within budget",
+                         sh.document_constants(m2), sh.document_relation_names(m2))
 
 
 def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
@@ -414,7 +424,7 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
             raise DecisionError(f"template constraint references unknown shape {ref!r}")
     if not mode.brave:
         raise DecisionError("template satisfiability is defined for the brave modes")
-    doc = sh.eliminate_xone(m.with_shape(sh.Shape(name, (), path, constraint)))
+    doc = m.with_shape(sh.Shape(name, (), path, constraint))
     probe = ShapeRel(name)
     if mode is SemanticsMode.BRAVE_PARTIAL:
         doc = gamma_transform(doc)

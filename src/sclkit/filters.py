@@ -30,6 +30,7 @@ from .rdf import (
     XSD_INT,
     XSD_INTEGER,
     XSD_STRING,
+    _xsd_number,
     term_key,
 )
 from .scl import (AtMostAxiom, ConstraintAxiom, PsiEq, PsiFilter, PsiNot, PsiOrder, PsiShape, PsiTop,
@@ -125,16 +126,9 @@ def comparison_value(t: Term):
     """(partition, value) of a term under the order partition, or None."""
     if not isinstance(t, Literal):
         return None
-    if t.datatype in INTEGER_DATATYPES:
-        try:
-            return ("num", Fraction(int(t.lexical)))
-        except ValueError:
-            return None
-    if t.datatype == XSD_DECIMAL:
-        try:
-            return ("num", Fraction(t.lexical))
-        except ValueError:
-            return None
+    if t.datatype in INTEGER_DATATYPES or t.datatype == XSD_DECIMAL:
+        value = _xsd_number(t.lexical, t.datatype != XSD_DECIMAL)
+        return None if value is None else ("num", Fraction(value))
     if t.datatype == XSD_BOOLEAN:
         if t.lexical in ("true", "1"):
             return ("bool", 1)
@@ -320,11 +314,8 @@ class _IntegerForms:
     def __contains__(self, t) -> bool:
         if not isinstance(t, Literal) or t.datatype != self.dt:
             return False
-        try:
-            v = int(t.lexical)
-        except ValueError:
-            return False
-        return str(v) == t.lexical and any(a <= v <= b for a, b in self.ranges)
+        v = _xsd_number(t.lexical, True)
+        return v is not None and str(v) == t.lexical and any(a <= v <= b for a, b in self.ranges)
 
 
 class _Count:

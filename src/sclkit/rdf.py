@@ -7,7 +7,8 @@ tag; no value-space canonicalisation happens here.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional, Union
+from fractions import Fraction
+from typing import AbstractSet, Iterable, Iterator, Optional, Union
 
 from .value import _set, value_class
 
@@ -85,6 +86,19 @@ XSD_DECIMAL = Iri(XSD_NS + "decimal")
 XSD_BOOLEAN = Iri(XSD_NS + "boolean")
 
 
+_INTEGER_FORM = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_FORM = re.compile(r"[+-]?([0-9]+(\.[0-9]*)?|\.[0-9]+)")
+_NO_INDEX: dict = {}  # the index entry of an absent predicate or node
+
+
+def _xsd_number(lexical: str, integer: bool) -> Union[int, Fraction, None]:
+    """The int of an xsd:integer or the Fraction of an xsd:decimal lexical
+    form; None outside that lexical space (other digits, '_', '/', 'e')."""
+    if integer:
+        return int(lexical) if _INTEGER_FORM.fullmatch(lexical) else None
+    return Fraction(lexical) if _DECIMAL_FORM.fullmatch(lexical) else None
+
+
 def term_key(t: Term) -> tuple:
     """Total deterministic order over terms: IRIs, then literals, then blanks."""
     if isinstance(t, Iri):
@@ -116,7 +130,8 @@ def triple_key(t: Triple) -> tuple:
 
 @value_class
 class Graph:
-    """An immutable finite set of triples with predicate indexes."""
+    """An immutable finite set of triples with predicate indexes; a query
+    returns a read-only view of an index entry (dict keys), not a copy."""
 
     triples: frozenset
     __slots__ = ("_fwd", "_bwd", "_nodes")
@@ -128,8 +143,8 @@ class Graph:
         bwd: dict = {}
         nodes = set()
         for tr in ts:
-            fwd.setdefault(tr.predicate, {}).setdefault(tr.subject, set()).add(tr.object)
-            bwd.setdefault(tr.predicate, {}).setdefault(tr.object, set()).add(tr.subject)
+            fwd.setdefault(tr.predicate, {}).setdefault(tr.subject, {})[tr.object] = None
+            bwd.setdefault(tr.predicate, {}).setdefault(tr.object, {})[tr.subject] = None
             nodes.add(tr.subject)
             nodes.add(tr.object)
         _set(self, "_fwd", fwd)
@@ -149,14 +164,14 @@ class Graph:
     def nodes(self) -> frozenset:
         return self._nodes
 
-    def objects(self, subject: Term, predicate: Term) -> set:
-        return set(self._fwd.get(predicate, {}).get(subject, ()))
+    def objects(self, subject: Term, predicate: Term) -> AbstractSet[Term]:
+        return self._fwd.get(predicate, _NO_INDEX).get(subject, _NO_INDEX).keys()
 
-    def subjects(self, predicate: Term, obj: Term) -> set:
-        return set(self._bwd.get(predicate, {}).get(obj, ()))
+    def subjects(self, predicate: Term, obj: Term) -> AbstractSet[Term]:
+        return self._bwd.get(predicate, _NO_INDEX).get(obj, _NO_INDEX).keys()
 
     def has(self, subject: Term, predicate: Term, obj: Term) -> bool:
-        return obj in self._fwd.get(predicate, {}).get(subject, ())
+        return obj in self._fwd.get(predicate, _NO_INDEX).get(subject, _NO_INDEX)
 
     def one_object(self, subject: Term, predicate: Term) -> Optional[Term]:
         objs = self.objects(subject, predicate)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .rdf import Graph, Iri, RDF_TYPE, Term, nodes_of, term_key
 from . import shacl as sh
@@ -115,12 +115,12 @@ class SemanticsError(ValueError):
 
 @lru_cache(maxsize=128)
 def compile_document(m: sh.Document):
-    """Per-shape formula bodies, the sigma-independent subformula set, and
-    the shapes in evaluation order (None for a recursive document)."""
-    for shape in m.shapes:
-        for node in sh.walk(shape.constraint):
-            if isinstance(node, sh.Xone):
-                raise SemanticsError("eliminate xone before evaluation")
+    """The xone-free document, its shape bodies, the sigma-independent
+    subformulae and the evaluation order (None for a recursive document).
+    Callers go on with the returned `document`, which the cache finds by identity."""
+    plain = sh.eliminate_xone(m)
+    if plain is not m:
+        return compile_document(plain)
     bodies = shape_bodies(m)
     ground: set[int] = set()
     for body in bodies.values():
@@ -171,12 +171,12 @@ class EvalContext:
         self._paths: dict = {}
         self._ground_vals: dict = {}
 
-    def rel_values(self, node: Term, rel: RelAtom) -> frozenset:
+    def rel_values(self, node: Term, rel: RelAtom) -> AbstractSet[Term]:
         if rel.inverted:
-            return frozenset(self.g.subjects(rel.name, node))
-        return frozenset(self.g.objects(node, rel.name))
+            return self.g.subjects(rel.name, node)
+        return self.g.objects(node, rel.name)
 
-    def eval_path(self, pi: Pi, node: Term) -> frozenset:
+    def eval_path(self, pi: Pi, node: Term) -> AbstractSet[Term]:
         key = (id(pi), node)
         got = self._paths.get(key)
         if got is not None:
@@ -269,7 +269,7 @@ class EvalContext:
 def eval_path(pi: Pi, node: Term, g: Graph) -> frozenset:
     """The set of terms the path formula reaches from a node."""
     ctx = EvalContext(g, _EMPTY_COMPILED)
-    return ctx.eval_path(pi, node)
+    return frozenset(ctx.eval_path(pi, node))
 
 
 def eval_psi(psi: Psi, node: Term, g: Graph, sigma: Assignment) -> Optional[bool]:
@@ -287,6 +287,7 @@ def is_faithful(g: Graph, sigma: Assignment, m: sh.Document) -> bool:
     """Signs match the constraint evaluations everywhere, and every targeted
     node carries the positive literal of its shape."""
     compiled = compile_document(m)
+    m = compiled.document
     scope_nodes = nodes_of(g, m)
     if set(sigma.nodes) != set(scope_nodes) or set(sigma.shapes) != set(m.names()):
         raise SemanticsError("assignment scope does not match (nodes(G,M), shapes(M))")
@@ -306,6 +307,7 @@ def stratified_assignment(g: Graph, m: sh.Document) -> Assignment:
     compiled = compile_document(m)
     if compiled.order is None:
         raise SemanticsError("stratified evaluation needs a non-recursive document")
+    m = compiled.document
     nodes = sorted(nodes_of(g, m), key=term_key)
     ctx = EvalContext(g, compiled)
     for name in compiled.order:
@@ -334,8 +336,8 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
     with the targeted pairs asserted true; cautious validity adds a refutation
     of "some targeted pair is not true" over the target-free assignments of
     the same (nodes(G, M), shapes(M)) scope."""
-    m = sh.eliminate_xone(m)
     compiled = compile_document(m)
+    m = compiled.document
     if use_fast_path and compiled.order is not None:
         rho = stratified_assignment(g, m)
         return rho if _targets_satisfied(g, m, rho) else None
@@ -527,8 +529,6 @@ class _GammaRewriter:
             return self.split(c.inner, not positive)
         if isinstance(c, sh.QualifiedValue):
             return self._qualified(c, positive)
-        if isinstance(c, sh.Xone):
-            raise SemanticsError("eliminate xone before the partial-to-total rewrite")
         if type(c) in _DUAL:
             kind = type(c) if positive else _DUAL[type(c)]
             if isinstance(c, (sh.And, sh.Or)):

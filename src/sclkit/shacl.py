@@ -25,6 +25,7 @@ from .rdf import (
     Triple,
     XSD_BOOLEAN,
     XSD_INTEGER,
+    _xsd_number,
     term_key,
 )
 from .value import value_class
@@ -528,24 +529,6 @@ _BOOLEANS = {Literal(form, XSD_BOOLEAN): form in ("true", "1") for form in ("tru
 # --- reading a document from its triple encoding -----------------------------
 
 _SHAPE_CLASSES = (sh("NodeShape"), sh("PropertyShape"))
-# the subject of any of these is a shape
-_SHAPE_SUBJECT_PREDICATES = frozenset(sh(local) for local in ("path", *_TERMS))
-# the object of these is a shape, or a list of shapes
-_SHAPE_OBJECT_PREDICATES = tuple(sh(local) for local, (_, kind, _) in _TERMS.items()
-                                 if kind == "shape")
-_SHAPE_LIST_PREDICATES = tuple(sh(local) for local, (_, kind, _) in _TERMS.items()
-                               if kind == "shapes")
-# a node with any of these is a list or path helper, not a shape
-_STRUCTURAL_PREDICATES = (RDF_FIRST, *(sh(local) for local in _PATHS))
-
-_NO_INDEX: dict = {}
-
-
-def _objects(g: Graph, subject: Term, predicate: Term):
-    """The objects of (subject, predicate), read from the graph's index
-    without the copy Graph.objects makes."""
-    return g._fwd.get(predicate, _NO_INDEX).get(subject, ())
-
 
 def _read_list(g: Graph, head: Term) -> list[Term]:
     items: list[Term] = []
@@ -575,20 +558,23 @@ def _object_of(kind: str, local: str, obj: Term):
         return _BOOLEANS[obj]
     if kind != "integer":
         return obj
-    if isinstance(obj, Literal):
-        try:
-            return int(obj.lexical)
-        except ValueError:
-            pass
-    raise DocumentError(f"sh:{local} expects an integer, got {obj!r}")
+    n = _xsd_number(obj.lexical, True) if isinstance(obj, Literal) else None
+    if n is None:
+        raise DocumentError(f"sh:{local} expects an integer, got {obj!r}")
+    return n
 
 
 class _DocumentReader:
     def __init__(self, g: Graph):
         self.g = g
-        # (local name, subject -> objects) for each sh: predicate in the graph
-        self.sh_indexes = [(p.value[len(SH_NS):], index) for p, index in g._fwd.items()
-                           if isinstance(p, Iri) and p.value.startswith(SH_NS)]
+        # subject -> its (local name, object) pairs over sh: predicates, sorted
+        self.sh_pairs: dict = {}
+        for t in g.triples:
+            p = t.predicate
+            if isinstance(p, Iri) and p.value.startswith(SH_NS):
+                self.sh_pairs.setdefault(t.subject, []).append((p.value[len(SH_NS):], t.object))
+        for pairs in self.sh_pairs.values():
+            pairs.sort(key=lambda po: (po[0], term_key(po[1])))
         self.shape_nodes = sorted(self._discover(), key=term_key)
         taken = {n for n in self.shape_nodes if isinstance(n, Iri)}
         self.mint = NameMint(taken)
@@ -600,20 +586,22 @@ class _DocumentReader:
     def _discover(self) -> set[Term]:
         g = self.g
         nodes: set[Term] = set()
-        typed = g._bwd.get(RDF_TYPE, _NO_INDEX)
         for cls in _SHAPE_CLASSES:
-            nodes.update(typed.get(cls, ()))
-        for p, index in g._fwd.items():
-            if p in _SHAPE_SUBJECT_PREDICATES:
-                nodes.update(index)
+            nodes.update(g.subjects(RDF_TYPE, cls))
+        # the subject of sh:path or of any term a shape carries is a shape
+        nodes.update(n for n, pairs in self.sh_pairs.items()
+                     if any(local == "path" or local in _TERMS for local, _ in pairs))
         # referenced shapes
         frontier = list(nodes)
         while frontier:
             n = frontier.pop()
-            found = [o for p in _SHAPE_OBJECT_PREDICATES for o in _objects(g, n, p)]
-            for p in _SHAPE_LIST_PREDICATES:
-                for head in _objects(g, n, p):
-                    found.extend(_read_list(g, head))
+            found = []
+            for local, o in self.sh_pairs.get(n, ()):
+                kind = _TERMS[local][1] if local in _TERMS else None
+                if kind == "shape":
+                    found.append(o)
+                elif kind == "shapes":
+                    found.extend(_read_list(g, o))
             for o in found:
                 if o not in nodes and not isinstance(o, Literal):  # ref_name rejects a literal
                     nodes.add(o)
@@ -622,7 +610,7 @@ class _DocumentReader:
         return {n for n in nodes if not self._is_structural(n)}
 
     def _is_structural(self, n: Term) -> bool:
-        return any(_objects(self.g, n, p) for p in _STRUCTURAL_PREDICATES)
+        return bool(self.g.objects(n, RDF_FIRST)) or any(p in _PATHS for p, _ in self.sh_pairs.get(n, ()))
 
     def ref_name(self, local: str, node: Term) -> Iri:
         """The name of the shape that the object of an sh:`local` triple is."""
@@ -638,18 +626,15 @@ class _DocumentReader:
     def read_shape(self, node: Term) -> Shape:
         g = self.g
         targets = [cls(_object_of(kind, local, o)) for local, p, cls, kind in _TARGETS
-                   for o in sorted(_objects(g, node, p), key=term_key)]
+                   for o in sorted(g.objects(node, p), key=term_key)]
 
-        paths = _objects(g, node, sh("path"))
+        paths = g.objects(node, sh("path"))
         if len(paths) > 1:
             raise DocumentError(f"shape {node!r} has two sh:path values")
         path = self.read_path(next(iter(paths))) if paths else None
 
         atoms: list[Constraint] = []
-        for local, obj in sorted(
-            ((local, o) for local, index in self.sh_indexes for o in index.get(node, ())),
-            key=lambda po: (po[0], term_key(po[1])),
-        ):
+        for local, obj in self.sh_pairs.get(node, ()):
             atom = self.read_atom(node, local, obj, path is not None)
             if atom is not None:
                 atoms.append(atom)
@@ -738,10 +723,10 @@ class _DocumentReader:
         parents = g.subjects(sh("property"), node)
         sibs: set[Iri] = set()
         for parent in parents:
-            for other in _objects(g, parent, sh("property")):
+            for other in g.objects(parent, sh("property")):
                 if other == node:
                     continue
-                for q in _objects(g, other, sh("qualifiedValueShape")):
+                for q in g.objects(other, sh("qualifiedValueShape")):
                     sibs.add(self.ref_name("qualifiedValueShape", q))
         return tuple(sorted(sibs, key=lambda i: i.value))
 
@@ -761,7 +746,7 @@ class _DocumentReader:
             inner = g.one_object(node, sh(local))
             if inner is not None:
                 return _PATHS[local](self.read_path(inner))
-        if _objects(g, node, RDF_FIRST):
+        if g.objects(node, RDF_FIRST):
             return SeqPath(tuple(self.read_path(p) for p in _read_list(g, node)))
         raise DocumentError(f"unsupported sh:path value {node!r}")
 

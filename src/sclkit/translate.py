@@ -237,8 +237,6 @@ def _property_psi(c: sh.Constraint, pi: Pi, ctx: _TauContext, shape: sh.Shape) -
         return psi_and_all(parts)
     if isinstance(c, sh.Closed):
         return _node_psi(c, ctx, shape)
-    if isinstance(c, sh.Xone):
-        raise TranslationError("xone must be eliminated before translation")
     # remaining node-scoped atoms range over the path values
     return psi_forall(pi, _node_psi(c, ctx, shape))
 

@@ -8,6 +8,7 @@ from sclkit import shacl as sh
 from sclkit.scl import SclSentence
 from sclkit.semantics import SemanticsMode, validate
 from sclkit.translate import tau
+from sclkit.value import Value
 from sclkit.corpus import domino_witness, feature_witness, random_document
 from sclkit.decide import (
     DECIDABLE,
@@ -557,3 +558,34 @@ def test_shape_containment_trivial_in_unsatisfiable_document():
     r = shape_containment(m, iri("b"), iri("a"), SemanticsMode.BRAVE_TOTAL,
                           SearchBudget(1, 2, 20))
     assert not r.is_sat  # no witness: the document admits no valid graph at all
+
+
+XONE_SHAPES = """
+:s a sh:NodeShape ; sh:targetNode :a ; sh:xone ( :p :q ) .
+:p a sh:PropertyShape ; sh:path :r ; sh:minCount 3 .
+:q a sh:PropertyShape ; sh:path :r ; sh:minCount 4 .
+"""
+
+
+def test_graph_search_compares_a_fresh_document_once(monkeypatch):
+    # two reads of one shapes file: equal documents, not the same object
+    first, second = doc(XONE_SHAPES), doc(XONE_SHAPES)
+    assert first == second and first is not second
+    validate(parse_turtle(PRE + ":a :r :b ."), first, SemanticsMode.BRAVE_TOTAL)
+    comparisons = []
+    value_eq = Value.__eq__
+
+    def counting_eq(self, other):
+        if isinstance(self, sh.Document) and isinstance(other, sh.Document):
+            comparisons.append((self, other))
+        return value_eq(self, other)
+
+    monkeypatch.setattr(Value, "__eq__", counting_eq)
+    budget = SearchBudget(max_fresh=1, max_triples=2, max_seconds=30)
+    # no model within 2 triples, so both searches try every candidate graph
+    assert bounded_sat(second, SemanticsMode.BRAVE_TOTAL, budget).reason == "no model within budget"
+    assert len(comparisons) <= 1
+    comparisons.clear()
+    result = check_containment(second, second, SemanticsMode.BRAVE_TOTAL, budget)
+    assert result.reason == "no counterexample within budget"
+    assert len(comparisons) <= 2

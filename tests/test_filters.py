@@ -28,6 +28,7 @@ from sclkit.filters import (
     bounded_axiomatisation,
     combo_cardinality,
     combo_witnesses,
+    compare,
     eval_filter,
     naive_axiomatisation,
     truncate_combination,
@@ -420,3 +421,17 @@ def test_bounded_axiomatisation_matches_reference_with_literal_constants(k):
                 bounds.add(axiom.n)
     assert bounds == {0, 1}  # a constant passes one filter part and fails another
     _assert_same_bounded_axiomatisation(phi)
+
+
+def test_ill_typed_numeric_literals_compare_false():
+    ten = Literal("10", XSD_INTEGER)
+    for bad in (Literal("٣", XSD_INTEGER), Literal("1_0", XSD_INTEGER), Literal("1/2", XSD_DECIMAL),
+                Literal("1e1", XSD_DECIMAL), Literal("", XSD_INT)):
+        assert not compare("<=", bad, ten) and not compare(">", bad, ten)
+        assert not eval_filter(OrderCmp("<=", ten), bad)
+    # a limit outside the lexical space holds for no value
+    assert not eval_filter(OrderCmp(">=", Literal("1_0", XSD_INTEGER)), ten)
+    # signs, leading zeros and bare decimal points are in the lexical spaces
+    assert compare("<", Literal("+3", XSD_INTEGER), Literal("05", XSD_INTEGER))
+    assert compare("<", Literal(".5", XSD_DECIMAL), Literal("5.", XSD_DECIMAL))
+    assert compare("<=", Literal("5.", XSD_DECIMAL), Literal("05", XSD_INTEGER))

@@ -18,7 +18,7 @@ import pytest
 
 from sclkit import shacl as sh
 from sclkit.automata import _sre_parse  # re._parser, or sre_parse on Python 3.10
-from sclkit.rdf import Iri
+from sclkit.rdf import Graph, Iri
 from sclkit.scl import ConstraintAxiom, PsiShape, SclSentence, ShapeRel, is_recursive_sentence, psi_and_all
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -245,3 +245,25 @@ def test_recursion_tests_on_a_long_chain():
     edges[names[-1]] = {names[0]}
     assert sh.is_recursive(_document(edges))
     assert is_recursive_sentence(_sentence(edges))
+
+
+def test_only_rdf_reads_the_private_attributes_of_a_graph():
+    private = {name for name in Graph.__slots__ if name.startswith("_")}
+    assert private  # the index slots
+    readers = [f"{path.relative_to(ROOT)}:{n.lineno} {n.attr}" for path in CALLERS
+               if path != ROOT / "src" / "sclkit" / "rdf.py"
+               for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Attribute) and n.attr in private]
+    assert not readers, readers
+
+
+def test_xone_is_eliminated_in_three_places():
+    # validation (compile_document), the sentence (tau) and the partial-to-total rewrite
+    callers = set()
+    for path in LIBRARY:
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for n in ast.walk(f):
+                    if isinstance(n, ast.Call) and "eliminate_xone" in (
+                            getattr(n.func, "id", None), getattr(n.func, "attr", None)):
+                        callers.add(f.name)
+    assert callers == {"compile_document", "tau", "gamma_transform"}

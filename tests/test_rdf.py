@@ -171,3 +171,13 @@ def test_nodes_of_with_and_without_document():
     m2 = Document((Shape(iri("s"), (ClassTarget(iri("Student")),)),))
     assert nodes_of(g, m2) == nodes_of(g)
     assert nodes_of(g, m2) >= nodes_of(g, None)
+
+
+def test_graph_queries_return_read_only_views():
+    g = parse_turtle(PRE + ":s :p :a, :b . :t :p :a .")
+    objs, subjs = g.objects(iri("s"), iri("p")), g.subjects(iri("p"), iri("a"))
+    assert objs == {iri("a"), iri("b")} and subjs == {iri("s"), iri("t")}
+    for view in (objs, subjs, g.objects(iri("a"), iri("p")), g.subjects(iri("q"), iri("a"))):
+        assert not hasattr(view, "add") and not hasattr(view, "discard")
+    assert not g.objects(iri("a"), iri("p")) and not g.subjects(iri("q"), iri("a"))
+    assert g.one_object(iri("t"), iri("p")) == iri("a") and g.one_object(iri("a"), iri("p")) is None

@@ -12,6 +12,7 @@ from sclkit.semantics import (
     Assignment,
     SemanticsMode,
     SemanticsError,
+    compile_document,
     complete_gamma_assignment,
     eval_path,
     eval_psi,
@@ -576,3 +577,31 @@ def test_path_variants_validation():
     zero_or_one = doc(":s a sh:PropertyShape ; sh:targetNode :n ; "
                       "sh:path [ sh:zeroOrOnePath :r ] ; sh:minCount 2 .")
     assert validate(short, zero_or_one, SemanticsMode.BRAVE_TOTAL)  # n itself plus :m
+
+
+def test_compilation_and_stratified_evaluation_eliminate_xone_themselves():
+    m = doc("""
+    :s a sh:NodeShape ; sh:targetNode :a ; sh:xone ( :p :q :t ) .
+    :p a sh:PropertyShape ; sh:path :r ; sh:minCount 1 .
+    :q a sh:PropertyShape ; sh:path :r ; sh:minCount 2 .
+    :t a sh:NodeShape ; sh:class :C .
+    """)
+    plain = sh.eliminate_xone(m)
+    assert plain != m and len(plain.shapes) > len(m.shapes)  # the 3-way xone mints a shape
+    compiled, expected = compile_document(m), compile_document(plain)
+    assert compiled.document == plain
+    assert compiled.bodies == expected.bodies and compiled.order == expected.order
+    for data in (":a :r :b .", ":a :r :b, :c .", ":a a :C .", ":a a :C ; :r :b ."):
+        g = parse_turtle(PRE + data)
+        assert stratified_assignment(g, m) == stratified_assignment(g, plain)
+        assert validate(g, m, SemanticsMode.BRAVE_TOTAL) == validate(g, plain, SemanticsMode.BRAVE_TOTAL)
+
+
+def test_ill_typed_number_satisfies_no_range():
+    m = doc(":s a sh:NodeShape ; sh:targetNode :a ; sh:property [ sh:path :v ; sh:maxInclusive 10 ] .")
+    xsd = "http://www.w3.org/2001/XMLSchema#"
+    for value, valid in (("3", True), ("+3", True), ("٣", False), ("1_0", False)):
+        g = parse_turtle(PRE + f':a :v "{value}"^^<{xsd}integer> .')
+        assert validate(g, m, SemanticsMode.BRAVE_TOTAL) == valid
+    g = parse_turtle(PRE + f':a :v "1/2"^^<{xsd}decimal> .')
+    assert not validate(g, m, SemanticsMode.BRAVE_TOTAL)

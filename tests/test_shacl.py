@@ -273,3 +273,17 @@ def test_reader_booleans():
     assert qualified.shape(iri("s")).constraint == sh.QualifiedValue(iri("t"), 1)
     # the qualified counts without sh:qualifiedValueShape do not activate the component
     assert doc(':s a sh:NodeShape ; sh:qualifiedMinCount "x" .').shape(iri("s")).constraint == sh.Top()
+
+
+XSD_INTEGER_IRI = "<http://www.w3.org/2001/XMLSchema#integer>"
+
+
+def test_counts_outside_the_integer_lexical_space_are_rejected():
+    for term in ("minCount", "maxCount", "qualifiedMinCount"):
+        for form in ("٣", "1_0", "1.0", "+-1"):
+            with pytest.raises(sh.DocumentError, match="expects an integer"):
+                doc(f':s a sh:PropertyShape ; sh:path :p ; sh:qualifiedValueShape :t ; '
+                    f'sh:{term} "{form}"^^{XSD_INTEGER_IRI} . :t a sh:NodeShape .')
+    m = doc(f':s a sh:PropertyShape ; sh:path :p ; sh:minCount "+1"^^{XSD_INTEGER_IRI} ; '
+            f'sh:maxCount "05"^^{XSD_INTEGER_IRI} .')
+    assert m.shape(iri("s")).constraint == sh.And((sh.MaxCount(5), sh.MinCount(1)))
