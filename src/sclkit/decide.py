@@ -309,11 +309,10 @@ def candidate_graphs(m: sh.Document, budget: SearchBudget,
     """Ascending enumeration of graphs over the document's vocabulary."""
     consts = sorted(set(sh.document_constants(m)) | set(extra_constants), key=term_key)
     consts += [t for t in _filter_sample_terms(m) if t not in set(consts)]
-    rels = sorted(set(sh.document_relation_names(m)) | set(extra_relations),
-                  key=lambda i: i.value)
-    uses_closed = any(isinstance(node, sh.Closed) for s in m.shapes for node in sh.walk(s.constraint))
-    if uses_closed:
-        rels = sorted(set(rels) | {CLOSED_RELATION}, key=lambda i: i.value)
+    rels = set(sh.document_relation_names(m)) | set(extra_relations)
+    if any(isinstance(node, sh.Closed) for s in m.shapes for node in sh.walk(s.constraint)):
+        rels.add(CLOSED_RELATION)
+    rels = sorted(rels, key=lambda i: i.value)
     fresh = [Iri(f"urn:sclkit:model:n{i}") for i in range(budget.max_fresh)]
     domain = consts + fresh
     if not rels or not domain:

@@ -126,8 +126,9 @@ def comparison_value(t: Term):
     """(partition, value) of a term under the order partition, or None."""
     if not isinstance(t, Literal):
         return None
-    if t.datatype in INTEGER_DATATYPES or t.datatype == XSD_DECIMAL:
-        value = _xsd_number(t.lexical, t.datatype != XSD_DECIMAL)
+    integer = t.datatype in INTEGER_DATATYPES
+    if integer or t.datatype == XSD_DECIMAL:
+        value = _xsd_number(t.lexical, integer)
         return None if value is None else ("num", Fraction(value))
     if t.datatype == XSD_BOOLEAN:
         if t.lexical in ("true", "1"):
