@@ -223,7 +223,7 @@ _TERM = re.compile(rf"""{_SKIP}(?:
   | (?P<name>{_NAME_CHAR}*)
 )""", re.X)
 _IRI_BODY = re.compile(r"[^> \n\t]*")
-_NUMBER = re.compile(r"[-+]*[0-9]+(\.[0-9]+)?")
+_NUMBER = re.compile(r"[-+]?[0-9]+(\.[0-9]+)?")
 _STRING_BODY = {
     '"': re.compile(r'[^"\\\n]*'),
     "'": re.compile(r"[^'\\\n]*"),

@@ -1,9 +1,9 @@
 """Three-valued constraint evaluation, faithful assignments, the four
 validation semantics, and the partial-to-total document transformation.
 
-Validation takes the stratified assignment for a non-recursive document and
-otherwise asks the CDCL solver of `sat` about one CNF encoding of the
-faithful assignments over the fixed graph.
+Validation takes the stratified assignment for a non-recursive document.
+Otherwise it takes the least strong-Kleene fixpoint and asks the CDCL solver
+of `sat` only about the pairs that fixpoint leaves undefined.
 
 Constraints are evaluated through their logic translation: one strong-Kleene
 evaluator over unary formulae covers every constraint kind.  Its values are
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import lru_cache
+from itertools import chain, product
 from typing import AbstractSet, Optional
 
 from .rdf import Graph, Iri, RDF_TYPE, Term, nodes_of, term_key
@@ -327,15 +328,15 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
     """A faithful assignment (targets included) when the graph is valid under
     the mode, else None.
 
-    A non-recursive document takes the stratified assignment.  A targeted
-    pair whose body holds no shape atom and is not true on the graph answers
-    None before anything is grounded.  Otherwise each (node, shape) pair gets
-    an "is true" and an "is false" variable, every shape body is grounded
-    over the fixed graph to a strong-Kleene pair of literals, and
-    faithfulness ties the two.  Brave validity is one SAT call
-    with the targeted pairs asserted true; cautious validity adds a refutation
-    of "some targeted pair is not true" over the target-free assignments of
-    the same (nodes(G, M), shapes(M)) scope."""
+    A non-recursive document takes the stratified assignment.  A recursive
+    one first takes the least fixpoint of the strong-Kleene one-step operator
+    (Fitting's Kripke-Kleene model), sweeping the undefined (node, shape)
+    pairs until none gets a sign.  Every faithful assignment extends it, so a
+    targeted pair it makes false answers None; when it is total, or in a
+    partial mode makes every targeted pair true, it is the witness; and in
+    cautious-partial mode a targeted pair it leaves undefined answers None.
+    Otherwise the pairs it leaves undefined go to the solver.  Without the
+    fast path every pair goes to the solver."""
     compiled = compile_document(m)
     m = compiled.document
     if use_fast_path and compiled.order is not None:
@@ -343,15 +344,56 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
         return rho if _targets_satisfied(g, m, rho) else None
     ctx = EvalContext(g, compiled)
     nodes = sorted(nodes_of(g, m), key=term_key)
-    targeted = _targeted_pairs(g, m, nodes)
-    for node, name in targeted:
-        body = compiled.bodies[name]
-        if id(body) in compiled.ground and not ctx.eval(body, node):
-            return None
-    cnf = _Cnf()
     shapes = sorted(m.names(), key=lambda i: i.value)
-    var = {}
-    for pair in ((n, s) for n in nodes for s in shapes):
+    targeted = _targeted_pairs(g, m, nodes)
+    decided = False
+    if use_fast_path:
+        # targeted pairs first: a false one ends the sweep at once
+        targets = dict.fromkeys(targeted)
+        undefined = chain(targets, (p for p in product(nodes, shapes) if p not in targets))
+        added = True
+        while added:
+            rest, added = [], False
+            for pair in undefined:
+                v = ctx.eval(compiled.bodies[pair[1]], pair[0])
+                if v is None:
+                    rest.append(pair)
+                elif not v and pair in targets:
+                    return None
+                else:
+                    ctx.sign[pair] = v
+                    added = True
+            undefined = rest
+        targets_true = all(ctx.sign.get(p) for p in targeted)
+        if not targets_true and mode is SemanticsMode.CAUTIOUS_PARTIAL:
+            return None
+        decided = len(ctx.sign) == len(nodes) * len(shapes) or (targets_true and not mode.total)
+    if not decided:
+        model = _solve(ctx, nodes, shapes, targeted, mode)
+        if model is None:
+            return None
+        ctx.sign.update(model)
+    sigma = Assignment(nodes, shapes, ctx.sign)
+    if not is_faithful(g, sigma, m):
+        raise SemanticsError("validation witness is not a faithful assignment")
+    return sigma
+
+
+def _solve(ctx: EvalContext, nodes: list, shapes: list, targeted: list,
+           mode: SemanticsMode) -> Optional[dict]:
+    """Signs for the pairs `ctx.sign` leaves undefined that extend it to a
+    faithful assignment valid under the mode, or None.  Each such pair gets
+    an "is true" and an "is false" variable, its shape body is grounded over
+    the fixed graph to a strong-Kleene pair of literals (defined signs are
+    constants), and faithfulness ties the two.  Brave validity is one SAT
+    call with the targeted pairs asserted true; cautious validity adds a
+    refutation of "some targeted pair is not true" over the target-free
+    assignments of the same (nodes(G, M), shapes(M)) scope."""
+    undefined = [p for p in product(nodes, shapes) if p not in ctx.sign]
+    cnf = _Cnf()
+    var = {pair: (cnf.TRUE, cnf.FALSE) if v else (cnf.FALSE, cnf.TRUE)
+           for pair, v in ctx.sign.items()}
+    for pair in undefined:
         t, f = var[pair] = (cnf.new_var(), cnf.new_var())
         cnf.add(-t, -f)
         if mode.total:
@@ -360,7 +402,7 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
 
     def ground(psi: Psi, node: Term) -> tuple:
         """The (is true, is false) literals of a formula at a node."""
-        if id(psi) in compiled.ground:
+        if id(psi) in ctx.compiled.ground:
             return (cnf.TRUE, cnf.FALSE) if ctx.eval(psi, node) else (cnf.FALSE, cnf.TRUE)
         key = (id(psi), node)
         if key in memo:
@@ -381,8 +423,8 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
         memo[key] = out
         return out
 
-    for (node, name), signs in var.items():
-        for v, b in zip(signs, ground(compiled.bodies[name], node)):
+    for node, name in undefined:
+        for v, b in zip(var[(node, name)], ground(ctx.compiled.bodies[name], node)):
             cnf.add(-v, b)
             cnf.add(v, -b)
     model = _dpll(cnf.n_vars, cnf.clauses + [(var[p][0],) for p in targeted])
@@ -394,11 +436,8 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
         some_not_true = tuple(-var[p][0] for p in targeted)
         if _dpll(cnf.n_vars, cnf.clauses + [some_not_true]) is not None:
             return None
-    sigma = Assignment(nodes, shapes, {pair: bool(model[t]) for pair, (t, f) in var.items()
-                                       if model[t] or model[f]})
-    if not is_faithful(g, sigma, m):
-        raise SemanticsError("solver model is not a faithful assignment")
-    return sigma
+    return {pair: bool(model[var[pair][0]]) for pair in undefined
+            if model[var[pair][0]] or model[var[pair][1]]}
 
 
 def validate(g: Graph, m: sh.Document, mode: SemanticsMode, use_fast_path: bool = True) -> bool:

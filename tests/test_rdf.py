@@ -107,6 +107,15 @@ def test_only_ascii_digits_make_numbers(digit):
         Literal("3", XSD_INTEGER), Literal("-1.5", XSD_DECIMAL)}
 
 
+@pytest.mark.parametrize("number", ["--3", "+-3.5", "++0", "-+1"])
+def test_a_number_takes_at_most_one_sign(number):
+    with pytest.raises(TurtleError, match="malformed number") as err:
+        parse_turtle(PRE + f":a :p {number} .")
+    assert (err.value.line, err.value.column) == (2, 7 + len(number))  # just past it
+    assert parse_turtle(PRE + ":a :p +3, -0.5 .").objects(iri("a"), iri("p")) == {
+        Literal("+3", XSD_INTEGER), Literal("-0.5", XSD_DECIMAL)}
+
+
 def test_bracket_nesting_is_bounded():
     def nested(depth, open_, close):
         return PRE + ":s :p " + open_ * depth + ":o" + close * depth + " ."

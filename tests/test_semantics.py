@@ -23,6 +23,7 @@ from sclkit.semantics import (
     is_faithful,
     sentence_holds,
     stratified_assignment,
+    target_holds,
     validate,
     validation_witness,
 )
@@ -256,27 +257,36 @@ def test_search_matches_brute_force_and_fast_path():
                 assert witness.is_total() or not mode.total
 
 
-def test_validation_matches_brute_force_on_recursive_corpus():
-    # a slice of the differential check: recursive documents of up to three
-    # shapes on three-node graphs, sign space at most 20,000
-    rng = random.Random(71)
-    checked = 0
-    while checked < 4 * 30:
+def _recursive_slice(seed, count, limit=20000):
+    """A slice of the differential check: recursive corpus documents of up
+    to three shapes on three-node graphs, sign space at most `limit`."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
         m = random_document(rng, max_shapes=3, recursive=True)
         g = random_graph(rng, max_nodes=3)
-        if 3 ** (len(nodes_of(g, m)) * len(sh.eliminate_xone(m).names())) > 20000:
-            continue
+        if 3 ** (len(nodes_of(g, m)) * len(sh.eliminate_xone(m).names())) <= limit:
+            out.append((g, m))
+    return out
+
+
+def test_validation_matches_brute_force_on_recursive_corpus():
+    # the fast path (least fixpoint first) and the full SAT route
+    for g, m in _recursive_slice(71, 30) + _recursive_slice(83, 40):
         for mode in ALL_MODES:
-            witness = validation_witness(g, m, mode, use_fast_path=False)
-            assert (witness is not None) == brute_force_validate(g, m, mode), (m, mode)
-            if witness is not None:
-                assert is_faithful(g, witness, sh.eliminate_xone(m))
-            checked += 1
+            expected = brute_force_validate(g, m, mode)
+            for fast in (True, False):
+                witness = validation_witness(g, m, mode, use_fast_path=fast)
+                assert (witness is not None) == expected, (m, mode, fast)
+                if witness is not None:
+                    assert is_faithful(g, witness, sh.eliminate_xone(m))
+                    assert witness.is_total() or not mode.total
 
 
 def test_validate_json_is_hash_seed_independent(tmp_path):
-    # the witness is the solver's first model; grounding order must not
-    # follow set iteration order
+    # the least fixpoint leaves :t and :u undefined, so the brave-total
+    # witness extends it with the solver's first model; grounding order must
+    # not follow set iteration order
     import os
     import subprocess
     import sys
@@ -486,6 +496,53 @@ def test_false_sign_free_target_body_skips_the_solver(monkeypatch):
     for mode in ALL_MODES:
         assert validation_witness(g, m, mode) is None
         assert not expected[mode]
+
+
+# --- the least strong-Kleene fixpoint ------------------------------------------------
+
+def _least_faithful(faithful):
+    """The assignment that every one of the listed assignments extends."""
+    least = [s for s in faithful if all(s.signs.items() <= t.signs.items() for t in faithful)]
+    assert len(least) == 1
+    return least[0]
+
+
+def test_least_fixpoint_lies_below_every_faithful_assignment():
+    # with no targets, partial validation answers with the least fixpoint
+    # itself; every faithful assignment, partial or total, extends it
+    undefined_somewhere = 0
+    for g, m in _recursive_slice(89, 40, limit=3 ** 8):
+        free = sh.strip_targets(m)
+        least = validation_witness(g, free, SemanticsMode.BRAVE_PARTIAL)
+        partial = brute_force_faithful(g, free, total=False)
+        assert least == _least_faithful(partial)
+        for sigma in brute_force_faithful(g, free, total=True):
+            assert least.signs.items() <= sigma.signs.items()
+        undefined_somewhere += not least.is_total()
+    assert undefined_somewhere >= 10
+
+
+def test_fixpoint_decisions_skip_the_solver(monkeypatch):
+    import sclkit.semantics
+
+    cases = []
+    for g, m in _recursive_slice(83, 40):
+        # the least fixpoint over the validated scope, by brute force
+        least = _least_faithful(brute_force_faithful(
+            g, sh.strip_targets(m), total=False, extra_nodes=nodes_of(g, m)))
+        target_signs = [least.sign(n, s.name) for s in sh.eliminate_xone(m).shapes
+                        for t in s.targets for n in least.nodes if target_holds(g, t, n)]
+        decided = least.is_total() or False in target_signs
+        cases.append((g, m, decided, {mode: brute_force_validate(g, m, mode) for mode in ALL_MODES}))
+    assert 10 <= sum(decided for _, _, decided, _ in cases) < len(cases)
+
+    def no_solver(*args):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(sclkit.semantics, "_dpll", no_solver)
+    for g, m, decided, expected in cases:
+        for mode in ALL_MODES if decided else (SemanticsMode.CAUTIOUS_PARTIAL,):
+            assert validate(g, m, mode) == expected[mode], (m, mode)
 
 
 def test_unique_lang_validation():

@@ -1,13 +1,16 @@
 """Differential tests of the Turtle reader against the reference reader in
 tests/oracles.py: every input gives the same Graph, or a TurtleError with the
-same message, line and column.  Two differences are fixes, and each is
+same message, line and column.  Three differences are fixes, and each is
 allowed only where its own check says it applies:
 
 - a malformed numeric escape (`_bad_escape_at`) raises a TurtleError at the
   escape, where the reference raised a bare ValueError or OverflowError, or
   read a lone surrogate;
 - only ASCII digits make numbers (`_non_ascii_digits`), where the reference
-  read any str.isdigit() character as one.
+  read any str.isdigit() character as one;
+- a number takes at most one sign (`_repeated_sign_at`): `--3` raises a
+  TurtleError just past the number, where the reference read `"--3"` as an
+  xsd:integer.
 """
 from pathlib import Path
 from random import Random
@@ -73,6 +76,17 @@ def _bad_escape_at(text: str, error) -> bool:
     return 0xD800 <= cp <= 0xDFFF or cp > 0x10FFFF
 
 
+def _repeated_sign_at(text: str, error) -> bool:
+    """The error points just past a number that starts with two signs."""
+    if not isinstance(error, tuple) or "malformed number" not in error[1]:
+        return False
+    end = _offset(text, error[2], error[3])
+    start = end
+    while start and text[start - 1] in "+-.0123456789":
+        start -= 1
+    return text[start : start + 1] in ("+", "-") and text[start + 1 : start + 2] in ("+", "-")
+
+
 def _non_ascii_digits(text: str) -> bool:
     return any(c.isdigit() and not "0" <= c <= "9" for c in text)
 
@@ -93,6 +107,10 @@ def assert_same_reading(text: str) -> None:
     if _bad_escape_at(text, new):
         # the reference failed no earlier than the escape
         assert isinstance(old, Graph) or old[0] == "ValueError" or old[2:] >= new[2:], (text, new, old)
+        return
+    if _repeated_sign_at(text, new):
+        # the reference read the number and failed no earlier, if at all
+        assert isinstance(old, Graph) or old[2:] >= new[2:], (text, new, old)
         return
     assert _non_ascii_digits(text), (text, new, old)
     assert not isinstance(new, Graph) or _ascii_numbers(new), (text, new)
@@ -128,6 +146,14 @@ def test_every_cut_deletion_and_inserted_space_reads_as_the_reference_reads_it()
     for at in range(len(SAMPLE) + 1):
         for text in (SAMPLE[:at], SAMPLE[:at] + SAMPLE[at + 1 :], SAMPLE[:at] + " " + SAMPLE[at:]):
             assert_same_reading(text)
+
+
+def test_every_doubled_sign_reads_as_the_reference_reads_it():
+    signs = [at for at, c in enumerate(SAMPLE) if c in "+-" and SAMPLE[at + 1].isdigit()]
+    assert len(signs) == 2
+    for at in signs:
+        for sign in "+-":
+            assert_same_reading(SAMPLE[:at] + sign + SAMPLE[at:])
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
