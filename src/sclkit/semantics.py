@@ -1,9 +1,9 @@
 """Three-valued constraint evaluation, faithful assignments, the four
 validation semantics, and the partial-to-total document transformation.
 
-Validation takes the stratified assignment for a non-recursive document.
-Otherwise it takes the least strong-Kleene fixpoint and asks the CDCL solver
-of `sat` only about the pairs that fixpoint leaves undefined.
+Validation takes the least strong-Kleene fixpoint, which is total for a
+non-recursive document, and asks the CDCL solver of `sat` only about the
+pairs that fixpoint leaves undefined.
 
 Constraints are evaluated through their logic translation: one strong-Kleene
 evaluator over unary formulae covers every constraint kind.  Its values are
@@ -153,12 +153,19 @@ def target_holds(g: Graph, t: sh.TargetDecl, node: Term) -> bool:
 
 
 def _targeted_pairs(g: Graph, m: sh.Document, nodes) -> list:
-    return [(node, shape.name) for shape in m.shapes for t in shape.targets
-            for node in nodes if target_holds(g, t, node)]
-
-
-def _targets_satisfied(g: Graph, m: sh.Document, sigma: Assignment) -> bool:
-    return all(sigma.sign(*pair) is True for pair in _targeted_pairs(g, m, sigma.nodes))
+    """The (node, shape) pairs the targets select among `nodes` (sorted by
+    term_key), by shape, then target, then term order."""
+    pairs = []
+    for shape in m.shapes:
+        for t in shape.targets:
+            if isinstance(t, sh.NodeTarget):
+                found = [t.node]
+            elif isinstance(t, sh.ClassTarget):
+                found = sorted(g.subjects(RDF_TYPE, t.cls), key=term_key)
+            else:
+                found = [node for node in nodes if target_holds(g, t, node)]
+            pairs.extend((node, shape.name) for node in found)
+    return pairs
 
 
 class EvalContext:
@@ -289,36 +296,58 @@ def is_faithful(g: Graph, sigma: Assignment, m: sh.Document) -> bool:
     node carries the positive literal of its shape."""
     compiled = compile_document(m)
     m = compiled.document
-    scope_nodes = nodes_of(g, m)
-    if set(sigma.nodes) != set(scope_nodes) or set(sigma.shapes) != set(m.names()):
+    if set(sigma.nodes) != set(nodes_of(g, m)) or set(sigma.shapes) != set(m.names()):
         raise SemanticsError("assignment scope does not match (nodes(G,M), shapes(M))")
     ctx = EvalContext(g, compiled)
     ctx.sign = dict(sigma.signs)
-    for shape in m.shapes:
-        body = compiled.bodies[shape.name]
-        for node in sigma.nodes:
-            if ctx.eval(body, node) != sigma.sign(node, shape.name):
+    return _faithful(ctx, sigma.nodes, _targeted_pairs(g, m, sigma.nodes))
+
+
+def _faithful(ctx: EvalContext, nodes, targeted: list) -> bool:
+    """`is_faithful` for the signs of `ctx`, with the targeted pairs given."""
+    for name, body in ctx.compiled.bodies.items():
+        for node in nodes:
+            if ctx.eval(body, node) != ctx.sign.get((node, name)):
                 return False
-    return _targets_satisfied(g, m, sigma)
+    return all(ctx.sign.get(pair) is True for pair in targeted)
 
 
 def stratified_assignment(g: Graph, m: sh.Document) -> Assignment:
-    """The unique total assignment faithful for the target-free document,
-    computed shape by shape in evaluation order; rejects recursive input."""
+    """The unique total assignment faithful for the target-free document, its
+    least fixpoint; rejects recursive input."""
     compiled = compile_document(m)
     if compiled.order is None:
         raise SemanticsError("stratified evaluation needs a non-recursive document")
-    m = compiled.document
-    nodes = sorted(nodes_of(g, m), key=term_key)
+    nodes = sorted(nodes_of(g, compiled.document), key=term_key)
     ctx = EvalContext(g, compiled)
-    for name in compiled.order:
-        body = compiled.bodies[name]
-        for node in nodes:
-            v = ctx.eval(body, node)
+    _least_fixpoint(ctx, nodes, [])
+    if len(ctx.sign) != len(nodes) * len(compiled.bodies):
+        raise SemanticsError("undefined evaluation in a non-recursive document")
+    return Assignment(nodes, compiled.document.names(), ctx.sign)
+
+
+def _least_fixpoint(ctx: EvalContext, nodes: list, targeted: list) -> bool:
+    """Sweep undefined pairs into `ctx.sign` until none gets a sign: targeted
+    pairs first, then shape by shape, in evaluation order if any, so a
+    non-recursive document is total after one sweep.  False on a false target."""
+    compiled = ctx.compiled
+    targets = dict.fromkeys(targeted)
+    undefined = chain(targets, ((node, name) for name in compiled.order or compiled.bodies
+                                for node in nodes if (node, name) not in targets))
+    added = True
+    while added:
+        rest, added = [], False
+        for pair in undefined:
+            v = ctx.eval(compiled.bodies[pair[1]], pair[0])
             if v is None:
-                raise SemanticsError(f"undefined evaluation in stratum of {name!r}")
-            ctx.sign[(node, name)] = v
-    return Assignment(nodes, m.names(), ctx.sign)
+                rest.append(pair)
+            elif not v and pair in targets:
+                return False
+            else:
+                ctx.sign[pair] = v
+                added = True
+        undefined = rest
+    return True
 
 
 # --- validation as satisfiability --------------------------------------------------
@@ -328,42 +357,24 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
     """A faithful assignment (targets included) when the graph is valid under
     the mode, else None.
 
-    A non-recursive document takes the stratified assignment.  A recursive
-    one first takes the least fixpoint of the strong-Kleene one-step operator
-    (Fitting's Kripke-Kleene model), sweeping the undefined (node, shape)
-    pairs until none gets a sign.  Every faithful assignment extends it, so a
-    targeted pair it makes false answers None; when it is total, or in a
-    partial mode makes every targeted pair true, it is the witness; and in
-    cautious-partial mode a targeted pair it leaves undefined answers None.
-    Otherwise the pairs it leaves undefined go to the solver.  Without the
-    fast path every pair goes to the solver."""
+    Validation first takes the least strong-Kleene fixpoint, which every
+    faithful assignment extends; for a non-recursive document it is total,
+    the unique faithful assignment.  A targeted pair it makes false answers
+    None; when it is total, or in a partial mode makes every targeted pair
+    true, it is the witness; and in cautious-partial mode a targeted pair it
+    leaves undefined answers None.  Otherwise the pairs it leaves undefined
+    go to the solver.  Without the fast path every pair goes to the solver.
+    Every witness is re-checked for faithfulness before it is returned."""
     compiled = compile_document(m)
     m = compiled.document
-    if use_fast_path and compiled.order is not None:
-        rho = stratified_assignment(g, m)
-        return rho if _targets_satisfied(g, m, rho) else None
     ctx = EvalContext(g, compiled)
     nodes = sorted(nodes_of(g, m), key=term_key)
     shapes = sorted(m.names(), key=lambda i: i.value)
     targeted = _targeted_pairs(g, m, nodes)
     decided = False
     if use_fast_path:
-        # targeted pairs first: a false one ends the sweep at once
-        targets = dict.fromkeys(targeted)
-        undefined = chain(targets, (p for p in product(nodes, shapes) if p not in targets))
-        added = True
-        while added:
-            rest, added = [], False
-            for pair in undefined:
-                v = ctx.eval(compiled.bodies[pair[1]], pair[0])
-                if v is None:
-                    rest.append(pair)
-                elif not v and pair in targets:
-                    return None
-                else:
-                    ctx.sign[pair] = v
-                    added = True
-            undefined = rest
+        if not _least_fixpoint(ctx, nodes, targeted):
+            return None
         targets_true = all(ctx.sign.get(p) for p in targeted)
         if not targets_true and mode is SemanticsMode.CAUTIOUS_PARTIAL:
             return None
@@ -373,10 +384,9 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
         if model is None:
             return None
         ctx.sign.update(model)
-    sigma = Assignment(nodes, shapes, ctx.sign)
-    if not is_faithful(g, sigma, m):
+    if not _faithful(ctx, nodes, targeted):
         raise SemanticsError("validation witness is not a faithful assignment")
-    return sigma
+    return Assignment(nodes, shapes, ctx.sign)
 
 
 def _solve(ctx: EvalContext, nodes: list, shapes: list, targeted: list,

@@ -241,7 +241,7 @@ def test_criterion_8_stratified_equals_brute_force(nonrecursive_corpus):
             partial = brute_force_faithful(g, base, total=False)
             assert partial == [rho]  # unique even among partial assignments
     assert time.time() - started < 300
-    report(8, "stratified fast path equals the unique faithful assignment", started)
+    report(8, "non-recursive least fixpoint is the unique faithful assignment", started)
 
 
 def test_criterion_9_classifier_table():

@@ -28,7 +28,7 @@ from sclkit.semantics import (
     validation_witness,
 )
 from sclkit.translate import shape_bodies, tau
-from sclkit.corpus import random_document, random_graph
+from sclkit.corpus import CLASSES, random_document, random_graph
 from oracles import brute_force_faithful, brute_force_validate
 
 EX = "http://ex/"
@@ -257,14 +257,22 @@ def test_search_matches_brute_force_and_fast_path():
                 assert witness.is_total() or not mode.total
 
 
-def _recursive_slice(seed, count, limit=20000):
-    """A slice of the differential check: recursive corpus documents of up
-    to three shapes on three-node graphs, sign space at most `limit`."""
+def _corpus_slice(seed, count, limit=20000, recursive=True, xone=False):
+    """A slice of the differential check: corpus documents of up to three
+    shapes on three-node graphs, sign space at most `limit`.  With `xone`,
+    every other document of two or more shapes gains a targeted shape that
+    is the xone of some of them, on a graph of at most two nodes."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        m = random_document(rng, max_shapes=3, recursive=True)
-        g = random_graph(rng, max_nodes=3)
+        m = random_document(rng, max_shapes=3, recursive=recursive)
+        max_nodes = 3
+        if xone and len(m.shapes) > 1 and rng.random() < 0.5:
+            names = tuple(rng.sample(m.names(), rng.randint(2, len(m.shapes))))
+            target = sh.ClassTarget(rng.choice(CLASSES))
+            m = sh.Document(m.shapes + (sh.Shape(iri("x"), (target,), None, sh.Xone(names)),))
+            max_nodes = 2
+        g = random_graph(rng, max_nodes=max_nodes)
         if 3 ** (len(nodes_of(g, m)) * len(sh.eliminate_xone(m).names())) <= limit:
             out.append((g, m))
     return out
@@ -272,7 +280,7 @@ def _recursive_slice(seed, count, limit=20000):
 
 def test_validation_matches_brute_force_on_recursive_corpus():
     # the fast path (least fixpoint first) and the full SAT route
-    for g, m in _recursive_slice(71, 30) + _recursive_slice(83, 40):
+    for g, m in _corpus_slice(71, 30) + _corpus_slice(83, 40):
         for mode in ALL_MODES:
             expected = brute_force_validate(g, m, mode)
             for fast in (True, False):
@@ -281,6 +289,29 @@ def test_validation_matches_brute_force_on_recursive_corpus():
                 if witness is not None:
                     assert is_faithful(g, witness, sh.eliminate_xone(m))
                     assert witness.is_total() or not mode.total
+
+
+def test_non_recursive_validation_is_the_least_fixpoint_alone(monkeypatch):
+    import sclkit.semantics
+
+    cases = _corpus_slice(97, 40, recursive=False, xone=True)
+    assert sum(any(isinstance(s.constraint, sh.Xone) for s in m.shapes) for _, m in cases) >= 5
+    expected = [{mode: brute_force_validate(g, m, mode) for mode in ALL_MODES} for g, m in cases]
+
+    def no_solver(*args):
+        raise AssertionError("the solver was called")
+
+    monkeypatch.setattr(sclkit.semantics, "_dpll", no_solver)
+    valid = 0
+    for (g, m), verdicts in zip(cases, expected):
+        rho = stratified_assignment(g, m)
+        for mode in ALL_MODES:
+            witness = validation_witness(g, m, mode)
+            assert (witness is not None) == verdicts[mode], (m, mode)
+            if witness is not None:
+                assert witness == rho
+                valid += 1
+    assert 0 < valid < 4 * len(cases)
 
 
 def test_validate_json_is_hash_seed_independent(tmp_path):
@@ -482,20 +513,91 @@ def test_cautious_covers_absent_target_nodes():
 def test_false_sign_free_target_body_skips_the_solver(monkeypatch):
     import sclkit.semantics
 
-    # :s has no shape atom and fails at its target; :r makes the document
-    # recursive, so validation cannot take the stratified fast path
-    m = doc(":s a sh:NodeShape ; sh:targetNode :a ; sh:hasValue :b . "
-            ":r a sh:NodeShape ; sh:not :r .")
+    # :s has no shape atom and fails at its target; :r leaves the least
+    # fixpoint undefined in the recursive copy and is two-valued in the other
     g = parse_turtle(PRE + ":a :p :b .")
-    expected = {mode: brute_force_validate(g, m, mode) for mode in ALL_MODES}
+    cases = []
+    for r in (":r a sh:NodeShape ; sh:not :r .", ":r a sh:NodeShape ; sh:class :C ."):
+        m = doc(":s a sh:NodeShape ; sh:targetNode :a ; sh:hasValue :b . " + r)
+        cases.append((m, {mode: brute_force_validate(g, m, mode) for mode in ALL_MODES}))
+    assert [sh.is_recursive(m) for m, _ in cases] == [True, False]
 
     def no_solver(*args):
         raise AssertionError("the solver was called")
 
     monkeypatch.setattr(sclkit.semantics, "_dpll", no_solver)
+    for m, expected in cases:
+        for mode in ALL_MODES:
+            assert validation_witness(g, m, mode) is None
+            assert not expected[mode]
+
+
+def test_false_target_ends_non_recursive_validation_early(monkeypatch):
+    from sclkit.semantics import EvalContext
+
+    # :s fails at its target without reading a sign; the other shapes are
+    # evaluated nowhere once that is known
+    m = doc(":s a sh:NodeShape ; sh:targetNode :n0 ; sh:hasValue :b . "
+            ":t a sh:PropertyShape ; sh:path :p ; sh:qualifiedValueShape :u ; sh:qualifiedMinCount 1 . "
+            ":u a sh:NodeShape ; sh:not :s .")
+    g = Graph(tuple(Triple(iri(f"n{i}"), iri("p"), iri(f"n{i + 1}")) for i in range(60)))
+    pairs = len(nodes_of(g, m)) * len(m.shapes)
+    top_level = []
+    depth = [0]
+    original = EvalContext.eval
+
+    def counting(self, psi, node):
+        top_level.append(depth[0] == 0)
+        depth[0] += 1
+        try:
+            return original(self, psi, node)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(EvalContext, "eval", counting)
     for mode in ALL_MODES:
+        top_level.clear()
         assert validation_witness(g, m, mode) is None
-        assert not expected[mode]
+        assert 0 < sum(top_level) < pairs, mode
+
+
+def test_witness_recheck_catches_a_wrong_solver_sign(monkeypatch):
+    import sclkit.semantics
+
+    # the least fixpoint leaves every pair undefined, so the solver answers
+    m = doc(":s a sh:NodeShape ; sh:targetNode :a ; sh:not :t . :t a sh:NodeShape ; sh:not :s .")
+    g = parse_turtle(PRE + ":a :p :b .")
+    assert validation_witness(g, m, SemanticsMode.BRAVE_TOTAL) is not None
+    solve = sclkit.semantics._solve
+
+    def flipped(*args):
+        model = solve(*args)
+        model[(iri("a"), iri("t"))] = not model[(iri("a"), iri("t"))]
+        return model
+
+    monkeypatch.setattr(sclkit.semantics, "_solve", flipped)
+    with pytest.raises(SemanticsError, match="not a faithful assignment"):
+        validation_witness(g, m, SemanticsMode.BRAVE_TOTAL)
+
+
+def test_witness_recheck_catches_a_wrong_fixpoint_sign(monkeypatch):
+    import sclkit.semantics
+
+    m = doc(":s a sh:NodeShape ; sh:targetNode :a ; sh:class :C . :t a sh:NodeShape ; sh:not :s .")
+    g = parse_turtle(PRE + ":a a :C ; :p :b .")
+    assert not sh.is_recursive(m)
+    assert all(validation_witness(g, m, mode) is not None for mode in ALL_MODES)
+    sweep = sclkit.semantics._least_fixpoint
+
+    def flipped(ctx, nodes, targeted):
+        done = sweep(ctx, nodes, targeted)
+        ctx.sign[(iri("b"), iri("t"))] = not ctx.sign[(iri("b"), iri("t"))]
+        return done
+
+    monkeypatch.setattr(sclkit.semantics, "_least_fixpoint", flipped)
+    for mode in ALL_MODES:
+        with pytest.raises(SemanticsError, match="not a faithful assignment"):
+            validation_witness(g, m, mode)
 
 
 # --- the least strong-Kleene fixpoint ------------------------------------------------
@@ -511,7 +613,7 @@ def test_least_fixpoint_lies_below_every_faithful_assignment():
     # with no targets, partial validation answers with the least fixpoint
     # itself; every faithful assignment, partial or total, extends it
     undefined_somewhere = 0
-    for g, m in _recursive_slice(89, 40, limit=3 ** 8):
+    for g, m in _corpus_slice(89, 40, limit=3 ** 8):
         free = sh.strip_targets(m)
         least = validation_witness(g, free, SemanticsMode.BRAVE_PARTIAL)
         partial = brute_force_faithful(g, free, total=False)
@@ -526,7 +628,7 @@ def test_fixpoint_decisions_skip_the_solver(monkeypatch):
     import sclkit.semantics
 
     cases = []
-    for g, m in _recursive_slice(83, 40):
+    for g, m in _corpus_slice(83, 40):
         # the least fixpoint over the validated scope, by brute force
         least = _least_faithful(brute_force_faithful(
             g, sh.strip_targets(m), total=False, extra_nodes=nodes_of(g, m)))
