@@ -170,8 +170,14 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # usage errors exit 1: argparse's 2 means unknown here
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sclkit",
         description="Shape documents as constraint logic: validation, "
                     "satisfiability, containment, classification.",

@@ -164,6 +164,9 @@ class Graph:
     def nodes(self) -> frozenset:
         return self._nodes
 
+    def predicates(self) -> AbstractSet[Term]:
+        return self._fwd.keys()
+
     def objects(self, subject: Term, predicate: Term) -> AbstractSet[Term]:
         return self._fwd.get(predicate, _NO_INDEX).get(subject, _NO_INDEX).keys()
 

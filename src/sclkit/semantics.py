@@ -5,10 +5,10 @@ Validation takes the least strong-Kleene fixpoint, which is total for a
 non-recursive document, and asks the CDCL solver of `sat` only about the
 pairs that fixpoint leaves undefined.
 
-Constraints are evaluated through their logic translation: one strong-Kleene
-evaluator over unary formulae covers every constraint kind.  Its values are
-the ones an assignment stores, True, False and None for undefined.  Shape
-atoms are the only source of None; everything else is two-valued.
+Constraints are evaluated through their logic translation, the shape bodies
+of `compile_document`: one strong-Kleene evaluator over one graph covers
+every constraint kind.  Its values are those an assignment stores, True,
+False and None for undefined; shape atoms are the only source of None.
 """
 from __future__ import annotations
 
@@ -45,7 +45,6 @@ from .scl import (
     TargetNodeAxiom,
     TargetObjectsAxiom,
     TargetSubjectsAxiom,
-    walk_psi,
 )
 from .translate import shape_bodies
 
@@ -116,30 +115,33 @@ class SemanticsError(ValueError):
 
 @lru_cache(maxsize=128)
 def compile_document(m: sh.Document):
-    """The xone-free document, its shape bodies, the sigma-independent
-    subformulae and the evaluation order (None for a recursive document).
-    Callers go on with the returned `document`, which the cache finds by identity."""
+    """The xone-free document, its shape bodies (in evaluation order if any) and that
+    order (None if recursive); the cache finds the returned `document` by identity."""
     plain = sh.eliminate_xone(m)
     if plain is not m:
         return compile_document(plain)
     bodies = shape_bodies(m)
-    ground: set[int] = set()
-    for body in bodies.values():
-        for node in walk_psi(body):
-            if not any(isinstance(x, PsiShape) for x in walk_psi(node)):
-                ground.add(id(node))
     order = sh.evaluation_order({s.name: sh.referenced_names(s.constraint) for s in m.shapes})
-    return _Compiled(m, bodies, frozenset(ground), order)
+    return _Compiled(m, {name: bodies[name] for name in order} if order else bodies, order)
 
 
 class _Compiled:
-    __slots__ = ("document", "bodies", "ground", "order")
+    __slots__ = ("document", "bodies", "order")
 
-    def __init__(self, document: sh.Document, bodies: dict, ground: frozenset, order: Optional[list]):
+    def __init__(self, document: sh.Document, bodies: dict, order: Optional[list]):
         self.document = document
         self.bodies = bodies
-        self.ground = ground
         self.order = order
+
+
+def _graph_bodies(g: Graph, compiled: _Compiled) -> dict:
+    """The compiled bodies; if sh:closed or sh:uniqueLang occurs, the bodies translated
+    again with the graph's predicates and language tags, over which those two range."""
+    m = compiled.document
+    if not any(isinstance(c, (sh.Closed, sh.UniqueLang)) for s in m.shapes for c in sh.walk(s.constraint)):
+        return compiled.bodies
+    wide = shape_bodies(m, g)
+    return {name: wide[name] for name in compiled.bodies}
 
 
 def target_holds(g: Graph, t: sh.TargetDecl, node: Term) -> bool:
@@ -169,15 +171,13 @@ def _targeted_pairs(g: Graph, m: sh.Document, nodes) -> list:
 
 
 class EvalContext:
-    """Evaluator over one graph; path results and ground subformula values
-    are cached, shape atoms are read through a mutable sign lookup."""
+    """Evaluator over one graph; path results are cached, shape atoms are
+    read through a mutable sign lookup."""
 
-    def __init__(self, g: Graph, compiled: _Compiled):
+    def __init__(self, g: Graph):
         self.g = g
-        self.compiled = compiled
         self.sign = {}  # (Term, Iri) -> bool, read by shape atoms
         self._paths: dict = {}
-        self._ground_vals: dict = {}
 
     def rel_values(self, node: Term, rel: RelAtom) -> AbstractSet[Term]:
         if rel.inverted:
@@ -213,17 +213,6 @@ class EvalContext:
         return out
 
     def eval(self, psi: Psi, node: Term) -> Optional[bool]:
-        ground = id(psi) in self.compiled.ground
-        if ground:
-            got = self._ground_vals.get((id(psi), node))
-            if got is not None:
-                return got
-        v = self._eval(psi, node)
-        if ground:
-            self._ground_vals[(id(psi), node)] = v
-        return v
-
-    def _eval(self, psi: Psi, node: Term) -> Optional[bool]:
         if isinstance(psi, PsiTop):
             return True
         if isinstance(psi, PsiNot):
@@ -264,8 +253,7 @@ class EvalContext:
                 return False
             return None
         if isinstance(psi, PsiDisjoint):
-            shared = self.eval_path(psi.path, node) & self.rel_values(node, psi.rel)
-            return not shared
+            return not (self.eval_path(psi.path, node) & self.rel_values(node, psi.rel))
         if isinstance(psi, PsiEquals):
             return self.eval_path(psi.path, node) == self.rel_values(node, psi.rel)
         # property-pair order: every (path value, relation value) pair must
@@ -276,19 +264,15 @@ class EvalContext:
 
 def eval_path(pi: Pi, node: Term, g: Graph) -> frozenset:
     """The set of terms the path formula reaches from a node."""
-    ctx = EvalContext(g, _EMPTY_COMPILED)
-    return frozenset(ctx.eval_path(pi, node))
+    return frozenset(EvalContext(g).eval_path(pi, node))
 
 
 def eval_psi(psi: Psi, node: Term, g: Graph, sigma: Assignment) -> Optional[bool]:
     """Strong-Kleene value of a formula at a node under an assignment: True,
     False, or None for undefined."""
-    ctx = EvalContext(g, _EMPTY_COMPILED)
+    ctx = EvalContext(g)
     ctx.sign = dict(sigma.signs)
     return ctx.eval(psi, node)
-
-
-_EMPTY_COMPILED = _Compiled(sh.Document(()), {}, frozenset(), [])
 
 
 def is_faithful(g: Graph, sigma: Assignment, m: sh.Document) -> bool:
@@ -298,17 +282,16 @@ def is_faithful(g: Graph, sigma: Assignment, m: sh.Document) -> bool:
     m = compiled.document
     if set(sigma.nodes) != set(nodes_of(g, m)) or set(sigma.shapes) != set(m.names()):
         raise SemanticsError("assignment scope does not match (nodes(G,M), shapes(M))")
-    ctx = EvalContext(g, compiled)
+    ctx = EvalContext(g)
     ctx.sign = dict(sigma.signs)
-    return _faithful(ctx, sigma.nodes, _targeted_pairs(g, m, sigma.nodes))
+    return _faithful(ctx, _graph_bodies(g, compiled), sigma.nodes, _targeted_pairs(g, m, sigma.nodes))
 
 
-def _faithful(ctx: EvalContext, nodes, targeted: list) -> bool:
-    """`is_faithful` for the signs of `ctx`, with the targeted pairs given."""
-    for name, body in ctx.compiled.bodies.items():
-        for node in nodes:
-            if ctx.eval(body, node) != ctx.sign.get((node, name)):
-                return False
+def _faithful(ctx: EvalContext, bodies: dict, nodes, targeted: list) -> bool:
+    """`is_faithful` for the signs of `ctx`, the bodies and targeted pairs given."""
+    if any(ctx.eval(body, node) != ctx.sign.get((node, name))
+           for name, body in bodies.items() for node in nodes):
+        return False
     return all(ctx.sign.get(pair) is True for pair in targeted)
 
 
@@ -319,26 +302,25 @@ def stratified_assignment(g: Graph, m: sh.Document) -> Assignment:
     if compiled.order is None:
         raise SemanticsError("stratified evaluation needs a non-recursive document")
     nodes = sorted(nodes_of(g, compiled.document), key=term_key)
-    ctx = EvalContext(g, compiled)
-    _least_fixpoint(ctx, nodes, [])
+    ctx = EvalContext(g)
+    _least_fixpoint(ctx, _graph_bodies(g, compiled), nodes, [])
     if len(ctx.sign) != len(nodes) * len(compiled.bodies):
         raise SemanticsError("undefined evaluation in a non-recursive document")
     return Assignment(nodes, compiled.document.names(), ctx.sign)
 
 
-def _least_fixpoint(ctx: EvalContext, nodes: list, targeted: list) -> bool:
+def _least_fixpoint(ctx: EvalContext, bodies: dict, nodes: list, targeted: list) -> bool:
     """Sweep undefined pairs into `ctx.sign` until none gets a sign: targeted
-    pairs first, then shape by shape, in evaluation order if any, so a
-    non-recursive document is total after one sweep.  False on a false target."""
-    compiled = ctx.compiled
+    pairs first, then shape by shape in the (evaluation) order of `bodies`, so
+    a non-recursive document is total after one sweep.  False on a false target."""
     targets = dict.fromkeys(targeted)
-    undefined = chain(targets, ((node, name) for name in compiled.order or compiled.bodies
+    undefined = chain(targets, ((node, name) for name in bodies
                                 for node in nodes if (node, name) not in targets))
     added = True
     while added:
         rest, added = [], False
         for pair in undefined:
-            v = ctx.eval(compiled.bodies[pair[1]], pair[0])
+            v = ctx.eval(bodies[pair[1]], pair[0])
             if v is None:
                 rest.append(pair)
             elif not v and pair in targets:
@@ -367,36 +349,37 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
     Every witness is re-checked for faithfulness before it is returned."""
     compiled = compile_document(m)
     m = compiled.document
-    ctx = EvalContext(g, compiled)
+    bodies = _graph_bodies(g, compiled)
+    ctx = EvalContext(g)
     nodes = sorted(nodes_of(g, m), key=term_key)
     shapes = sorted(m.names(), key=lambda i: i.value)
     targeted = _targeted_pairs(g, m, nodes)
     decided = False
     if use_fast_path:
-        if not _least_fixpoint(ctx, nodes, targeted):
+        if not _least_fixpoint(ctx, bodies, nodes, targeted):
             return None
         targets_true = all(ctx.sign.get(p) for p in targeted)
         if not targets_true and mode is SemanticsMode.CAUTIOUS_PARTIAL:
             return None
         decided = len(ctx.sign) == len(nodes) * len(shapes) or (targets_true and not mode.total)
     if not decided:
-        model = _solve(ctx, nodes, shapes, targeted, mode)
+        model = _solve(ctx, bodies, nodes, shapes, targeted, mode)
         if model is None:
             return None
         ctx.sign.update(model)
-    if not _faithful(ctx, nodes, targeted):
+    if not _faithful(ctx, bodies, nodes, targeted):
         raise SemanticsError("validation witness is not a faithful assignment")
     return Assignment(nodes, shapes, ctx.sign)
 
 
-def _solve(ctx: EvalContext, nodes: list, shapes: list, targeted: list,
+def _solve(ctx: EvalContext, bodies: dict, nodes: list, shapes: list, targeted: list,
            mode: SemanticsMode) -> Optional[dict]:
     """Signs for the pairs `ctx.sign` leaves undefined that extend it to a
     faithful assignment valid under the mode, or None.  Each such pair gets
     an "is true" and an "is false" variable, its shape body is grounded over
-    the fixed graph to a strong-Kleene pair of literals (defined signs are
-    constants), and faithfulness ties the two.  Brave validity is one SAT
-    call with the targeted pairs asserted true; cautious validity adds a
+    the fixed graph to a strong-Kleene pair of literals (constant where the
+    defined signs decide it), and faithfulness ties the two.  Brave validity is
+    one SAT call with the targeted pairs asserted true; cautious validity adds a
     refutation of "some targeted pair is not true" over the target-free
     assignments of the same (nodes(G, M), shapes(M)) scope."""
     undefined = [p for p in product(nodes, shapes) if p not in ctx.sign]
@@ -412,12 +395,13 @@ def _solve(ctx: EvalContext, nodes: list, shapes: list, targeted: list,
 
     def ground(psi: Psi, node: Term) -> tuple:
         """The (is true, is false) literals of a formula at a node."""
-        if id(psi) in ctx.compiled.ground:
-            return (cnf.TRUE, cnf.FALSE) if ctx.eval(psi, node) else (cnf.FALSE, cnf.TRUE)
         key = (id(psi), node)
         if key in memo:
             return memo[key]
-        if isinstance(psi, PsiShape):
+        v = ctx.eval(psi, node)
+        if v is not None:
+            out = (cnf.TRUE, cnf.FALSE) if v else (cnf.FALSE, cnf.TRUE)
+        elif isinstance(psi, PsiShape):
             out = var[(node, psi.rel.name)]
         elif isinstance(psi, PsiNot):
             out = ground(psi.inner, node)[::-1]
@@ -434,7 +418,7 @@ def _solve(ctx: EvalContext, nodes: list, shapes: list, targeted: list,
         return out
 
     for node, name in undefined:
-        for v, b in zip(var[(node, name)], ground(ctx.compiled.bodies[name], node)):
+        for v, b in zip(var[(node, name)], ground(bodies[name], node)):
             cnf.add(-v, b)
             cnf.add(v, -b)
     model = _dpll(cnf.n_vars, cnf.clauses + [(var[p][0],) for p in targeted])
@@ -461,7 +445,7 @@ def sentence_holds(phi, g: Graph, sigma: Assignment) -> bool:
     assignment's node scope), constants outside it denote nothing."""
     if not sigma.is_total():
         raise SemanticsError("sentence evaluation needs a total assignment")
-    ctx = EvalContext(g, _EMPTY_COMPILED)
+    ctx = EvalContext(g)
     ctx.sign = dict(sigma.signs)
     known_shapes = set(sigma.shapes)
 
@@ -624,7 +608,7 @@ def complete_gamma_assignment(sigma_gamma: Assignment, gm: sh.Document, g: Graph
     if not aux_names:
         return sigma_gamma
     compiled = compile_document(gm)
-    ctx = EvalContext(g, compiled)
+    ctx = EvalContext(g)
     ctx.sign = dict(sigma_gamma.signs)
     signs = dict(sigma_gamma.signs)
     for name in aux_names:

@@ -844,6 +844,9 @@ def document_to_graph(m: Document) -> Graph:
 
     true = Literal("true", XSD_BOOLEAN)
     mint = NameMint(set(m.names()))
+    # the reader finds siblings through sh:property: where siblings occur, link by it
+    qualified = [(s.name, n) for s in m.shapes for n in walk(s.constraint) if isinstance(n, QualifiedValue)]
+    by_property = {name for name, n in qualified} if any(n.siblings for _, n in qualified) else set()
     pending: list[Shape] = []
 
     def ref_of(c: Constraint) -> Iri:
@@ -886,7 +889,7 @@ def document_to_graph(m: Document) -> Graph:
         elif isinstance(c, UniqueLang):
             put("uniqueLang", true)
         elif isinstance(c, Ref):
-            put("node", c.name)
+            put("property" if c.name in by_property else "node", c.name)
         elif isinstance(c, And):
             for item in c.items:
                 emit_constraint(subject, item)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import reduce
 from typing import Optional
 
-from .rdf import Iri, RDF_TYPE
+from .rdf import Graph, Iri, Literal, RDF_TYPE, term_key
 from . import shacl as sh
 from .filters import (
     DatatypeAtom,
@@ -111,15 +111,18 @@ _NODE_KIND_FILTERS = {
 class _TauContext:
     __slots__ = ("document", "language_tags", "relation_names")
 
-    def __init__(self, m: sh.Document, extra_documents: tuple = ()):
+    def __init__(self, m: sh.Document, extra_documents: tuple = (), g: Optional[Graph] = None):
         tags: set[str] = set(sh.document_language_tags(m))
-        rels: set[Iri] = set(sh.document_relation_names(m))
+        rels: set = set(sh.document_relation_names(m))
         for other in extra_documents:
             tags |= sh.document_language_tags(other)
             rels |= sh.document_relation_names(other)
+        if g is not None:
+            rels.update(g.predicates())
+            tags.update(t.language for t in g.nodes() if isinstance(t, Literal) and t.language)
         self.document = m
         self.language_tags = tuple(sorted(tags)) + (UNIQUE_LANG_TAG,)
-        self.relation_names = tuple(sorted(rels, key=lambda i: i.value))
+        self.relation_names = tuple(sorted(rels, key=term_key))
 
 
 def _declared_property_relations(shape: sh.Shape, m: sh.Document) -> set[Iri]:
@@ -181,7 +184,7 @@ def _node_psi(c: sh.Constraint, ctx: _TauContext, shape: sh.Shape) -> Psi:
     if isinstance(c, sh.Closed):
         universe = set(ctx.relation_names) | {CLOSED_RELATION}
         allowed = _declared_property_relations(shape, ctx.document) | set(c.ignored)
-        forbidden = sorted(universe - allowed, key=lambda i: i.value)
+        forbidden = sorted(universe - allowed, key=term_key)
         return psi_and_all([PsiNot(PsiExists(RelStep(RelAtom(r)), PsiTop())) for r in forbidden])
     filt = _filter_psi_node(c)
     if filt is not None:
@@ -247,9 +250,10 @@ def constraint_psi(shape: sh.Shape, ctx: _TauContext) -> Psi:
     return _property_psi(shape.constraint, path_to_pi(shape.path), ctx, shape)
 
 
-def shape_bodies(m: sh.Document) -> dict:
-    """The per-shape constraint formula of every shape in the document."""
-    ctx = _TauContext(m)
+def shape_bodies(m: sh.Document, g: Optional[Graph] = None) -> dict:
+    """The per-shape constraint formula of every shape in the document; with a graph,
+    sh:closed and sh:uniqueLang range over its predicates and language tags too."""
+    ctx = _TauContext(m, g=g)
     return {shape.name: constraint_psi(shape, ctx) for shape in m.shapes}
 
 

@@ -71,15 +71,15 @@ from sclkit.semantics import (
     Assignment,
     EvalContext,
     SemanticsMode,
-    compile_document,
     target_holds,
 )
+from sclkit.translate import shape_bodies
 
 
 def brute_force_faithful(g: Graph, m: sh.Document, total: bool, extra_nodes=()):
     """Every faithful assignment, by checking all sign combinations."""
     m = sh.eliminate_xone(m)
-    compiled = compile_document(m)
+    bodies = shape_bodies(m, g)  # sh:closed and sh:uniqueLang over the graph's names too
     nodes = sorted(nodes_of(g, m) | frozenset(extra_nodes), key=term_key)
     shapes = sorted(m.names(), key=lambda i: i.value)
     pairs = [(n, s) for n in nodes for s in shapes]
@@ -89,12 +89,12 @@ def brute_force_faithful(g: Graph, m: sh.Document, total: bool, extra_nodes=()):
     }
     values = (True, False) if total else (True, False, None)
     out = []
-    ctx = EvalContext(g, compiled)  # ground/path caches are sign-independent
+    ctx = EvalContext(g)  # its path cache is sign-independent
     for combo in itertools.product(values, repeat=len(pairs)):
         ctx.sign = {p: v for p, v in zip(pairs, combo) if v is not None}
         ok = True
         for (node, name), assigned in zip(pairs, combo):
-            if ctx.eval(compiled.bodies[name], node) is not assigned:
+            if ctx.eval(bodies[name], node) is not assigned:
                 ok = False
                 break
             if (node, name) in targeted and assigned is not True:

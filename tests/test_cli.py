@@ -1,7 +1,10 @@
+import argparse
 import json
 import os
 
-from sclkit.cli import main
+import pytest
+
+from sclkit.cli import build_parser, main
 
 HERE = os.path.dirname(__file__)
 
@@ -325,6 +328,34 @@ def test_nan_time_budget_is_an_error(capsys):
     assert "error:" in err
 
 
+def _exit_code(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    return exc.value.code
+
+
+SUBCOMMANDS = sorted(next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_usage_errors_exit_1_and_help_exits_0(command, capsys):
+    # exit 2 means "unknown", so a missing required argument is an error (1)
+    assert _exit_code([command]) == 1
+    assert "the following arguments are required" in capsys.readouterr().err
+    assert _exit_code([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: sclkit {command}")
+
+
+def test_usage_errors_of_the_top_level_parser_exit_1(capsys):
+    assert _exit_code(["validate", "--doc", fx("fig1-shapes.ttl")]) == 1
+    assert "required: --graph" in capsys.readouterr().err
+    assert _exit_code([]) == 1
+    assert _exit_code(["no-such-command"]) == 1
+    assert _exit_code(["--help"]) == 0
+    assert "invalid choice: 'no-such-command'" in capsys.readouterr().err
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     import sclkit.cli as cli
 
@@ -358,7 +389,7 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     shared = [outcome(argv) for argv in calls]
     assert len(builds) == 1
     assert shared == fresh
-    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0, 0]
     assert "invalid choice: 'no-such-mode'" in shared[2][2]
     assert json.loads(shared[0][1])["mode"] == "cautious-partial"
     # neither --json nor --mode of earlier calls carries over, nor --seconds

@@ -395,9 +395,9 @@ def test_gamma_lemma_on_small_instances():
         compiled_gamma = compile_document(gm)
         for sigma in brute_force_faithful(g, sh.strip_targets(m), total=False):
             sig_gamma = complete_gamma_assignment(gamma_assignment(sigma), gm, g)
-            ctx = EvalContext(g, compiled)
+            ctx = EvalContext(g)
             ctx.sign = dict(sigma.signs)
-            gctx = EvalContext(g, compiled_gamma)
+            gctx = EvalContext(g)
             gctx.sign = dict(sig_gamma.signs)
             for shape in m.shapes:
                 pos_body = compiled_gamma.bodies[gamma_pos_name(shape.name)]
@@ -482,7 +482,7 @@ def test_condition_one_alone_equals_target_free_faithfulness():
         compiled = compile_document(m)
         nodes = sorted(nodes_of(g, m), key=repr)
         pairs = [(n, s.name) for n in nodes for s in m.shapes]
-        ctx = EvalContext(g, compiled)
+        ctx = EvalContext(g)
         for _ in range(8):
             signs = {p: rng.random() < 0.5 for p in pairs if rng.random() < 0.8}
             sigma = Assignment(nodes, m.names(), signs)
@@ -589,8 +589,8 @@ def test_witness_recheck_catches_a_wrong_fixpoint_sign(monkeypatch):
     assert all(validation_witness(g, m, mode) is not None for mode in ALL_MODES)
     sweep = sclkit.semantics._least_fixpoint
 
-    def flipped(ctx, nodes, targeted):
-        done = sweep(ctx, nodes, targeted)
+    def flipped(ctx, *args):
+        done = sweep(ctx, *args)
         ctx.sign[(iri("b"), iri("t"))] = not ctx.sign[(iri("b"), iri("t"))]
         return done
 
@@ -672,6 +672,48 @@ def test_closed_validation():
     """)
     bad = parse_turtle(PRE + ":n :declared :v ; :other :w .")
     assert not validate(bad, m2, SemanticsMode.BRAVE_TOTAL)
+
+
+CLOSED_AT_A = (":S a sh:NodeShape ; sh:targetNode :a ; sh:closed true ; sh:property :P . "
+               ":P a sh:PropertyShape ; sh:path :p ; sh:minCount 0 .")
+
+
+def test_closed_and_unique_lang_range_over_the_graph_vocabulary():
+    # sh:closed forbids every predicate neither declared nor ignored, and
+    # sh:uniqueLang every language tag two values share, whether the shapes
+    # name them or not; the verdicts are written out by hand, since the
+    # brute-force oracle shares the translation
+    closed = doc(CLOSED_AT_A)
+    unique = doc(":S a sh:PropertyShape ; sh:targetNode :a ; sh:path :label ; sh:uniqueLang true .")
+    closed_bad = parse_turtle(PRE + ":a :p :b ; :q :c .")
+    unique_bad = parse_turtle(PRE + ':a :label "chat"@fr, "chatte"@fr .')
+    for mode in ALL_MODES:
+        assert not validate(closed_bad, closed, mode)
+        assert not validate(unique_bad, unique, mode)
+        assert validate(parse_turtle(PRE + ":a :p :b ."), closed, mode)
+        assert validate(parse_turtle(PRE + ':a :label "chat"@fr, "cat"@en .'), unique, mode)
+    for g, m in ((closed_bad, closed), (unique_bad, unique)):
+        rho = stratified_assignment(g, m)
+        assert rho.sign(iri("a"), iri("S")) is False
+        flipped = dict(rho.signs)
+        flipped[(iri("a"), iri("S"))] = True
+        assert not is_faithful(g, Assignment(rho.nodes, rho.shapes, flipped), m)
+        assert not brute_force_faithful(g, m, total=True)
+
+
+def test_contains_finds_no_counterexample_a_closed_shape_forbids(tmp_path, capsys):
+    # the first document forbids :q at :a, so no graph separates it from the
+    # second; the bounded search cannot prove that and answers unknown
+    from sclkit.cli import main
+
+    doc1, doc2 = tmp_path / "closed.ttl", tmp_path / "no-q.ttl"
+    doc1.write_text(PRE + CLOSED_AT_A)
+    doc2.write_text(PRE + ":T a sh:PropertyShape ; sh:targetNode :a ; sh:path :q ; sh:maxCount 0 .")
+    code = main(["--json", "contains", "--doc1", str(doc1), "--doc2", str(doc2),
+                 "--fresh", "1", "--triples", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["contained"], report["reason"]) == (
+        2, "unknown", "no counterexample within budget")
 
 
 def test_less_than_validation():
