@@ -126,22 +126,22 @@ def compile_document(m: sh.Document):
 
 
 class _Compiled:
-    __slots__ = ("document", "bodies", "order")
+    __slots__ = ("document", "bodies", "order", "per_graph")
 
     def __init__(self, document: sh.Document, bodies: dict, order: Optional[list]):
         self.document = document
         self.bodies = bodies
         self.order = order
+        kinds = {type(c) for s in document.shapes for c in sh.walk(s.constraint)}
+        self.per_graph = bool(kinds & {sh.Closed, sh.UniqueLang})
 
-
-def _graph_bodies(g: Graph, compiled: _Compiled) -> dict:
-    """The compiled bodies; if sh:closed or sh:uniqueLang occurs, the bodies translated
-    again with the graph's predicates and language tags, over which those two range."""
-    m = compiled.document
-    if not any(isinstance(c, (sh.Closed, sh.UniqueLang)) for s in m.shapes for c in sh.walk(s.constraint)):
-        return compiled.bodies
-    wide = shape_bodies(m, g)
-    return {name: wide[name] for name in compiled.bodies}
+    def graph_bodies(self, g: Graph) -> dict:
+        """The bodies; with sh:closed or sh:uniqueLang (`per_graph`), which range over
+        the names of the graph at hand, translated again with its predicates and tags."""
+        if not self.per_graph:
+            return self.bodies
+        wide = shape_bodies(self.document, g)
+        return {name: wide[name] for name in self.bodies}
 
 
 def target_holds(g: Graph, t: sh.TargetDecl, node: Term) -> bool:
@@ -284,7 +284,7 @@ def is_faithful(g: Graph, sigma: Assignment, m: sh.Document) -> bool:
         raise SemanticsError("assignment scope does not match (nodes(G,M), shapes(M))")
     ctx = EvalContext(g)
     ctx.sign = dict(sigma.signs)
-    return _faithful(ctx, _graph_bodies(g, compiled), sigma.nodes, _targeted_pairs(g, m, sigma.nodes))
+    return _faithful(ctx, compiled.graph_bodies(g), sigma.nodes, _targeted_pairs(g, m, sigma.nodes))
 
 
 def _faithful(ctx: EvalContext, bodies: dict, nodes, targeted: list) -> bool:
@@ -303,7 +303,7 @@ def stratified_assignment(g: Graph, m: sh.Document) -> Assignment:
         raise SemanticsError("stratified evaluation needs a non-recursive document")
     nodes = sorted(nodes_of(g, compiled.document), key=term_key)
     ctx = EvalContext(g)
-    _least_fixpoint(ctx, _graph_bodies(g, compiled), nodes, [])
+    _least_fixpoint(ctx, compiled.graph_bodies(g), nodes, [])
     if len(ctx.sign) != len(nodes) * len(compiled.bodies):
         raise SemanticsError("undefined evaluation in a non-recursive document")
     return Assignment(nodes, compiled.document.names(), ctx.sign)
@@ -349,7 +349,7 @@ def validation_witness(g: Graph, m: sh.Document, mode: SemanticsMode,
     Every witness is re-checked for faithfulness before it is returned."""
     compiled = compile_document(m)
     m = compiled.document
-    bodies = _graph_bodies(g, compiled)
+    bodies = compiled.graph_bodies(g)
     ctx = EvalContext(g)
     nodes = sorted(nodes_of(g, m), key=term_key)
     shapes = sorted(m.names(), key=lambda i: i.value)
