@@ -844,7 +844,7 @@ def document_to_graph(m: Document) -> Graph:
 
     true = Literal("true", XSD_BOOLEAN)
     mint = NameMint(set(m.names()))
-    # the reader finds siblings through sh:property: where siblings occur, link by it
+    # siblings are read back from sh:property links, so use them when any occur
     qualified = [(s.name, n) for s in m.shapes for n in walk(s.constraint) if isinstance(n, QualifiedValue)]
     by_property = {name for name, n in qualified} if any(n.siblings for _, n in qualified) else set()
     pending: list[Shape] = []
