@@ -429,14 +429,14 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
         doc = gamma_transform(doc)
         probe = ShapeRel(gamma_pos_name(name))
     phi = tau(doc)
+    deadline = _Deadline(budget.max_seconds)
     # property-pair order atoms must still raise FilterAxiomError
     ax = AxiomatisationResult(SclSentence(()), False)
     if filter_atoms_of(phi) or features_of(phi).flags & {"O", "O'"}:
-        ax = bounded_axiomatisation(phi)
+        ax = bounded_axiomatisation(phi, deadline)
     base = phi.conjoin(ax.sentence)
     candidates = sorted(constants_of(phi), key=term_key)  # the axiomatisation names no others
     candidates.append(Iri("urn:sclkit:model:probe"))
-    deadline = _Deadline(budget.max_seconds)
     for f in candidates:
         probe_sentence = base.conjoin(SclSentence((TargetNodeAxiom(probe, f),)))
         result = scl_bounded_sat(probe_sentence, budget, deadline=deadline)

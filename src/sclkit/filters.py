@@ -1014,11 +1014,13 @@ def _bounded_combos(constants: list, atoms: list) -> list:
     return [FilterCombination.of(c) for c in combos if c]
 
 
-def bounded_axiomatisation(phi: SclSentence) -> AxiomatisationResult:
+def bounded_axiomatisation(phi: SclSentence, deadline=None) -> AxiomatisationResult:
     """Nu's defining axiom plus one counting conjunct per bounded filter
     combination with a finite satisfying set; polynomial in the input.  Each
     filter part F (the Pos/Neg conjuncts) is counted once: Nu ∧ F drops the
-    known constants from F's count, and Eq(c) ∧ F is 1 or 0 as c passes F."""
+    known constants from F's count, and Eq(c) ∧ F is 1 or 0 as c passes F.
+    Once a given `deadline` expires, the combinations left go without an axiom
+    and the result is approximate, as for those too large to count."""
     constants, atoms, taken = _gather(phi)
     for atom in atoms:
         if isinstance(atom, PatternAtom):
@@ -1040,6 +1042,9 @@ def bounded_axiomatisation(phi: SclSentence) -> AxiomatisationResult:
     passes = {c: {a: eval_filter(a, c) for a in atoms} for c in constants}
     totals: dict = {}  # filter part -> its count, for this call only
     for combo in sorted(_bounded_combos(constants, atoms), key=lambda c: c.describe()):
+        if deadline is not None and deadline.expired():
+            approximate = True
+            break
         head, part = combo.conjuncts[0], [x for x in combo.conjuncts if isinstance(x, (Pos, Neg))]
         if isinstance(head, Eq):
             bound = Finite(int(all(passes[head.constant][x.atom] == isinstance(x, Pos) for x in part)))

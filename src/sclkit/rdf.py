@@ -10,11 +10,11 @@ import re
 from fractions import Fraction
 from typing import AbstractSet, Iterable, Iterator, Optional, Union
 
-from .value import _set, value_class
+from .value import Value, _set, value_class
 
 
-# The reader builds IRIs, literals and triples in its inner loop, so they set
-# their own fields; graph lookups compare IRIs most.
+# The reader builds IRIs and literals in its inner loop, so they set their
+# own fields; graph lookups compare IRIs most.
 @value_class
 class Iri:
     value: str
@@ -114,12 +114,6 @@ class Triple:
     predicate: Term
     object: Term
 
-    def __init__(self, subject: Term, predicate: Term, object: Term):
-        _set(self, "subject", subject)
-        _set(self, "predicate", predicate)
-        _set(self, "object", object)
-        _set(self, "_hash", hash((subject, predicate, object)))
-
     def __iter__(self) -> Iterator[Term]:
         return iter((self.subject, self.predicate, self.object))
 
@@ -128,44 +122,76 @@ def triple_key(t: Triple) -> tuple:
     return (term_key(t.subject), term_key(t.predicate), term_key(t.object))
 
 
-@value_class
+def _index(fwd: dict, bwd: dict, s: Term, p: Term, o: Term) -> None:
+    """Enter (s, p, o) in the forward and backward predicate indexes."""
+    fwd.setdefault(p, {}).setdefault(s, {})[o] = None
+    bwd.setdefault(p, {}).setdefault(o, {})[s] = None
+
+
+def _fill(g: "Graph", fwd: dict, bwd: dict, triples: Optional[frozenset]) -> "Graph":
+    """`g` with these indexes, its node set read from their keys."""
+    nodes = frozenset().union(*fwd.values(), *bwd.values())  # with the keys' stored hashes
+    for slot, value in zip(Graph.__slots__, (fwd, bwd, nodes, triples)):  # in slot order
+        _set(g, slot, value)
+    return g
+
+
 class Graph:
     """An immutable finite set of triples with predicate indexes; a query
-    returns a read-only view of an index entry (dict keys), not a copy."""
+    returns a read-only view of an index entry (dict keys), not a copy.  The
+    reader fills the indexes directly, and the frozenset of `Triple` objects
+    (`triples`, which the hash and iteration read) is built when first asked
+    for.  Not a `Value`, which stores its hash: a value class holding a graph
+    compares it with `==`."""
 
-    triples: frozenset
-    __slots__ = ("_fwd", "_bwd", "_nodes")
+    __slots__ = ("_fwd", "_bwd", "_nodes", "_triples")
+    __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
 
     def __init__(self, triples: Iterable[Triple] = ()):
         ts = frozenset(triples)
-        _set(self, "triples", ts)
         fwd: dict = {}
         bwd: dict = {}
-        nodes = set()
         for tr in ts:
-            fwd.setdefault(tr.predicate, {}).setdefault(tr.subject, {})[tr.object] = None
-            bwd.setdefault(tr.predicate, {}).setdefault(tr.object, {})[tr.subject] = None
-            nodes.add(tr.subject)
-            nodes.add(tr.object)
-        _set(self, "_fwd", fwd)
-        _set(self, "_bwd", bwd)
-        _set(self, "_nodes", frozenset(nodes))
-        _set(self, "_hash", hash(ts))
+            _index(fwd, bwd, tr.subject, tr.predicate, tr.object)
+        _fill(self, fwd, bwd, ts)
+
+    @property
+    def triples(self) -> frozenset:
+        if self._triples is None:
+            _set(self, "_triples", frozenset(
+                Triple(s, p, o) for p, entry in self._fwd.items() for s, objs in entry.items() for o in objs))
+        return self._triples
+
+    def __hash__(self) -> int:
+        return hash(self.triples)  # a frozenset keeps its hash
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not Graph:
+            return NotImplemented
+        return self is other or self._fwd == other._fwd
+
+    def __reduce__(self):
+        return Graph, (tuple(self.triples),)
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return sum(len(objs) for entry in self._fwd.values() for objs in entry.values())
 
     def __iter__(self) -> Iterator[Triple]:
         return iter(sorted(self.triples, key=triple_key))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self.triples)} triples)"
+        return f"Graph({len(self)} triples)"
 
     def nodes(self) -> frozenset:
         return self._nodes
 
     def predicates(self) -> AbstractSet[Term]:
         return self._fwd.keys()
+
+    def edges(self, predicate: Term) -> Iterator[tuple]:
+        """(subject, its objects) for each subject with a `predicate` value."""
+        for subject, objs in self._fwd.get(predicate, _NO_INDEX).items():
+            yield subject, objs.keys()
 
     def objects(self, subject: Term, predicate: Term) -> AbstractSet[Term]:
         return self._fwd.get(predicate, _NO_INDEX).get(subject, _NO_INDEX).keys()
@@ -247,7 +273,8 @@ class _Parser:
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self.base = ""
-        self.triples: list[Triple] = []
+        self.fwd: dict = {}  # the graph's indexes, filled triple by triple
+        self.bwd: dict = {}
         self.iris: dict[str, Iri] = {}
         self._blank_counter = 0
         self._blank_map: dict[str, Blank] = {}
@@ -290,7 +317,7 @@ class _Parser:
             else:
                 self.predicate_object_list(self.node())
                 self.take(".")
-        return Graph(self.triples)
+        return _fill(object.__new__(Graph), self.fwd, self.bwd, None)
 
     def directive(self) -> None:
         if self.text.startswith("@prefix", self.pos):
@@ -322,7 +349,7 @@ class _Parser:
         while True:
             predicate = self.node(verb=True)
             while True:
-                self.triples.append(Triple(subject, predicate, self.node()))
+                _index(self.fwd, self.bwd, subject, predicate, self.node())
                 if self.peek() != ",":
                     break
                 self.pos += 1
@@ -402,7 +429,8 @@ class _Parser:
         head: Term = RDF_NIL
         for item in reversed(items):
             node = self.fresh_blank()
-            self.triples += (Triple(node, RDF_FIRST, item), Triple(node, RDF_REST, head))
+            _index(self.fwd, self.bwd, node, RDF_FIRST, item)
+            _index(self.fwd, self.bwd, node, RDF_REST, head)
             head = node
         return head
 

@@ -132,16 +132,16 @@ class _Compiled:
         self.document = document
         self.bodies = bodies
         self.order = order
-        kinds = {type(c) for s in document.shapes for c in sh.walk(s.constraint)}
-        self.per_graph = bool(kinds & {sh.Closed, sh.UniqueLang})
+        # the shapes with sh:closed or sh:uniqueLang, which range over the graph's names
+        self.per_graph = tuple(s for s in document.shapes
+                               if any(isinstance(c, (sh.Closed, sh.UniqueLang)) for c in sh.walk(s.constraint)))
 
     def graph_bodies(self, g: Graph) -> dict:
-        """The bodies; with sh:closed or sh:uniqueLang (`per_graph`), which range over
-        the names of the graph at hand, translated again with its predicates and tags."""
+        """The bodies, with the `per_graph` shapes translated again with the
+        predicates and language tags of the graph at hand."""
         if not self.per_graph:
             return self.bodies
-        wide = shape_bodies(self.document, g)
-        return {name: wide[name] for name in self.bodies}
+        return {**self.bodies, **shape_bodies(self.document, g, self.per_graph)}
 
 
 def target_holds(g: Graph, t: sh.TargetDecl, node: Term) -> bool:

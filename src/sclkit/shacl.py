@@ -516,8 +516,7 @@ def sh(local: str) -> Iri:
     return _VOCABULARY[local]
 
 
-_TARGETS = tuple((local, sh(local), cls, kind) for local, (cls, kind, scope) in _TERMS.items()
-                 if scope == "target")
+_TARGETS = tuple((local, cls, kind) for local, (cls, kind, scope) in _TERMS.items() if scope == "target")
 # class -> (predicate, field, object kind) of the terms that fill one field
 _WRITTEN_AS = {cls: (sh(local), cls._fields[0], kind)
                for local, (cls, kind, _) in _TERMS.items() if kind in _ONE_FIELD}
@@ -567,14 +566,14 @@ def _object_of(kind: str, local: str, obj: Term):
 class _DocumentReader:
     def __init__(self, g: Graph):
         self.g = g
-        # subject -> its (local name, object) pairs over sh: predicates, sorted
-        self.sh_pairs: dict = {}
-        for t in g.triples:
-            p = t.predicate
-            if isinstance(p, Iri) and p.value.startswith(SH_NS):
-                self.sh_pairs.setdefault(t.subject, []).append((p.value[len(SH_NS):], t.object))
-        for pairs in self.sh_pairs.values():
-            pairs.sort(key=lambda po: (po[0], term_key(po[1])))
+        # subject -> {local name: objects sorted by term_key} over the sh:
+        # predicates, in local-name order
+        self.sh_terms: dict = {}
+        found = sorted((p.value[len(SH_NS):], p) for p in g.predicates()
+                       if isinstance(p, Iri) and p.value.startswith(SH_NS))
+        for local, p in found:
+            for subject, objs in g.edges(p):
+                self.sh_terms.setdefault(subject, {})[local] = sorted(objs, key=term_key) if len(objs) > 1 else [*objs]
         self.shape_nodes = sorted(self._discover(), key=term_key)
         taken = {n for n in self.shape_nodes if isinstance(n, Iri)}
         self.mint = NameMint(taken)
@@ -589,28 +588,34 @@ class _DocumentReader:
         for cls in _SHAPE_CLASSES:
             nodes.update(g.subjects(RDF_TYPE, cls))
         # the subject of sh:path or of any term a shape carries is a shape
-        nodes.update(n for n, pairs in self.sh_pairs.items()
-                     if any(local == "path" or local in _TERMS for local, _ in pairs))
+        nodes.update(n for n, terms in self.sh_terms.items()
+                     if any(local == "path" or local in _TERMS for local in terms))
         # referenced shapes
         frontier = list(nodes)
         while frontier:
             n = frontier.pop()
             found = []
-            for local, o in self.sh_pairs.get(n, ()):
+            for local, objs in self.sh_terms.get(n, {}).items():
                 kind = _TERMS[local][1] if local in _TERMS else None
                 if kind == "shape":
-                    found.append(o)
+                    found.extend(objs)
                 elif kind == "shapes":
-                    found.extend(_read_list(g, o))
+                    for o in objs:
+                        found.extend(_read_list(g, o))
             for o in found:
                 if o not in nodes and not isinstance(o, Literal):  # ref_name rejects a literal
                     nodes.add(o)
                     frontier.append(o)
         # list/path helper blanks are not shapes
-        return {n for n in nodes if not self._is_structural(n)}
+        return {n for n in nodes if not g.objects(n, RDF_FIRST)
+                and not any(local in _PATHS for local in self.sh_terms.get(n, ()))}
 
-    def _is_structural(self, n: Term) -> bool:
-        return bool(self.g.objects(n, RDF_FIRST)) or any(p in _PATHS for p, _ in self.sh_pairs.get(n, ()))
+    def one(self, node: Term, local: str) -> Optional[Term]:
+        """The sh:`local` value of `node`, read as Graph.one_object reads it."""
+        objs = self.sh_terms.get(node, {}).get(local, ())
+        if len(objs) > 1:
+            raise ValueError(f"expected at most one value of {sh(local)!r} on {node!r}")
+        return objs[0] if objs else None
 
     def ref_name(self, local: str, node: Term) -> Iri:
         """The name of the shape that the object of an sh:`local` triple is."""
@@ -624,20 +629,20 @@ class _DocumentReader:
         return Document(tuple(self.read_shape(n) for n in self.shape_nodes))
 
     def read_shape(self, node: Term) -> Shape:
-        g = self.g
-        targets = [cls(_object_of(kind, local, o)) for local, p, cls, kind in _TARGETS
-                   for o in sorted(g.objects(node, p), key=term_key)]
+        terms = self.sh_terms.get(node, {})
+        targets = [cls(_object_of(kind, local, o)) for local, cls, kind in _TARGETS for o in terms.get(local, ())]
 
-        paths = g.objects(node, sh("path"))
+        paths = terms.get("path", ())
         if len(paths) > 1:
             raise DocumentError(f"shape {node!r} has two sh:path values")
-        path = self.read_path(next(iter(paths))) if paths else None
+        path = self.read_path(paths[0]) if paths else None
 
         atoms: list[Constraint] = []
-        for local, obj in self.sh_pairs.get(node, ()):
-            atom = self.read_atom(node, local, obj, path is not None)
-            if atom is not None:
-                atoms.append(atom)
+        for local, objs in terms.items():
+            for obj in objs:
+                atom = self.read_atom(node, local, obj, path is not None)
+                if atom is not None:
+                    atoms.append(atom)
         constraint: Constraint
         if not atoms:
             constraint = Top()
@@ -701,9 +706,9 @@ class _DocumentReader:
         if local == "uniqueLang":
             return UniqueLang()
         if local == "qualifiedValueShape":
-            mn = g.one_object(node, sh("qualifiedMinCount"))
-            mx = g.one_object(node, sh("qualifiedMaxCount"))
-            disjoint = _BOOLEANS.get(g.one_object(node, sh("qualifiedValueShapesDisjoint")), False)
+            mn = self.one(node, "qualifiedMinCount")
+            mx = self.one(node, "qualifiedMaxCount")
+            disjoint = _BOOLEANS.get(self.one(node, "qualifiedValueShapesDisjoint"), False)
             return QualifiedValue(
                 ref=self.ref_name(local, obj),
                 min_count=_object_of("integer", "qualifiedMinCount", mn) if mn is not None else None,
@@ -711,7 +716,7 @@ class _DocumentReader:
                 siblings=self._siblings(node) if disjoint else (),
             )
         # sh:closed true
-        ignored = g.one_object(node, sh("ignoredProperties"))
+        ignored = self.one(node, "ignoredProperties")
         props = _read_list(g, ignored) if ignored is not None else []
         if not all(isinstance(p, Iri) for p in props):
             raise DocumentError("sh:ignoredProperties expects IRIs")
@@ -720,30 +725,25 @@ class _DocumentReader:
     def _siblings(self, node: Term) -> tuple:
         """Qualified value shapes of sibling property shapes under shared parents."""
         g = self.g
-        parents = g.subjects(sh("property"), node)
-        sibs: set[Iri] = set()
-        for parent in parents:
-            for other in g.objects(parent, sh("property")):
-                if other == node:
-                    continue
-                for q in g.objects(other, sh("qualifiedValueShape")):
-                    sibs.add(self.ref_name("qualifiedValueShape", q))
+        sibs = {self.ref_name("qualifiedValueShape", q) for parent in g.subjects(sh("property"), node)
+                for other in g.objects(parent, sh("property")) if other != node
+                for q in self.sh_terms.get(other, {}).get("qualifiedValueShape", ())}
         return tuple(sorted(sibs, key=lambda i: i.value))
 
     def read_path(self, node: Term) -> PathExpr:
         g = self.g
         if isinstance(node, Iri):
             return PredPath(node)
-        inv = g.one_object(node, sh("inversePath"))
+        inv = self.one(node, "inversePath")
         if inv is not None:
             if not isinstance(inv, Iri):
                 raise DocumentError("sh:inversePath applies only to a plain IRI")
             return InversePath(inv)
-        alt = g.one_object(node, sh("alternativePath"))
+        alt = self.one(node, "alternativePath")
         if alt is not None:
             return AltPath(tuple(self.read_path(p) for p in _read_list(g, alt)))
         for local in ("zeroOrMorePath", "oneOrMorePath", "zeroOrOnePath"):
-            inner = g.one_object(node, sh(local))
+            inner = self.one(node, local)
             if inner is not None:
                 return _PATHS[local](self.read_path(inner))
         if g.objects(node, RDF_FIRST):

@@ -126,12 +126,17 @@ class _TauContext:
 
 
 def _declared_property_relations(shape: sh.Shape, m: sh.Document) -> set[Iri]:
-    """Plain-predicate paths of the property shapes this shape references."""
+    """Plain-predicate paths of the shape's sh:property values, the property
+    shapes among its conjuncts; one under sh:not, sh:or, sh:and or a qualified
+    value shape declares nothing.  The reader folds sh:node and sh:property
+    into one Ref, so a top-level sh:node naming a property shape reads like
+    sh:property; SHACL's syntax rules exclude that case."""
     out: set[Iri] = set()
-    for name in sh.referenced_names(shape.constraint):
-        ref = m.shape(name)
-        if ref.path is not None and isinstance(ref.path, sh.PredPath):
-            out.add(ref.path.iri)
+    c = shape.constraint
+    for item in c.items if isinstance(c, sh.And) else (c,):
+        path = m.shape(item.name).path if isinstance(item, sh.Ref) else None
+        if isinstance(path, sh.PredPath):
+            out.add(path.iri)
     return out
 
 
@@ -250,11 +255,12 @@ def constraint_psi(shape: sh.Shape, ctx: _TauContext) -> Psi:
     return _property_psi(shape.constraint, path_to_pi(shape.path), ctx, shape)
 
 
-def shape_bodies(m: sh.Document, g: Optional[Graph] = None) -> dict:
-    """The per-shape constraint formula of every shape in the document; with a graph,
-    sh:closed and sh:uniqueLang range over its predicates and language tags too."""
+def shape_bodies(m: sh.Document, g: Optional[Graph] = None, shapes: Optional[tuple] = None) -> dict:
+    """The per-shape constraint formula of each of `shapes` (by default every
+    shape of the document); with a graph, sh:closed and sh:uniqueLang range
+    over its predicates and language tags too."""
     ctx = _TauContext(m, g=g)
-    return {shape.name: constraint_psi(shape, ctx) for shape in m.shapes}
+    return {shape.name: constraint_psi(shape, ctx) for shape in (m.shapes if shapes is None else shapes)}
 
 
 def _target_axiom(t: sh.TargetDecl, rel: ShapeRel):

@@ -1,5 +1,7 @@
+import json
 import random
 import re
+import time
 
 import pytest
 
@@ -589,3 +591,28 @@ def test_graph_search_compares_a_fresh_document_once(monkeypatch):
     result = check_containment(second, second, SemanticsMode.BRAVE_TOTAL, budget)
     assert result.reason == "no counterexample within budget"
     assert len(comparisons) <= 2
+
+
+# three filter shapes, whose bounded axiomatisation takes longer than 0.2 s
+THREE_FILTERS = """@prefix ex: <http://example.org/> .
+@prefix sh: <http://www.w3.org/ns/shacl#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:F0 a sh:PropertyShape ; sh:targetClass ex:C30 ; sh:path ex:r69 ; sh:datatype xsd:integer ; sh:minInclusive 4 ; sh:maxExclusive 9 .
+ex:F1 a sh:PropertyShape ; sh:targetClass ex:C75 ; sh:path ex:r16 ; sh:minLength 2 ; sh:maxLength 3 .
+ex:F2 a sh:PropertyShape ; sh:path ex:r47 ; sh:languageIn ( "en" "fr" ) .
+ex:T a sh:NodeShape ; sh:node ex:F0 .
+"""
+
+
+def test_template_sat_keeps_its_budget_through_the_axiomatisation(tmp_path, capsys):
+    from sclkit.cli import main
+
+    path = tmp_path / "filters.ttl"
+    path.write_text(THREE_FILTERS)
+    start = time.monotonic()
+    code = main(["--json", "template-sat", "--doc", str(path), "--template", "http://example.org/T",
+                 "--seconds", "0.2"])
+    elapsed = time.monotonic() - start
+    report = json.loads(capsys.readouterr().out)
+    assert (code, report["result"], report["reason"]) == (2, "unknown", "time budget exhausted")
+    assert elapsed < 0.7

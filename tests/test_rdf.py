@@ -1,3 +1,7 @@
+import copy
+import pickle
+from pathlib import Path
+
 import pytest
 
 from sclkit.rdf import (
@@ -21,6 +25,7 @@ from sclkit.rdf import (
     serialize_turtle,
 )
 from sclkit.shacl import Document, NodeTarget, Shape
+from oracles import reference_parse_turtle
 
 EX = "http://ex/"
 PRE = f"@prefix : <{EX}> .\n"
@@ -190,3 +195,31 @@ def test_graph_queries_return_read_only_views():
         assert not hasattr(view, "add") and not hasattr(view, "discard")
     assert not g.objects(iri("a"), iri("p")) and not g.subjects(iri("q"), iri("a"))
     assert g.one_object(iri("t"), iri("p")) == iri("a") and g.one_object(iri("a"), iri("p")) is None
+
+
+_GRAPH_TEXTS = (
+    "",
+    PRE + ":s :p :o .",
+    PRE + ":s :p :o . :s :p :o . :s :p :o, :o ; :p :o .",  # one triple, stated four times
+    PRE + ':s :p :a, "1", 1, 1.5, true, "x"@en, "x"@EN, "y"^^:dt ; :q [ :r ( :a ( ) [ ] ) ] .',
+    PRE + "_:x :p _:x . _:y :p _:x . :s :p [ :p _:y ] . :t a :C, :D .",
+    PRE + ":s :p ( :a :a ) . :t :p ( :a :a ) .",
+)
+
+
+@pytest.mark.parametrize("text", _GRAPH_TEXTS + tuple(
+    path.read_text() for path in sorted((Path(__file__).parent / "fixtures").glob("*.ttl"))))
+def test_a_parsed_graph_agrees_with_the_graph_of_its_triples(text):
+    # the reference reader returns Graph(triples) over the triples it read
+    parsed, built = parse_turtle(text), reference_parse_turtle(text)
+    assert parsed == built and built == parsed and hash(parsed) == hash(built)
+    assert len(parsed) == len(built) and list(parsed) == list(built)
+    assert parsed.nodes() == built.nodes() and parsed.predicates() == built.predicates()
+    assert serialize_turtle(parsed) == serialize_turtle(built)
+    for s, p, o in built:
+        assert parsed.has(s, p, o)
+        assert parsed.objects(s, p) == built.objects(s, p) and parsed.subjects(p, o) == built.subjects(p, o)
+    assert {parsed: 1}[built] == 1
+    assert copy.copy(parsed) == pickle.loads(pickle.dumps(parsed)) == built
+    if len(built):
+        assert parsed != Graph(list(built)[1:])

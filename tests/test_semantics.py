@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -699,6 +700,42 @@ def test_closed_and_unique_lang_range_over_the_graph_vocabulary():
         flipped[(iri("a"), iri("S"))] = True
         assert not is_faithful(g, Assignment(rho.nodes, rho.shapes, flipped), m)
         assert not brute_force_faithful(g, m, total=True)
+
+
+def test_graph_bodies_translate_again_only_the_shapes_over_the_graph_names():
+    every = (Path(__file__).parent / "fixtures" / "every-constraint.ttl").read_text()
+    documents = (
+        (doc(CLOSED_AT_A), parse_turtle(PRE + ":a :p :b ; :q :c .")),
+        (doc(":S a sh:PropertyShape ; sh:targetNode :a ; sh:path :label ; sh:uniqueLang true ."),
+         parse_turtle(PRE + ':a :label "chat"@fr, "chatte"@fr .')),
+        (doc(":s a sh:NodeShape ; sh:targetNode :n ; sh:closed true ; "
+             "sh:ignoredProperties ( :extra ) ; sh:property :p . "
+             ":p a sh:PropertyShape ; sh:path :declared ; sh:minCount 1 ."),
+         parse_turtle(PRE + ":n :declared :v ; :extra :w .")),
+        (sh.document_from_graph(parse_turtle(every)), parse_turtle(every)),
+    )
+    for m, g in documents:
+        compiled = compile_document(m)
+        assert compiled.per_graph
+        wide = shape_bodies(compiled.document, g)
+        bodies = compiled.graph_bodies(g)
+        assert list(bodies) == list(compiled.bodies)
+        assert bodies == {name: wide[name] for name in bodies}
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_only_a_property_value_declares_a_path_of_a_closed_shape(mode):
+    # sh:closed allows the paths of its sh:property values; a property shape
+    # reached through sh:not, sh:or or sh:and declares nothing, so :p is
+    # forbidden at :n whether or not :P holds there
+    prop = ":P a sh:PropertyShape ; sh:path :p ; sh:minCount 2 . "
+    closed = ":s a sh:NodeShape ; sh:targetNode :n ; sh:closed true ; "
+    for reference, edges in (("sh:not :P", ":n :p :v ."), ("sh:or ( :P )", ":n :p :v1, :v2 ."),
+                             ("sh:and ( :P )", ":n :p :v1, :v2 .")):
+        m = doc(closed + reference + " . " + prop)
+        assert not validate(parse_turtle(PRE + edges), m, mode), reference
+    declared = doc(closed + "sh:property :P . " + prop)
+    assert validate(parse_turtle(PRE + ":n :p :v1, :v2 ."), declared, mode)
 
 
 def test_contains_finds_no_counterexample_a_closed_shape_forbids(tmp_path, capsys):

@@ -287,3 +287,83 @@ def test_counts_outside_the_integer_lexical_space_are_rejected():
     m = doc(f':s a sh:PropertyShape ; sh:path :p ; sh:minCount "+1"^^{XSD_INTEGER_IRI} ; '
             f'sh:maxCount "05"^^{XSD_INTEGER_IRI} .')
     assert m.shape(iri("s")).constraint == sh.And((sh.MaxCount(5), sh.MinCount(1)))
+
+
+RDF_PREFIX = "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
+# One document for each error the reader raises, with its exact text; the
+# last rows pin which error wins when a document has several (targets, then
+# the path, then the constraint terms, shape by shape in term order).  The
+# DocumentError sites of Document() and document_to_graph() cannot be reached
+# from Turtle: the reader names shapes uniquely, checks every reference and
+# rejects property-only terms first.  A repeated single-valued term raises the
+# ValueError of Graph.one_object.
+_READER_ERROR_TABLE = (
+    (":s a sh:NodeShape ; sh:in _:l . _:l rdf:first :a ; rdf:rest _:l .",
+     sh.DocumentError, "cyclic RDF list"),
+    (":s a sh:NodeShape ; sh:in [ rdf:rest () ] .", sh.DocumentError, "malformed RDF list at _:b0"),
+    (":s a sh:NodeShape ; sh:in [ rdf:first :a, :b ; rdf:rest () ] .", ValueError,
+     "expected at most one value of <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> on _:b0"),
+    (":s a sh:NodeShape ; sh:datatype 1 .", sh.DocumentError, "sh:datatype expects an IRI"),
+    (":s a sh:NodeShape ; sh:minInclusive :a .", sh.DocumentError,
+     "order-comparison constraint expects a literal, got <http://ex/a>"),
+    (":s a sh:NodeShape ; sh:closed 1 .", sh.DocumentError,
+     'sh:closed expects true or false, got "1"^^<http://www.w3.org/2001/XMLSchema#integer>'),
+    (":s a sh:PropertyShape ; sh:path :p ; sh:minCount :a .", sh.DocumentError,
+     "sh:minCount expects an integer, got <http://ex/a>"),
+    (':s a sh:NodeShape ; sh:node "t" .', sh.DocumentError, 'sh:node expects a shape, got "t"'),
+    (":s a sh:NodeShape ; sh:node ( :t ) .", sh.DocumentError, "dangling shape reference _:b0"),
+    (":s a sh:PropertyShape ; sh:path :p, :q .", sh.DocumentError,
+     "shape <http://ex/s> has two sh:path values"),
+    (":s a sh:NodeShape ; sh:severity sh:Info .", sh.DocumentError,
+     "unsupported vocabulary term sh:severity on triple (<http://ex/s>, sh:severity, "
+     "<http://www.w3.org/ns/shacl#Info>)"),
+    (":s a sh:NodeShape ; sh:maxCount 1 .", sh.DocumentError,
+     "node shape <http://ex/s> carries property-only sh:maxCount"),
+    (":s a sh:NodeShape ; sh:nodeKind :IRI .", sh.DocumentError, "unknown sh:nodeKind <http://ex/IRI>"),
+    (":s a sh:NodeShape ; sh:pattern :a .", sh.DocumentError, "sh:pattern expects a string literal"),
+    (':s a sh:NodeShape ; sh:pattern "[" .', sh.DocumentError,
+     "malformed sh:pattern '[': unterminated character set at position 0"),
+    (":s a sh:NodeShape ; sh:languageIn ( :en ) .", sh.DocumentError,
+     "sh:languageIn expects string literals"),
+    (':s a sh:NodeShape ; sh:closed true ; sh:ignoredProperties ( "x" ) .', sh.DocumentError,
+     "sh:ignoredProperties expects IRIs"),
+    (":s a sh:NodeShape ; sh:closed true ; sh:ignoredProperties ( :p ), ( :q ) .", ValueError,
+     "expected at most one value of <http://www.w3.org/ns/shacl#ignoredProperties> on <http://ex/s>"),
+    (":s a sh:PropertyShape ; sh:path [ sh:inversePath [ sh:inversePath :p ] ] .", sh.DocumentError,
+     "sh:inversePath applies only to a plain IRI"),
+    (":s a sh:PropertyShape ; sh:path [ sh:inversePath :p, :q ] .", ValueError,
+     "expected at most one value of <http://www.w3.org/ns/shacl#inversePath> on _:b0"),
+    (':s a sh:PropertyShape ; sh:path "x" .', sh.DocumentError, 'unsupported sh:path value "x"'),
+    (":s a sh:PropertyShape ; sh:path [ :q :r ] .", sh.DocumentError, "unsupported sh:path value _:b0"),
+    (":s a sh:PropertyShape ; sh:path :p ; sh:qualifiedValueShape :t ; sh:qualifiedMaxCount :x . "
+     ":t a sh:NodeShape .", sh.DocumentError, "sh:qualifiedMaxCount expects an integer, got <http://ex/x>"),
+    (":s a sh:PropertyShape ; sh:path :p ; sh:qualifiedValueShape :t ; sh:qualifiedMinCount 1, 2 . "
+     ":t a sh:NodeShape .", ValueError,
+     "expected at most one value of <http://www.w3.org/ns/shacl#qualifiedMinCount> on <http://ex/s>"),
+    (":s a sh:PropertyShape ; sh:path :p ; sh:qualifiedValueShape :t ; "
+     "sh:qualifiedValueShapesDisjoint true, false . :t a sh:NodeShape .", ValueError,
+     "expected at most one value of <http://www.w3.org/ns/shacl#qualifiedValueShapesDisjoint> on <http://ex/s>"),
+    (':s a sh:NodeShape ; sh:targetSubjectsOf "x" ; sh:datatype "y" .', sh.DocumentError,
+     "sh:targetSubjectsOf expects an IRI"),
+    (':s a sh:PropertyShape ; sh:targetObjectsOf 1 ; sh:path "x" .', sh.DocumentError,
+     "sh:targetObjectsOf expects an IRI"),
+    (':s a sh:PropertyShape ; sh:path "x" ; sh:datatype "y" .', sh.DocumentError,
+     'unsupported sh:path value "x"'),
+    (':s a sh:NodeShape ; sh:pattern :a ; sh:datatype "y" .', sh.DocumentError,
+     "sh:datatype expects an IRI"),
+    (':b a sh:NodeShape ; sh:datatype "y" . :a a sh:NodeShape ; sh:nodeKind :k .', sh.DocumentError,
+     "unknown sh:nodeKind <http://ex/k>"),
+)
+
+
+@pytest.mark.parametrize("text, error, message", _READER_ERROR_TABLE)
+def test_reader_error_table(text, error, message):
+    with pytest.raises(error) as err:
+        doc(RDF_PREFIX + text)
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_an_unknown_shape_name_is_a_document_error():
+    with pytest.raises(sh.DocumentError) as err:
+        doc(":s a sh:NodeShape .").shape(iri("t"))
+    assert str(err.value) == "unknown shape <http://ex/t>"

@@ -8,7 +8,7 @@ import pytest
 from sclkit import shacl as sh
 from sclkit.decide import SatResult, SearchBudget
 from sclkit.filters import Finite, Pos, Neg, KindAtom
-from sclkit.rdf import XSD_INTEGER, Blank, Iri, Literal, Triple
+from sclkit.rdf import XSD_INTEGER, Blank, Graph, Iri, Literal, Triple, parse_turtle
 from sclkit.scl import PsiAnd, PsiCount, PsiNot, PsiShape, PsiTop, RelAtom, RelStep, ShapeRel
 from sclkit.value import Value, value_class
 
@@ -162,3 +162,13 @@ def test_values_copy_pickle_and_match_like_dataclasses():
             assert inner == PsiTop()
         case _:
             pytest.fail("positional class pattern did not match")
+
+
+def test_a_value_holding_a_graph_compares_and_hashes_it():
+    # a parsed graph builds its triples (and so its hash) on demand
+    built = SatResult("sat", witness_graph=Graph([Triple(Iri("http://ex/a"), Iri("http://ex/p"), Iri("http://ex/b"))]))
+    parsed = SatResult("sat", witness_graph=parse_turtle("<http://ex/a> <http://ex/p> <http://ex/b> ."))
+    assert built == parsed and hash(built) == hash(parsed)
+    assert built != SatResult("sat", witness_graph=Graph(()))
+    with pytest.raises(AttributeError):
+        parsed.witness_graph.triples = frozenset()
