@@ -128,32 +128,26 @@ def _index(fwd: dict, bwd: dict, s: Term, p: Term, o: Term) -> None:
     bwd.setdefault(p, {}).setdefault(o, {})[s] = None
 
 
-def _fill(g: "Graph", fwd: dict, bwd: dict, triples: Optional[frozenset]) -> "Graph":
-    """`g` with these indexes, its node set read from their keys."""
-    nodes = frozenset().union(*fwd.values(), *bwd.values())  # with the keys' stored hashes
-    for slot, value in zip(Graph.__slots__, (fwd, bwd, nodes, triples)):  # in slot order
-        _set(g, slot, value)
-    return g
-
-
 class Graph:
     """An immutable finite set of triples with predicate indexes; a query
     returns a read-only view of an index entry (dict keys), not a copy.  The
-    reader fills the indexes directly, and the frozenset of `Triple` objects
-    (`triples`, which the hash and iteration read) is built when first asked
-    for.  Not a `Value`, which stores its hash: a value class holding a graph
-    compares it with `==`."""
+    frozenset of `Triple` objects (`triples`, which the hash and iteration
+    read) is built when first asked for.  Not a `Value`, which stores its
+    hash: a value class holding a graph compares it with `==`."""
 
     __slots__ = ("_fwd", "_bwd", "_nodes", "_triples")
     __setattr__, __delattr__ = Value.__setattr__, Value.__delattr__
 
-    def __init__(self, triples: Iterable[Triple] = ()):
-        ts = frozenset(triples)
-        fwd: dict = {}
-        bwd: dict = {}
-        for tr in ts:
+    def __init__(self, triples: Iterable[Triple] = (), indexes: tuple = ()):
+        """The graph of `triples`, or of the reader's filled (forward, backward) `indexes`."""
+        ts = None if indexes else frozenset(triples)
+        fwd, bwd = indexes or ({}, {})
+        for tr in ts or ():
             _index(fwd, bwd, tr.subject, tr.predicate, tr.object)
-        _fill(self, fwd, bwd, ts)
+        _set(self, "_fwd", fwd)
+        _set(self, "_bwd", bwd)
+        _set(self, "_nodes", frozenset().union(*fwd.values(), *bwd.values()))  # keys keep their hashes
+        _set(self, "_triples", ts)
 
     @property
     def triples(self) -> frozenset:
@@ -203,10 +197,14 @@ class Graph:
         return obj in self._fwd.get(predicate, _NO_INDEX).get(subject, _NO_INDEX)
 
     def one_object(self, subject: Term, predicate: Term) -> Optional[Term]:
-        objs = self.objects(subject, predicate)
-        if len(objs) > 1:
-            raise ValueError(f"expected at most one value of {predicate!r} on {subject!r}")
-        return next(iter(objs)) if objs else None
+        return one_of(self.objects(subject, predicate), subject, predicate)
+
+
+def one_of(objs, subject: Term, predicate: Term) -> Optional[Term]:
+    """The one `predicate` value of `subject` among `objs`, or None if there is none."""
+    if len(objs) > 1:
+        raise ValueError(f"expected at most one value of {predicate!r} on {subject!r}")
+    return next(iter(objs)) if objs else None
 
 
 def nodes_of(g: Graph, document=None) -> frozenset:
@@ -317,7 +315,7 @@ class _Parser:
             else:
                 self.predicate_object_list(self.node())
                 self.take(".")
-        return _fill(object.__new__(Graph), self.fwd, self.bwd, None)
+        return Graph(indexes=(self.fwd, self.bwd))
 
     def directive(self) -> None:
         if self.text.startswith("@prefix", self.pos):

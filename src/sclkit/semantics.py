@@ -46,7 +46,7 @@ from .scl import (
     TargetObjectsAxiom,
     TargetSubjectsAxiom,
 )
-from .translate import shape_bodies
+from .translate import _declared_property_relations, shape_bodies
 
 
 class SemanticsMode(Enum):
@@ -574,15 +574,17 @@ def gamma_transform(m: sh.Document) -> sh.Document:
     """Split each shape into a positive and a negative half so that validity
     under partial semantics becomes validity under total semantics.  The
     negative half carries no targets: targets demand conformance, which the
-    positive half models."""
+    positive half models.  The split hides a closed shape's sh:property values
+    inside conjunctions, so each sh:closed first lists their paths as ignored."""
     m = sh.eliminate_xone(m)
     rw = _GammaRewriter()
     shapes = []
     for shape in m.shapes:
-        shapes.append(sh.Shape(gamma_pos_name(shape.name), shape.targets, shape.path,
-                               rw.split(shape.constraint, True)))
-        shapes.append(sh.Shape(gamma_neg_name(shape.name), (), shape.path,
-                               rw.split(shape.constraint, False)))
+        declared = _declared_property_relations(shape, m)
+        c = sh.rebuild(shape.constraint, lambda x: sh.Closed(tuple(sorted(
+            set(x.ignored) | declared, key=lambda i: i.value))) if isinstance(x, sh.Closed) else x)
+        shapes.append(sh.Shape(gamma_pos_name(shape.name), shape.targets, shape.path, rw.split(c, True)))
+        shapes.append(sh.Shape(gamma_neg_name(shape.name), (), shape.path, rw.split(c, False)))
     return sh.Document(tuple(shapes) + tuple(rw.aux_shapes))
 
 

@@ -26,6 +26,7 @@ from .rdf import (
     XSD_BOOLEAN,
     XSD_INTEGER,
     _xsd_number,
+    one_of,
     term_key,
 )
 from .value import value_class
@@ -611,11 +612,7 @@ class _DocumentReader:
                 and not any(local in _PATHS for local in self.sh_terms.get(n, ()))}
 
     def one(self, node: Term, local: str) -> Optional[Term]:
-        """The sh:`local` value of `node`, read as Graph.one_object reads it."""
-        objs = self.sh_terms.get(node, {}).get(local, ())
-        if len(objs) > 1:
-            raise ValueError(f"expected at most one value of {sh(local)!r} on {node!r}")
-        return objs[0] if objs else None
+        return one_of(self.sh_terms.get(node, {}).get(local, ()), node, sh(local))
 
     def ref_name(self, local: str, node: Term) -> Iri:
         """The name of the shape that the object of an sh:`local` triple is."""
