@@ -992,7 +992,9 @@ def naive_axiomatisation(phi: SclSentence) -> AxiomatisationResult:
     return AxiomatisationResult(SclSentence(tuple(axioms)), approximate, tuple(skipped))
 
 
-def _bounded_combos(constants: list, atoms: list) -> list:
+def _bounded_combos(constants: list, atoms: list, deadline=None) -> Optional[list]:
+    """The filter combinations the bounded axiomatisation counts; None once a
+    given `deadline` expires."""
     by_type: dict = {}
     for a in atoms:
         by_type.setdefault(_atom_type(a), []).append(a)
@@ -1010,8 +1012,13 @@ def _bounded_combos(constants: list, atoms: list) -> list:
         combos = [prev + g for prev in combos for g in group]
     equality_options: list = [(), *([Eq(c)] for c in constants), (Nu(),)]
     equality_options = [tuple(e) for e in equality_options]
-    combos = [prev + e for prev in combos for e in equality_options]
-    return [FilterCombination.of(c) for c in combos if c]
+    out = []
+    for i, c in enumerate(prev + e for prev in combos for e in equality_options):
+        if i % 1024 == 0 and deadline is not None and deadline.expired():
+            return None
+        if c:
+            out.append(FilterCombination.of(c))
+    return out
 
 
 def bounded_axiomatisation(phi: SclSentence, deadline=None) -> AxiomatisationResult:
@@ -1037,11 +1044,12 @@ def bounded_axiomatisation(phi: SclSentence, deadline=None) -> AxiomatisationRes
     nu_rel = ShapeRel(nu_name)
     known = frozenset(constants)
     axioms = [ConstraintAxiom(nu_rel, psi_and_all([PsiNot(PsiEq(c)) for c in constants]))]
-    approximate = False
+    combos = _bounded_combos(constants, atoms, deadline)
+    approximate = combos is None
     skipped = []
     passes = {c: {a: eval_filter(a, c) for a in atoms} for c in constants}
     totals: dict = {}  # filter part -> its count, for this call only
-    for combo in sorted(_bounded_combos(constants, atoms), key=lambda c: c.describe()):
+    for combo in sorted(combos or (), key=lambda c: c.describe()):
         if deadline is not None and deadline.expired():
             approximate = True
             break

@@ -629,6 +629,22 @@ def test_bounded_axiomatisation_stops_at_an_expired_deadline():
     assert cut.sentence.axioms == full.sentence.axioms[:1]  # Nu's definition only
 
 
+def test_bounded_combinations_stop_at_the_deadline_while_they_are_built():
+    from sclkit.filters import _bounded_combos, _gather
+
+    class ExpiresOnSecondCheck:
+        checks = 0
+
+        def expired(self):
+            self.checks += 1
+            return self.checks > 1
+
+    constants, atoms, _ = _gather(tau(sh.document_from_graph(parse_turtle(THREE_FILTERS))))
+    assert len(_bounded_combos(constants, atoms)) > 1024
+    deadline = ExpiresOnSecondCheck()
+    assert _bounded_combos(constants, atoms, deadline) is None and deadline.checks == 2
+
+
 CLOSED_P = ":P a sh:PropertyShape ; sh:path :p ; sh:minCount 1 . "
 
 
