@@ -233,7 +233,11 @@ class TurtleError(ValueError):
 
 # The reader matches compiled patterns at a position.  Whitespace and comments
 # are skipped only where the grammar below skips them.
-_NAME_CHAR = r"[-.%0-9A-Z_a-z\x80-\U0010ffff]"  # prefixes, local names, blank labels
+# The characters of prefixes, local names and blank labels: [-.%0-9A-Z_a-z]
+# and every code point past ASCII, written as the ASCII characters it leaves
+# out.  `re` compiles this form at once; the range up to U+10FFFF took 7 ms
+# per use, and the reader's patterns use the class seven times.
+_NAME_CHAR = r"[^\x00-$&-,/:-@\[-^`{-\x7f]"
 _SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
 _SPACE = re.compile(_SKIP)
 _NAME = re.compile(f"{_NAME_CHAR}*")
@@ -260,6 +264,19 @@ _STRING_BODY = {
 _ESCAPE = re.compile(r"""\\(?:([tnrbf"'\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))""")
 _ESCAPES = {"t": "\t", "n": "\n", "r": "\r", "b": "\b", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 _LANGUAGE = re.compile(r"@((?:[^\W_]|-)*)")
+# A whole statement in the N-Triples form `<s> <p> <o> .` that
+# `serialize_turtle` writes, after whitespace: an IRI or blank subject, an IRI
+# predicate, and an IRI, blank or escape-free "..." object with an optional
+# ^^<datatype> or @tag.  It matches only text that the term reader reads as
+# the same triple, ending at the same offset: a blank label is maximal, so it
+# keeps a trailing '.' as the term reader's does, and so is a tag.  Comments,
+# escapes and every other construct are left to the term reader.  Each
+# whitespace run is one class: `_SKIP`'s nested repeat, followed by a part
+# that fails, backtracks exponentially in the length of the run.
+_IRI = rf"<({_IRI_BODY.pattern})>"
+_BLANK = rf"_:({_NAME_CHAR}*)(?!{_NAME_CHAR})"
+_STATEMENT = re.compile(rf"""[ \t\r\n]*(?:{_IRI}|{_BLANK})[ \t\r\n]*{_IRI}[ \t\r\n]*
+    (?:{_IRI}|{_BLANK}|"([^"\\\n]*)"(?:\^\^{_IRI}|@((?:[^\W_]|-)+))?)[ \t\r\n]*\.""", re.X)
 
 
 class _Parser:
@@ -274,6 +291,7 @@ class _Parser:
         self.fwd: dict = {}  # the graph's indexes, filled triple by triple
         self.bwd: dict = {}
         self.iris: dict[str, Iri] = {}
+        self.literals: dict[tuple, Literal] = {}  # (lexical, datatype, tag) of an N-Triples object
         self._blank_counter = 0
         self._blank_map: dict[str, Blank] = {}
         self.depth = 0  # open brackets around the current position
@@ -298,6 +316,9 @@ class _Parser:
             out = self.iris[value] = Iri(value)
         return out
 
+    def resolve(self, iri: str) -> str:
+        return self.base + iri if self.base and not _is_absolute(iri) else iri
+
     # Blank labels are skolemised per parse; source labels are not preserved.
     def fresh_blank(self) -> Blank:
         self._blank_counter += 1
@@ -309,13 +330,42 @@ class _Parser:
         return self._blank_map[label]
 
     def parse(self) -> Graph:
-        while self.peek():
-            if self.text.startswith(("@prefix", "@base"), self.pos):
-                self.directive()
+        text, fwd, bwd, iris, literals = self.text, self.fwd, self.bwd, self.iris, self.literals
+        pos = 0
+        while True:
+            m = _STATEMENT.match(text, pos)
+            if m is None:  # a comment first, the end, or another form
+                self.pos = pos
+                if not self.peek():
+                    return Graph(indexes=(fwd, bwd))
+                m = _STATEMENT.match(text, self.pos)
+                if m is None:
+                    self.statement()
+                    pos = self.pos
+                    continue
+            pos = m.end()
+            s, sb, p, o, ob, lexical, dt, tag = m.groups()
+            if self.base:
+                s, p, o, dt = (v if v is None else self.resolve(v) for v in (s, p, o, dt))
+            subject = self.named_blank(sb) if s is None else iris.get(s) or self.iri(s)
+            if o is not None:
+                obj = iris.get(o) or self.iri(o)
+            elif ob is not None:
+                obj = self.named_blank(ob)
             else:
-                self.predicate_object_list(self.node())
-                self.take(".")
-        return Graph(indexes=(self.fwd, self.bwd))
+                obj = literals.get((lexical, dt, tag))
+                if obj is None:
+                    datatype = None if dt is None else self.iri(dt)
+                    obj = literals[lexical, dt, tag] = Literal(lexical, datatype, tag)
+            _index(fwd, bwd, subject, iris.get(p) or self.iri(p), obj)
+
+    def statement(self) -> None:
+        """One directive or statement, read term by term."""
+        if self.text.startswith(("@prefix", "@base"), self.pos):
+            self.directive()
+        else:
+            self.predicate_object_list(self.node())
+            self.take(".")
 
     def directive(self) -> None:
         if self.text.startswith("@prefix", self.pos):
@@ -324,7 +374,7 @@ class _Parser:
             self.pos += len(name)
             self.take(":")
             iri = self.iriref()
-            self.prefixes[name] = self.base + iri if self.base and not _is_absolute(iri) else iri
+            self.prefixes[name] = self.resolve(iri)
         else:
             self.pos += 5
             self.base = self.iriref()
@@ -364,9 +414,7 @@ class _Parser:
         token = m.group(kind)
         self.pos = m.end()
         if kind == "iri":
-            if self.base and not _is_absolute(token):
-                token = self.base + token
-            return self.iri(token)
+            return self.iri(self.resolve(token))
         if kind == "name":
             if verb and token == "a":
                 return RDF_TYPE

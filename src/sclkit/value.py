@@ -92,9 +92,9 @@ class Value:
 _set_hash = Value._hash.__set__
 
 
-# Most classes have one or two fields, and some are built in hot loops; these
-# constructors set them without the loop of Value.__init__, which takes about
-# half as long again.
+# Most classes have one to three fields, and some are built in hot loops;
+# these constructors set them without the loop of Value.__init__, which takes
+# about half as long again.
 def _init_1(set0):
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != 1:
@@ -110,6 +110,17 @@ def _init_2(set0, set1):
             args = type(self)._bind(args, kwargs)
         set0(self, args[0])
         set1(self, args[1])
+        _set_hash(self, hash(args))
+    return __init__
+
+
+def _init_3(set0, set1, set2):
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != 3:
+            args = type(self)._bind(args, kwargs)
+        set0(self, args[0])
+        set1(self, args[1])
+        set2(self, args[2])
         _set_hash(self, hash(args))
     return __init__
 
@@ -132,7 +143,7 @@ def value_class(cls: type) -> type:
     new._setters = tuple(getattr(new, f).__set__ for f in new._fields)
     new.__match_args__ = new._fields
     if "__init__" not in namespace:
-        unrolled = {1: _init_1, 2: _init_2}.get(len(new._fields))
+        unrolled = {1: _init_1, 2: _init_2, 3: _init_3}.get(len(new._fields))
         new.__init__ = unrolled(*new._setters) if unrolled else Value.__init__
     for attr in namespace.values():  # zero-argument super() names the class
         for cell in getattr(attr, "__closure__", None) or ():

@@ -12,15 +12,19 @@ allowed only where its own check says it applies:
   TurtleError just past the number, where the reference read `"--3"` as an
   xsd:integer.
 """
+import re
 from pathlib import Path
 from random import Random
-from string import hexdigits
+from string import ascii_letters, digits, hexdigits
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_parse_turtle
+from sclkit import rdf
 from sclkit.corpus import random_document, random_graph
-from sclkit.rdf import XSD_DECIMAL, XSD_INTEGER, Graph, Literal, TurtleError, parse_turtle, serialize_turtle
+from sclkit.rdf import (XSD_DECIMAL, XSD_INTEGER, Blank, Graph, Iri, Literal, Triple, TurtleError, parse_turtle,
+                        serialize_turtle)
 from sclkit.shacl import document_to_graph
 
 FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("*.ttl"))
@@ -38,6 +42,21 @@ SAMPLE = "\n".join((
     r''':t :p :o ;.''',
     "",
 ))
+
+# The N-Triples form `serialize_turtle` writes, which the reader takes one
+# pattern match per statement, with its edges: tabs, a comment after a '.', a
+# '.' directly before the next statement, a relative IRI under @base, and an
+# escaped string, which is left to the term reader.
+NT_SAMPLE = "\n".join((
+    r"<http://ex/s> <http://ex/p> <http://ex/o> .",
+    "_:x\t<http://ex/p>\t_:y . # a comment after a statement",
+    r'<http://ex/s> <http://ex/p> "plain" .<http://ex/s> <http://ex/q> "5"^^<http://ex/dt> .',
+    r'_:y <http://ex/p> "tagged"@EN-us . _:z <http://ex/p> "" .',
+    r"@base <http://ex/base/> .",
+    r'<rel> <p> <#o> . <rel> <p> "t"^^<dt> . <rel> <p> "esc \"q\"" .',
+    "",
+))
+SAMPLES = (SAMPLE, NT_SAMPLE)
 
 # Characters the grammar gives a meaning to, plus a non-ASCII letter, a
 # non-ASCII digit and a carriage return.
@@ -122,7 +141,8 @@ def test_fixtures_read_as_the_reference_reads_them():
         text = path.read_text(encoding="utf-8")
         assert isinstance(parse_turtle(text), Graph)
         assert_same_reading(text)
-    assert parse_turtle(SAMPLE) == reference_parse_turtle(SAMPLE)
+    for sample in SAMPLES:
+        assert parse_turtle(sample) == reference_parse_turtle(sample)
 
 
 def test_generated_documents_and_graphs_read_as_the_reference_reads_them():
@@ -143,9 +163,10 @@ def test_arbitrary_text_reads_as_the_reference_reads_it(text):
 
 
 def test_every_cut_deletion_and_inserted_space_reads_as_the_reference_reads_it():
-    for at in range(len(SAMPLE) + 1):
-        for text in (SAMPLE[:at], SAMPLE[:at] + SAMPLE[at + 1 :], SAMPLE[:at] + " " + SAMPLE[at:]):
-            assert_same_reading(text)
+    for sample in SAMPLES:
+        for at in range(len(sample) + 1):
+            for text in (sample[:at], sample[:at] + sample[at + 1 :], sample[:at] + " " + sample[at:]):
+                assert_same_reading(text)
 
 
 def test_every_doubled_sign_reads_as_the_reference_reads_it():
@@ -156,14 +177,50 @@ def test_every_doubled_sign_reads_as_the_reference_reads_it():
             assert_same_reading(SAMPLE[:at] + sign + SAMPLE[at:])
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.integers(0, len(SAMPLE)), st.sampled_from(("cut", "delete", "replace", "insert")),
-       st.one_of(st.sampled_from(EDIT_CHARS), st.characters()))
-def test_truncated_and_edited_turtle_reads_as_the_reference_reads_it(at, edit, char):
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.sampled_from(SAMPLES), st.integers(0, max(map(len, SAMPLES))),
+       st.sampled_from(("cut", "delete", "replace", "insert")), st.one_of(st.sampled_from(EDIT_CHARS), st.characters()))
+def test_truncated_and_edited_turtle_reads_as_the_reference_reads_it(sample, at, edit, char):
+    at %= len(sample) + 1
     text = {
-        "cut": SAMPLE[:at],
-        "delete": SAMPLE[:at] + SAMPLE[at + 1 :],
-        "replace": SAMPLE[:at] + char + SAMPLE[at + 1 :],
-        "insert": SAMPLE[:at] + char + SAMPLE[at:],
+        "cut": sample[:at],
+        "delete": sample[:at] + sample[at + 1 :],
+        "replace": sample[:at] + char + sample[at + 1 :],
+        "insert": sample[:at] + char + sample[at:],
     }[edit]
     assert_same_reading(text)
+
+
+@pytest.mark.parametrize("text, expected", [
+    # the term reader keeps a trailing '.' in a blank label
+    ("<a> <b> _:b0.", ("TurtleError", "expected '.' at line 1, column 14", 1, 14)),
+    ("<a> <b> _:b0. .", Graph([Triple(Iri("a"), Iri("b"), Blank("b0"))])),
+    ('<a> <b> "x"@EN-us .', Graph([Triple(Iri("a"), Iri("b"), Literal("x", language="en-us"))])),
+    ('<a> <b> "x"@ .', ("TurtleError", "malformed language tag at line 1, column 13", 1, 13)),
+    ('<a> <b> "x"^^<> .', Graph([Triple(Iri("a"), Iri("b"), Literal("x", Iri("")))])),
+])
+def test_n_triples_edges_read_as_the_term_reader_reads_them(text, expected):
+    assert _outcome(parse_turtle, text) == expected
+    assert_same_reading(text)
+
+
+def test_the_writers_output_is_read_one_match_per_statement(monkeypatch):
+    """Generated documents and graphs, written by `serialize_turtle` (no
+    escapes), never reach the term reader: every statement is one match."""
+    def term_reader(self, verb=False):
+        raise AssertionError(f"the term reader ran at offset {self.pos}")
+
+    rng, texts = Random(9), []
+    for i in range(300):
+        m = random_document(rng, max_shapes=4, recursive=i % 4 == 0)
+        texts += [serialize_turtle(document_to_graph(m)), serialize_turtle(random_graph(rng, max_nodes=6))]
+    assert not any("\\" in text for text in texts)
+    expected = [reference_parse_turtle(text) for text in texts]
+    monkeypatch.setattr(rdf._Parser, "node", term_reader)
+    assert [parse_turtle(text) for text in texts] == expected
+
+
+def test_name_characters_are_the_ascii_name_set_and_every_code_point_past_ascii():
+    name_char = re.compile(rdf._NAME_CHAR)
+    for cp in (*range(0x80), 0x80, 0xB7, 0xD800, 0xFFFF, 0x10000, 0x10FFFF):
+        assert bool(name_char.fullmatch(chr(cp))) == (cp > 0x7F or chr(cp) in "-.%_" + digits + ascii_letters), hex(cp)
