@@ -309,7 +309,7 @@ def candidate_graphs(m: sh.Document, budget: SearchBudget,
     """Ascending enumeration of graphs over the document's vocabulary."""
     consts = sorted(set(sh.document_constants(m)) | set(extra_constants), key=term_key)
     consts += [t for t in _filter_sample_terms(m) if t not in set(consts)]
-    rels = set(sh.document_relation_names(m)) | set(extra_relations)
+    rels = sh.document_vocabulary(m)[0] | set(extra_relations)
     if any(isinstance(node, sh.Closed) for s in m.shapes for node in sh.walk(s.constraint)):
         rels.add(CLOSED_RELATION)
     rels = sorted(rels, key=lambda i: i.value)
@@ -402,7 +402,7 @@ def check_containment(m1: sh.Document, m2: sh.Document, mode: SemanticsMode,
         return SatResult("sat", witness_graph=g) if separates else None
 
     return _graph_search(m1, budget, counterexample, "no counterexample within budget",
-                         sh.document_constants(m2), sh.document_relation_names(m2))
+                         sh.document_constants(m2), sh.document_vocabulary(m2)[0])
 
 
 def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,

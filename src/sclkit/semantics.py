@@ -126,7 +126,7 @@ def compile_document(m: sh.Document):
 
 
 class _Compiled:
-    __slots__ = ("document", "bodies", "order", "per_graph")
+    __slots__ = ("document", "bodies", "order", "per_graph", "vocabulary")
 
     def __init__(self, document: sh.Document, bodies: dict, order: Optional[list]):
         self.document = document
@@ -135,13 +135,15 @@ class _Compiled:
         # the shapes with sh:closed or sh:uniqueLang, which range over the graph's names
         self.per_graph = tuple(s for s in document.shapes
                                if any(isinstance(c, (sh.Closed, sh.UniqueLang)) for c in sh.walk(s.constraint)))
+        # the document's part of their range; each graph adds its own
+        self.vocabulary = sh.document_vocabulary(document) if self.per_graph else None
 
     def graph_bodies(self, g: Graph) -> dict:
         """The bodies, with the `per_graph` shapes translated again with the
         predicates and language tags of the graph at hand."""
         if not self.per_graph:
             return self.bodies
-        return {**self.bodies, **shape_bodies(self.document, g, self.per_graph)}
+        return {**self.bodies, **shape_bodies(self.document, g, self.per_graph, self.vocabulary)}
 
 
 def target_holds(g: Graph, t: sh.TargetDecl, node: Term) -> bool:

@@ -29,7 +29,7 @@ from .rdf import (
     one_of,
     term_key,
 )
-from .value import value_class
+from .value import Value, _set, value_class
 
 FRESH_NS = "urn:sclkit:fresh:"
 
@@ -341,13 +341,12 @@ class Document:
 
     def __init__(self, shapes: tuple = ()):
         super().__init__(shapes)
-        seen = set()
+        by_name: dict = {}
         for s in self.shapes:
-            if s.name in seen:
+            if s.name in by_name:
                 raise DocumentError(f"duplicate shape name {s.name!r}")
-            seen.add(s.name)
-        by_name = {s.name: s for s in self.shapes}
-        object.__setattr__(self, "_by_name", by_name)
+            by_name[s.name] = s
+        _set(self, "_by_name", by_name)
         for s in self.shapes:
             for ref in referenced_names(s.constraint):
                 if ref not in by_name:
@@ -371,6 +370,15 @@ class Document:
             return self._by_name[name]
         except KeyError:
             raise DocumentError(f"unknown shape {name!r}") from None
+
+    @classmethod
+    def _trusted(cls, by_name: dict) -> "Document":
+        """The document of the shapes of `by_name` (name -> shape), in its
+        order, without the checks of `__init__`; for the reader."""
+        m = object.__new__(cls)
+        Value.__init__(m, tuple(by_name.values()))
+        _set(m, "_by_name", by_name)
+        return m
 
     def has_shape(self, name: Iri) -> bool:
         return name in self._by_name
@@ -529,20 +537,13 @@ _BOOLEANS = {Literal(form, XSD_BOOLEAN): form in ("true", "1") for form in ("tru
 # --- reading a document from its triple encoding -----------------------------
 
 _SHAPE_CLASSES = (sh("NodeShape"), sh("PropertyShape"))
-
-def _read_list(g: Graph, head: Term) -> list[Term]:
-    items: list[Term] = []
-    seen = set()
-    while head != RDF_NIL:
-        if head in seen:
-            raise DocumentError("cyclic RDF list")
-        seen.add(head)
-        first = g.one_object(head, RDF_FIRST)
-        if first is None:
-            raise DocumentError(f"malformed RDF list at {head!r}")
-        items.append(first)
-        head = g.one_object(head, RDF_REST) or RDF_NIL
-    return items
+_NO_TERMS: dict = {}  # the sh: terms of a node without any
+# what the subject of an sh: term is: a shape carrying it ("term"), also
+# naming the shape or list of shapes that is its object ("shape", "shapes"),
+# or a path helper
+_ROLE = {"path": "term", **{local: kind if kind in ("shape", "shapes") else "term"
+                            for local, (_, kind, _) in _TERMS.items()},
+         **dict.fromkeys(_PATHS, "helper")}
 
 
 def _object_of(kind: str, local: str, obj: Term):
@@ -565,74 +566,87 @@ def _object_of(kind: str, local: str, obj: Term):
 
 
 class _DocumentReader:
+    """Reads a document in one checked pass, so `Document`'s own checks are
+    left out: every shape gets a distinct name, every reference resolves
+    through `ref_name`, and `read_atom` rejects property-only terms in node
+    shapes."""
+
     def __init__(self, g: Graph):
         self.g = g
-        # subject -> {local name: objects sorted by term_key} over the sh:
-        # predicates, in local-name order
+        # subject -> {local name: its objects (sorted by term_key if more
+        # than one)} over the sh: predicates, in local-name order
         self.sh_terms: dict = {}
+        self.lists: dict = {}  # head -> items: each RDF list is read once
+        # a shape is typed, the subject of sh:path or of a term a shape
+        # carries, or named by such a term; list and path helpers are not
+        nodes = {n for cls in _SHAPE_CLASSES for n in g.subjects(RDF_TYPE, cls)}
+        refs: list = []
+        helpers = {cell for cell, _ in g.edges(RDF_FIRST)}
         found = sorted((p.value[len(SH_NS):], p) for p in g.predicates()
                        if isinstance(p, Iri) and p.value.startswith(SH_NS))
         for local, p in found:
+            role = _ROLE.get(local)
             for subject, objs in g.edges(p):
-                self.sh_terms.setdefault(subject, {})[local] = sorted(objs, key=term_key) if len(objs) > 1 else [*objs]
-        self.shape_nodes = sorted(self._discover(), key=term_key)
-        taken = {n for n in self.shape_nodes if isinstance(n, Iri)}
-        self.mint = NameMint(taken)
-        # blank shape nodes get fresh IRIs (standardisation rule 1)
-        self.names: dict[Term, Iri] = {}
-        for n in self.shape_nodes:
-            self.names[n] = n if isinstance(n, Iri) else self.mint.fresh()
+                objs = sorted(objs, key=term_key) if len(objs) > 1 else objs
+                self.sh_terms.setdefault(subject, {})[local] = objs
+                if role == "helper":
+                    helpers.add(subject)
+                elif role is not None:
+                    nodes.add(subject)
+                    if role == "shape":
+                        refs += objs
+                    elif role == "shapes":
+                        for o in objs:
+                            refs += self.read_list(o)
+        nodes.update(o for o in refs if not isinstance(o, Literal))  # ref_name rejects a literal
+        self.shape_nodes = sorted(nodes - helpers, key=term_key)
+        self.names: dict[Term, Iri] = {n: n for n in self.shape_nodes if isinstance(n, Iri)}
+        blanks = [n for n in self.shape_nodes if not isinstance(n, Iri)]
+        if blanks:  # they get fresh IRIs (standardisation rule 1)
+            mint = NameMint(set(self.names))
+            self.names.update((n, mint.fresh()) for n in blanks)
 
-    def _discover(self) -> set[Term]:
-        g = self.g
-        nodes: set[Term] = set()
-        for cls in _SHAPE_CLASSES:
-            nodes.update(g.subjects(RDF_TYPE, cls))
-        # the subject of sh:path or of any term a shape carries is a shape
-        nodes.update(n for n, terms in self.sh_terms.items()
-                     if any(local == "path" or local in _TERMS for local in terms))
-        # referenced shapes
-        frontier = list(nodes)
-        while frontier:
-            n = frontier.pop()
-            found = []
-            for local, objs in self.sh_terms.get(n, {}).items():
-                kind = _TERMS[local][1] if local in _TERMS else None
-                if kind == "shape":
-                    found.extend(objs)
-                elif kind == "shapes":
-                    for o in objs:
-                        found.extend(_read_list(g, o))
-            for o in found:
-                if o not in nodes and not isinstance(o, Literal):  # ref_name rejects a literal
-                    nodes.add(o)
-                    frontier.append(o)
-        # list/path helper blanks are not shapes
-        return {n for n in nodes if not g.objects(n, RDF_FIRST)
-                and not any(local in _PATHS for local in self.sh_terms.get(n, ()))}
+    def read_list(self, head: Term) -> list[Term]:
+        if head in self.lists:
+            return self.lists[head]
+        objects = self.g.objects
+        items: list[Term] = []
+        cell, seen = head, set()
+        while cell != RDF_NIL:
+            if cell in seen:
+                raise DocumentError("cyclic RDF list")
+            seen.add(cell)
+            first = one_of(objects(cell, RDF_FIRST), cell, RDF_FIRST)
+            if first is None:
+                raise DocumentError(f"malformed RDF list at {cell!r}")
+            items.append(first)
+            cell = one_of(objects(cell, RDF_REST), cell, RDF_REST) or RDF_NIL
+        self.lists[head] = items
+        return items
 
     def one(self, node: Term, local: str) -> Optional[Term]:
-        return one_of(self.sh_terms.get(node, {}).get(local, ()), node, sh(local))
+        return one_of(self.sh_terms.get(node, _NO_TERMS).get(local, ()), node, sh(local))
 
     def ref_name(self, local: str, node: Term) -> Iri:
         """The name of the shape that the object of an sh:`local` triple is."""
         if isinstance(node, Literal):
             raise DocumentError(f"sh:{local} expects a shape, got {node!r}")
-        if node not in self.names:
+        name = self.names.get(node)
+        if name is None:
             raise DocumentError(f"dangling shape reference {node!r}")
-        return self.names[node]
+        return name
 
     def read(self) -> Document:
-        return Document(tuple(self.read_shape(n) for n in self.shape_nodes))
+        return Document._trusted({self.names[n]: self.read_shape(n) for n in self.shape_nodes})
 
     def read_shape(self, node: Term) -> Shape:
-        terms = self.sh_terms.get(node, {})
+        terms = self.sh_terms.get(node, _NO_TERMS)
         targets = [cls(_object_of(kind, local, o)) for local, cls, kind in _TARGETS for o in terms.get(local, ())]
 
         paths = terms.get("path", ())
         if len(paths) > 1:
             raise DocumentError(f"shape {node!r} has two sh:path values")
-        path = self.read_path(paths[0]) if paths else None
+        path = self.read_path(next(iter(paths))) if paths else None
 
         atoms: list[Constraint] = []
         for local, objs in terms.items():
@@ -640,13 +654,7 @@ class _DocumentReader:
                 atom = self.read_atom(node, local, obj, path is not None)
                 if atom is not None:
                     atoms.append(atom)
-        constraint: Constraint
-        if not atoms:
-            constraint = Top()
-        elif len(atoms) == 1:
-            constraint = atoms[0]
-        else:
-            constraint = And(tuple(atoms))
+        constraint = atoms[0] if len(atoms) == 1 else And(tuple(atoms)) if atoms else Top()
         return Shape(self.names[node], tuple(targets), path, constraint)
 
     def read_atom(self, node: Term, local: str, obj: Term, in_property: bool) -> Optional[Constraint]:
@@ -671,9 +679,8 @@ class _DocumentReader:
         return SomeValues(atom) if local == "hasValue" else AllValues(atom)
 
     def _structured_atom(self, node: Term, local: str, obj: Term) -> Optional[Constraint]:
-        g = self.g
         if local == "in":
-            return InSet(tuple(_read_list(g, obj)))
+            return InSet(tuple(self.read_list(obj)))
         if local == "nodeKind":
             if not isinstance(obj, Iri) or not obj.value.startswith(SH_NS):
                 raise DocumentError(f"unknown sh:nodeKind {obj!r}")
@@ -687,17 +694,17 @@ class _DocumentReader:
                 raise DocumentError(f"malformed sh:pattern {obj.lexical!r}: {exc}") from None
             return PatternConstraint(obj.lexical)
         if local == "languageIn":
-            tags = _read_list(g, obj)
+            tags = self.read_list(obj)
             if not all(isinstance(t, Literal) for t in tags):
                 raise DocumentError("sh:languageIn expects string literals")
             return LanguageIn(tuple(t.lexical.lower() for t in tags))
         if local == "not":
             return Not(Ref(self.ref_name(local, obj)))
         if local in ("and", "or"):
-            refs = tuple(Ref(self.ref_name(local, n)) for n in _read_list(g, obj))
+            refs = tuple(Ref(self.ref_name(local, n)) for n in self.read_list(obj))
             return And(refs) if local == "and" else Or(refs)
         if local == "xone":
-            return Xone(tuple(self.ref_name(local, n) for n in _read_list(g, obj)))
+            return Xone(tuple(self.ref_name(local, n) for n in self.read_list(obj)))
         if local in ("node", "property"):
             return Ref(self.ref_name(local, obj))
         if local == "uniqueLang":
@@ -714,7 +721,7 @@ class _DocumentReader:
             )
         # sh:closed true
         ignored = self.one(node, "ignoredProperties")
-        props = _read_list(g, ignored) if ignored is not None else []
+        props = self.read_list(ignored) if ignored is not None else []
         if not all(isinstance(p, Iri) for p in props):
             raise DocumentError("sh:ignoredProperties expects IRIs")
         return Closed(tuple(sorted(props, key=lambda i: i.value)))
@@ -724,27 +731,25 @@ class _DocumentReader:
         g = self.g
         sibs = {self.ref_name("qualifiedValueShape", q) for parent in g.subjects(sh("property"), node)
                 for other in g.objects(parent, sh("property")) if other != node
-                for q in self.sh_terms.get(other, {}).get("qualifiedValueShape", ())}
+                for q in self.sh_terms.get(other, _NO_TERMS).get("qualifiedValueShape", ())}
         return tuple(sorted(sibs, key=lambda i: i.value))
 
     def read_path(self, node: Term) -> PathExpr:
-        g = self.g
         if isinstance(node, Iri):
             return PredPath(node)
-        inv = self.one(node, "inversePath")
-        if inv is not None:
-            if not isinstance(inv, Iri):
-                raise DocumentError("sh:inversePath applies only to a plain IRI")
-            return InversePath(inv)
-        alt = self.one(node, "alternativePath")
-        if alt is not None:
-            return AltPath(tuple(self.read_path(p) for p in _read_list(g, alt)))
-        for local in ("zeroOrMorePath", "oneOrMorePath", "zeroOrOnePath"):
-            inner = self.one(node, local)
-            if inner is not None:
-                return _PATHS[local](self.read_path(inner))
-        if g.objects(node, RDF_FIRST):
-            return SeqPath(tuple(self.read_path(p) for p in _read_list(g, node)))
+        terms = self.sh_terms.get(node, _NO_TERMS)
+        for local, cls in _PATHS.items():  # in the order the forms are tried
+            if local in terms:
+                inner = one_of(terms[local], node, sh(local))
+                if cls is InversePath:
+                    if not isinstance(inner, Iri):
+                        raise DocumentError("sh:inversePath applies only to a plain IRI")
+                    return InversePath(inner)
+                if cls is AltPath:
+                    return AltPath(tuple(self.read_path(p) for p in self.read_list(inner)))
+                return cls(self.read_path(inner))
+        if self.g.objects(node, RDF_FIRST):
+            return SeqPath(tuple(self.read_path(p) for p in self.read_list(node)))
         raise DocumentError(f"unsupported sh:path value {node!r}")
 
 
@@ -772,35 +777,30 @@ def document_constants(m: Document) -> set[Term]:
     return out
 
 
-def document_relation_names(m: Document) -> set[Iri]:
-    """Data-graph relation names the document constrains (isA included when
-    class targets or class constraints occur)."""
-    out: set[Iri] = set()
-    for s in m.shapes:
+def document_vocabulary(*documents: Document) -> tuple[set[Iri], set[str]]:
+    """The data-graph relation names the documents constrain (isA included
+    when class targets or class constraints occur) and the language tags
+    they name."""
+    rels: set[Iri] = set()
+    tags: set[str] = set()
+    for s in (s for m in documents for s in m.shapes):
         if s.path is not None:
-            out |= path_relation_names(s.path)
+            rels |= path_relation_names(s.path)
         for t in s.targets:
             if isinstance(t, (SubjectsOfTarget, ObjectsOfTarget)):
-                out.add(t.rel)
+                rels.add(t.rel)
             elif isinstance(t, ClassTarget):
-                out.add(RDF_TYPE)
+                rels.add(RDF_TYPE)
         for node in walk(s.constraint):
             if isinstance(node, (EqualsRel, DisjointRel, LessThanRel, LessThanOrEqualsRel)):
-                out.add(node.rel)
+                rels.add(node.rel)
             elif isinstance(node, ClassConstraint):
-                out.add(RDF_TYPE)
+                rels.add(RDF_TYPE)
             elif isinstance(node, Closed):
-                out.update(node.ignored)
-    return out
-
-
-def document_language_tags(m: Document) -> set[str]:
-    tags: set[str] = set()
-    for s in m.shapes:
-        for node in walk(s.constraint):
-            if isinstance(node, LanguageIn):
+                rels.update(node.ignored)
+            elif isinstance(node, LanguageIn):
                 tags.update(node.tags)
-    return tags
+    return rels, tags
 
 
 def document_to_graph(m: Document) -> Graph:

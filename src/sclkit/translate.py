@@ -111,15 +111,13 @@ _NODE_KIND_FILTERS = {
 class _TauContext:
     __slots__ = ("document", "language_tags", "relation_names")
 
-    def __init__(self, m: sh.Document, extra_documents: tuple = (), g: Optional[Graph] = None):
-        tags: set[str] = set(sh.document_language_tags(m))
-        rels: set = set(sh.document_relation_names(m))
-        for other in extra_documents:
-            tags |= sh.document_language_tags(other)
-            rels |= sh.document_relation_names(other)
+    def __init__(self, m: sh.Document, vocabulary: tuple, g: Optional[Graph] = None):
+        """`vocabulary`: the relation names and language tags of the
+        documents at hand (`sh.document_vocabulary`), which a graph widens."""
+        rels, tags = vocabulary
         if g is not None:
-            rels.update(g.predicates())
-            tags.update(t.language for t in g.nodes() if isinstance(t, Literal) and t.language)
+            rels = rels | g.predicates()
+            tags = tags | {t.language for t in g.nodes() if isinstance(t, Literal) and t.language}
         self.document = m
         self.language_tags = tuple(sorted(tags)) + (UNIQUE_LANG_TAG,)
         self.relation_names = tuple(sorted(rels, key=term_key))
@@ -255,11 +253,13 @@ def constraint_psi(shape: sh.Shape, ctx: _TauContext) -> Psi:
     return _property_psi(shape.constraint, path_to_pi(shape.path), ctx, shape)
 
 
-def shape_bodies(m: sh.Document, g: Optional[Graph] = None, shapes: Optional[tuple] = None) -> dict:
+def shape_bodies(m: sh.Document, g: Optional[Graph] = None, shapes: Optional[tuple] = None,
+                 vocabulary: Optional[tuple] = None) -> dict:
     """The per-shape constraint formula of each of `shapes` (by default every
     shape of the document); with a graph, sh:closed and sh:uniqueLang range
-    over its predicates and language tags too."""
-    ctx = _TauContext(m, g=g)
+    over its predicates and language tags too.  `vocabulary` is the
+    document's own, if known (`sh.document_vocabulary(m)`)."""
+    ctx = _TauContext(m, vocabulary or sh.document_vocabulary(m), g)
     return {shape.name: constraint_psi(shape, ctx) for shape in (m.shapes if shapes is None else shapes)}
 
 
@@ -278,7 +278,7 @@ def tau(m: sh.Document, extra_documents: tuple = ()) -> SclSentence:
     language-tag and closed-relation universes when two documents are
     compared (containment)."""
     m = sh.eliminate_xone(m)
-    ctx = _TauContext(m, extra_documents)
+    ctx = _TauContext(m, sh.document_vocabulary(m, *extra_documents))
     axioms = []
     for shape in m.shapes:
         rel = ShapeRel(shape.name)

@@ -92,37 +92,20 @@ class Value:
 _set_hash = Value._hash.__set__
 
 
-# Most classes have one to three fields, and some are built in hot loops;
-# these constructors set them without the loop of Value.__init__, which takes
-# about half as long again.
-def _init_1(set0):
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != 1:
-            args = type(self)._bind(args, kwargs)
-        set0(self, args[0])
-        _set_hash(self, hash(args))
-    return __init__
-
-
-def _init_2(set0, set1):
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != 2:
-            args = type(self)._bind(args, kwargs)
-        set0(self, args[0])
-        set1(self, args[1])
-        _set_hash(self, hash(args))
-    return __init__
-
-
-def _init_3(set0, set1, set2):
-    def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != 3:
-            args = type(self)._bind(args, kwargs)
-        set0(self, args[0])
-        set1(self, args[1])
-        set2(self, args[2])
-        _set_hash(self, hash(args))
-    return __init__
+def _generated_init(cls: type):
+    """An `__init__` that takes the fields of `cls`, with their defaults, and
+    sets each in a line of its own, generated as dataclasses generate theirs:
+    `Value.__init__`, with its argument binding and loop, takes about half as
+    long again, and some classes are built in hot loops."""
+    fields, defaults = cls._fields, cls._defaults
+    namespace = {"_set_hash_": _set_hash, "_hash_": hash,
+                 **{f"_default_{f}_": value for f, value in defaults.items()},
+                 **{f"_set_{f}_": setter for f, setter in zip(fields, cls._setters)}}
+    params = "".join(f", {f}=_default_{f}_" if f in defaults else f", {f}" for f in fields)
+    body = "".join(f"    _set_{f}_(self, {f})\n" for f in fields)
+    values = "".join(f"{f}, " for f in fields)
+    exec(f"def __init__(self{params}):\n{body}    _set_hash_(self, _hash_(({values})))\n", namespace)
+    return namespace["__init__"]
 
 
 def value_class(cls: type) -> type:
@@ -143,8 +126,7 @@ def value_class(cls: type) -> type:
     new._setters = tuple(getattr(new, f).__set__ for f in new._fields)
     new.__match_args__ = new._fields
     if "__init__" not in namespace:
-        unrolled = {1: _init_1, 2: _init_2, 3: _init_3}.get(len(new._fields))
-        new.__init__ = unrolled(*new._setters) if unrolled else Value.__init__
+        new.__init__ = _generated_init(new)
     for attr in namespace.values():  # zero-argument super() names the class
         for cell in getattr(attr, "__closure__", None) or ():
             if cell.cell_contents is cls:

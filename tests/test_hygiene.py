@@ -2,7 +2,8 @@
 module-level name that nothing references beyond its own definition, no
 `dataclasses` import, no regex syntax that an older supported Python rejects,
 and an import structure without cycles.  Also the two shape-dependency analyses against plain
-reachability."""
+reachability, and a failing property test that reports itself under this
+repository's pytest settings."""
 import ast
 import importlib
 import random
@@ -20,6 +21,8 @@ from sclkit import shacl as sh
 from sclkit.automata import _sre_parse  # re._parser, or sre_parse on Python 3.10
 from sclkit.rdf import Graph, Iri
 from sclkit.scl import ConstraintAxiom, PsiShape, SclSentence, ShapeRel, is_recursive_sentence, psi_and_all
+
+pytest_plugins = ["pytester"]
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "sclkit").glob("*.py"))
@@ -267,3 +270,21 @@ def test_xone_is_eliminated_in_three_places():
                             getattr(n.func, "id", None), getattr(n.func, "attr", None)):
                         callers.add(f.name)
     assert callers == {"compile_document", "tau", "gamma_transform"}
+
+
+def test_a_failing_property_test_reports_its_falsifying_example(pytester):
+    """Under this repository's pytest settings (every warning an error), a
+    failing @given test is one failed test with its falsifying example and
+    exit code 1, not an INTERNALERROR (exit code 3) without one."""
+    pytester.makepyprojecttoml((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    pytester.mkdir("tests")  # the settings' testpaths
+    (pytester.path / "tests" / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_every_integer_is_negative(n):\n"
+        "    assert n < 0\n", encoding="utf-8")
+    result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
+    output = result.stdout.str() + result.stderr.str()
+    assert result.ret == 1, output
+    result.assert_outcomes(failed=1)
+    assert "Falsifying example" in output and "INTERNALERROR" not in output

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -295,8 +296,11 @@ RDF_PREFIX = "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
 # the path, then the constraint terms, shape by shape in term order).  The
 # DocumentError sites of Document() and document_to_graph() cannot be reached
 # from Turtle: the reader names shapes uniquely, checks every reference and
-# rejects property-only terms first.  A repeated single-valued term raises the
-# ValueError of Graph.one_object.
+# rejects property-only terms itself, and builds its document without
+# Document()'s checks, so the rows of the dangling references (sh:node, an
+# sh:and item, a qualified value shape) and of the property-only terms (also
+# in a nested node shape) pin checks that only the reader makes.  A repeated
+# single-valued term raises the ValueError of Graph.one_object.
 _READER_ERROR_TABLE = (
     (":s a sh:NodeShape ; sh:in _:l . _:l rdf:first :a ; rdf:rest _:l .",
      sh.DocumentError, "cyclic RDF list"),
@@ -312,6 +316,12 @@ _READER_ERROR_TABLE = (
      "sh:minCount expects an integer, got <http://ex/a>"),
     (':s a sh:NodeShape ; sh:node "t" .', sh.DocumentError, 'sh:node expects a shape, got "t"'),
     (":s a sh:NodeShape ; sh:node ( :t ) .", sh.DocumentError, "dangling shape reference _:b0"),
+    (":s a sh:NodeShape ; sh:and ( :t [ sh:inversePath :q ] ) . :t a sh:NodeShape .", sh.DocumentError,
+     "dangling shape reference _:b0"),
+    (":s a sh:PropertyShape ; sh:path :p ; sh:qualifiedValueShape [ sh:inversePath :q ] ; "
+     "sh:qualifiedMinCount 1 .", sh.DocumentError, "dangling shape reference _:b0"),
+    (":s a sh:NodeShape ; sh:node [ sh:minCount 1 ] .", sh.DocumentError,
+     "node shape _:b0 carries property-only sh:minCount"),
     (":s a sh:PropertyShape ; sh:path :p, :q .", sh.DocumentError,
      "shape <http://ex/s> has two sh:path values"),
     (":s a sh:NodeShape ; sh:severity sh:Info .", sh.DocumentError,
@@ -367,3 +377,50 @@ def test_an_unknown_shape_name_is_a_document_error():
     with pytest.raises(sh.DocumentError) as err:
         doc(":s a sh:NodeShape .").shape(iri("t"))
     assert str(err.value) == "unknown shape <http://ex/t>"
+
+
+def _round_trip_corpus():
+    rng = random.Random(26)
+    return [random_document(rng, max_shapes=4, recursive=i % 2 == 0) for i in range(60)]
+
+
+def test_a_read_document_equals_the_checked_document_of_its_shapes():
+    """The reader builds its document without Document()'s checks; the
+    result equals, hashes like, pickles like and answers shape() and
+    has_shape() like the checked Document of the same shapes."""
+    missing = Iri(EX + "missing")
+    for m in _round_trip_corpus():
+        read = sh.document_from_graph(sh.document_to_graph(m))
+        checked = sh.Document(read.shapes)
+        assert read == checked and checked == read and hash(read) == hash(checked)
+        assert pickle.loads(pickle.dumps(read)) == read
+        assert read.names() == checked.names()
+        for name in read.names():
+            assert read.has_shape(name) and checked.has_shape(name)
+            assert read.shape(name) is checked.shape(name)
+        assert not read.has_shape(missing) and not checked.has_shape(missing)
+        for d in (read, checked):
+            with pytest.raises(sh.DocumentError, match="unknown shape"):
+                d.shape(missing)
+
+
+def test_a_document_built_in_python_is_checked():
+    node, prop = sh.Shape(iri("s"), (), None, sh.Top()), sh.Shape(iri("p"), (), sh.PredPath(iri("r")))
+    cases = (
+        ((node, node), "duplicate shape name <http://ex/s>"),
+        ((node, sh.Shape(iri("t"), (), None, sh.Not(sh.Ref(iri("u"))))),
+         "dangling shape reference <http://ex/u> in <http://ex/t>"),
+        ((prop, sh.Shape(iri("q"), (), sh.PredPath(iri("r")),
+                         sh.QualifiedValue(iri("p"), 1, None, (iri("gone"),)))),
+         "dangling shape reference <http://ex/gone> in <http://ex/q>"),
+        ((node, sh.Shape(iri("n"), (), None, sh.And((sh.Ref(iri("s")), sh.MinCount(1))))),
+         "node shape <http://ex/n> carries property-scoped constraint MinCount"),
+        ((sh.Shape(iri("n"), (), None, sh.Not(sh.AllValues(sh.Top()))),),
+         "node shape <http://ex/n> carries property-scoped constraint AllValues"),
+    )
+    for shapes, message in cases:
+        with pytest.raises(sh.DocumentError) as err:
+            sh.Document(shapes)
+        assert str(err.value) == message
+    # the same shapes, once each and with every reference resolved, are a document
+    assert sh.Document((node, prop)).names() == [iri("s"), iri("p")]

@@ -1,6 +1,7 @@
 """The immutable value base: stored hash, equality, immutability, repr, and
 nesting deeper than the recursion limit."""
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -104,6 +105,10 @@ def test_repr_is_the_dataclass_text():
 
 def test_keywords_defaults_and_argument_errors():
     q = Iri("http://ex/q")
+    # a generated __init__ takes the fields, in order, with their defaults
+    assert str(inspect.signature(sh.QualifiedValue)) == "(ref, min_count=None, max_count=None, siblings=())"
+    assert str(inspect.signature(PsiTop)) == "()" and PsiTop() == PsiTop()
+    assert hash(PsiTop()) == hash(()) and hash(PsiNot(PsiTop())) == hash((PsiTop(),))
     assert sh.QualifiedValue(q, max_count=1) == sh.QualifiedValue(q, None, 1, ())
     assert RelAtom(name=Iri("http://ex/p")) == RelAtom(Iri("http://ex/p"), False)
     with pytest.raises(TypeError):
