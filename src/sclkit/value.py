@@ -9,12 +9,13 @@ rebuilds the class as a slotted subclass of `Value` whose fields are its
 annotations, in order, with their defaults.  (A metaclass would make every
 `isinstance` against the class take the slow `__instancecheck__` path.)  A
 field is set once; assigning or deleting one raises AttributeError.  The hash
-is `hash((field1, field2, ...))`, as a frozen dataclass has it, but computed
-once from the fields' stored hashes, so a lookup costs O(1) at any depth.
-Equality compares class and fields with an explicit stack; `repr` is the
-dataclass text.  Every field must be hashable.  A class may write its own
-`__init__` (calling `super().__init__`, or setting each field and `_hash`)
-and its own `__eq__`, which keeps the stored hash.
+is `hash((cls, field1, field2, ...))`, computed once at construction, so a
+lookup costs O(1) at any depth and values of two classes with equal fields
+do not collide.  Equality compares class and fields with an explicit stack;
+`repr` is the dataclass text.  Every field must be hashable.  A class may
+write its own `__init__` (calling `super().__init__`, or setting each field
+and `_hash`) and its own `__eq__`, which keeps the stored hash.  The RDF
+terms are interned, and hash and compare with `object`'s identity methods.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ class Value:
             args = cls._bind(args, kwargs)
         for set_field, value in zip(cls._setters, args):
             set_field(self, value)
-        _set_hash(self, hash(args))
+        _set_hash(self, hash((cls, *args)))
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> tuple:
@@ -75,7 +76,7 @@ class Value:
                 x, y = getattr(a, field), getattr(b, field)
                 if x is y:
                     continue
-                if type(x) is type(y) and isinstance(x, Value):
+                if type(x) is type(y) and type(x).__hash__ is _stored_hash:
                     pending.append((x, y))
                 elif x != y:
                     return False
@@ -90,6 +91,7 @@ class Value:
 
 
 _set_hash = Value._hash.__set__
+_stored_hash = Value.__hash__
 
 
 def _generated_init(cls: type):
@@ -98,13 +100,13 @@ def _generated_init(cls: type):
     `Value.__init__`, with its argument binding and loop, takes about half as
     long again, and some classes are built in hot loops."""
     fields, defaults = cls._fields, cls._defaults
-    namespace = {"_set_hash_": _set_hash, "_hash_": hash,
+    namespace = {"_set_hash_": _set_hash, "_hash_": hash, "_cls_": cls,
                  **{f"_default_{f}_": value for f, value in defaults.items()},
                  **{f"_set_{f}_": setter for f, setter in zip(fields, cls._setters)}}
     params = "".join(f", {f}=_default_{f}_" if f in defaults else f", {f}" for f in fields)
     body = "".join(f"    _set_{f}_(self, {f})\n" for f in fields)
     values = "".join(f"{f}, " for f in fields)
-    exec(f"def __init__(self{params}):\n{body}    _set_hash_(self, _hash_(({values})))\n", namespace)
+    exec(f"def __init__(self{params}):\n{body}    _set_hash_(self, _hash_((_cls_, {values})))\n", namespace)
     return namespace["__init__"]
 
 

@@ -130,17 +130,10 @@ def test_template_sat_json_is_hash_seed_independent():
     assert json.loads(outs[0])["reason"] == "no model within budget"
 
 
-def test_json_output_is_hash_seed_independent():
-    # value classes hash like tuples of their fields, so set iteration order
-    # follows PYTHONHASHSEED; no command's output may follow it
-    import subprocess
-    import sys
-
-    import sclkit
-
-    src = os.path.dirname(os.path.dirname(sclkit.__file__))
+def _json_commands() -> list:
+    """Every command on small fixtures, as `--json` argument lists."""
     fig1 = ("--doc", fx("fig1-shapes.ttl"))
-    commands = [
+    return [
         *(("validate", "--graph", fx("fig1-graph.ttl"), *fig1, "--mode", mode)
           for mode in ("brave-partial", "brave-total", "cautious-partial", "cautious-total")),
         ("sat", *fig1, "--triples", "2", "--fresh", "1"),
@@ -151,6 +144,18 @@ def test_json_output_is_hash_seed_independent():
         ("shape-contains", *fig1, "--shape1", "http://ex/studentShape",
          "--shape2", "http://ex/disjFacultyShape", "--fresh", "1"),
     ]
+
+
+def test_json_output_is_hash_seed_independent():
+    # value classes hash their fields, whose strings hash by PYTHONHASHSEED,
+    # so set iteration order follows it; no command's output may follow it
+    import subprocess
+    import sys
+
+    import sclkit
+
+    src = os.path.dirname(os.path.dirname(sclkit.__file__))
+    commands = _json_commands()
     driver = ("import json, sys\nfrom sclkit.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n    print('exit', main(['--json', *argv]))\n")
     outs = []
@@ -162,6 +167,50 @@ def test_json_output_is_hash_seed_independent():
         outs.append(done.stdout)
     assert outs[0] == outs[1]
     assert outs[0].count("exit ") == len(commands)
+
+
+def test_json_output_is_independent_of_term_addresses(capsys, tmp_path):
+    # terms hash by identity, so set iteration order follows where they sit
+    # in memory; a second run, after the first run's terms are freed and
+    # their memory taken by unrelated objects, must print the same bytes.
+    # The fixtures' IRIs move to a namespace of their own, which no other
+    # test keeps alive.
+    import gc
+
+    from sclkit import rdf
+    from sclkit.semantics import compile_document
+
+    def private(arg: str) -> str:
+        if os.path.isfile(arg):
+            copy = tmp_path / os.path.basename(arg)
+            with open(arg, encoding="utf-8") as f:
+                copy.write_text(f.read().replace("http://ex/", "http://ex/addresses/"), encoding="utf-8")
+            return str(copy)
+        return arg.replace("http://ex/", "http://ex/addresses/")
+
+    commands = [[private(arg) for arg in argv] for argv in _json_commands()]
+
+    def run() -> tuple:
+        exits = [main(["--json", *argv]) for argv in commands]
+        return capsys.readouterr().out, exits
+
+    def addresses() -> dict:
+        return {key: id(term) for key, entry in rdf._TERMS.copy().items() if (term := entry()) is not None}
+
+    first = run()
+    cached = addresses()
+    compile_document.cache_clear()  # the only cache that holds terms
+    gc.collect()
+    kept = addresses()
+    freed = {key: at for key, at in cached.items() if key not in kept}
+    ballast = [(n,) * size for n in range(20_000) for size in range(1, 7)]  # noqa: F841
+    second = run()
+    assert second == first
+    assert len(first[1]) == len(commands) and "addresses" in first[0]
+    again = addresses()
+    remade = [key for key in freed if key in again]
+    moved = sum(again[key] != freed[key] for key in remade)
+    assert remade and moved > len(remade) // 2
 
 
 def test_deep_nesting_is_an_error_not_a_crash(tmp_path):

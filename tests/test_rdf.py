@@ -58,6 +58,17 @@ def test_collection_expands_to_first_rest_chain():
     assert g.objects(second, RDF_REST) == {RDF_NIL}
 
 
+def test_parsed_well_known_iris_are_the_module_constants():
+    # also when written out in full, as the serializer writes them
+    sugared = "<a> a <b> . <c> <p> ( <d> ) ."
+    for text in (sugared, serialize_turtle(parse_turtle(sugared))):
+        g = parse_turtle(text)
+        (head,) = g.objects(Iri("c"), Iri("p"))
+        found = {p.value: p for p in g.predicates()} | {RDF_NIL.value: g.one_object(head, RDF_REST)}
+        for constant in (RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL):
+            assert found[constant.value] is constant
+
+
 def test_literals_and_sugar():
     g = parse_turtle(PRE + ':s :p "plain", "tag"@EN, "5"^^:dt, 42, 4.5, true .')
     objs = g.objects(iri("s"), iri("p"))

@@ -404,6 +404,14 @@ def test_a_read_document_equals_the_checked_document_of_its_shapes():
                 d.shape(missing)
 
 
+def test_a_read_shapes_graph_holds_the_vocabulary_objects():
+    g = parse_turtle(PRE + FIG1)
+    used = [t for tr in g for t in tr if isinstance(t, Iri) and t.value.startswith(sh.SH_NS)]
+    assert len(used) == 6
+    for t in used:
+        assert t is sh.sh(t.value[len(sh.SH_NS):])
+
+
 def test_a_document_built_in_python_is_checked():
     node, prop = sh.Shape(iri("s"), (), None, sh.Top()), sh.Shape(iri("p"), (), sh.PredPath(iri("r")))
     cases = (

@@ -1,15 +1,19 @@
-"""The immutable value base: stored hash, equality, immutability, repr, and
-nesting deeper than the recursion limit."""
+"""The immutable value base: stored hash, equality, immutability, repr,
+nesting deeper than the recursion limit, and interned terms."""
 import copy
+import gc
 import inspect
 import pickle
+import sys
+import threading
 
 import pytest
 
+from sclkit import rdf
 from sclkit import shacl as sh
 from sclkit.decide import SatResult, SearchBudget
 from sclkit.filters import Finite, Pos, Neg, KindAtom
-from sclkit.rdf import XSD_INTEGER, Blank, Graph, Iri, Literal, Triple, parse_turtle
+from sclkit.rdf import XSD_INTEGER, XSD_STRING, Blank, Graph, Iri, Literal, Triple, parse_turtle
 from sclkit.scl import PsiAnd, PsiCount, PsiNot, PsiShape, PsiTop, RelAtom, RelStep, ShapeRel
 from sclkit.value import Value, value_class
 
@@ -22,29 +26,43 @@ def _chain(depth: int):
 
 
 def test_equal_fields_give_equal_values_and_hashes():
-    pairs = [
+    terms = [
         (Iri("http://ex/a"), Iri("http://ex/a")),
         (Literal("1", XSD_INTEGER), Literal("1", XSD_INTEGER)),
         (Literal("x", language="EN"), Literal("x", language="en")),
+        (Literal("x"), Literal("x", XSD_STRING)),
+        (Blank("b0"), Blank("b0")),
+    ]
+    values = [
         (Triple(Iri("http://ex/s"), Iri("http://ex/p"), Blank("b0")),
          Triple(Iri("http://ex/s"), Iri("http://ex/p"), Blank("b0"))),
         (PsiAnd(PsiNot(PsiTop()), PsiShape(ShapeRel(Iri("http://ex/s")))),
          PsiAnd(PsiNot(PsiTop()), PsiShape(ShapeRel(Iri("http://ex/s"))))),
         (sh.Shape(Iri("http://ex/s")), sh.Shape(Iri("http://ex/s"), (), None, sh.Top())),
     ]
-    for a, b in pairs:
-        assert a is not b
+    for a, b in terms + values:
+        assert (a is b) == ((a, b) in terms)  # terms are interned, other values are not
         assert a == b and not a != b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
 
-def test_the_hash_is_the_tuple_hash_of_the_fields():
-    # the number a frozen dataclass gives, so sets iterate in the same order
+def test_terms_hash_by_identity_other_values_by_class_and_fields():
     i = Iri("http://ex/a")
-    assert hash(i) == hash(("http://ex/a",))
-    assert hash(RelAtom(i, True)) == hash((i, True))
-    assert hash(PsiTop()) == hash(())
+    for term in (i, Literal("1", XSD_INTEGER), Blank("b0")):
+        assert type(term).__hash__ is object.__hash__ and type(term).__eq__ is object.__eq__
+        assert hash(term) == object.__hash__(term)
+    assert hash(RelAtom(i, True)) == hash((RelAtom, i, True))
+    assert hash(PsiTop()) == hash((PsiTop,))
+    assert hash(sh.MinCount(1)) == hash((sh.MinCount, 1))
+
+
+def test_classes_with_equal_fields_hash_apart():
+    r = Iri("http://ex/r")
+    items = (sh.MinCount(1), sh.Ref(r))
+    for a, b in [(sh.SubjectsOfTarget(r), sh.ObjectsOfTarget(r)), (sh.MinCount(1), sh.MaxCount(1)),
+                 (sh.And(items), sh.Or(items)), (sh.AllValues(sh.Top()), sh.SomeValues(sh.Top()))]:
+        assert hash(a) != hash(b)
 
 
 def test_equal_fields_in_different_classes_are_unequal():
@@ -108,7 +126,7 @@ def test_keywords_defaults_and_argument_errors():
     # a generated __init__ takes the fields, in order, with their defaults
     assert str(inspect.signature(sh.QualifiedValue)) == "(ref, min_count=None, max_count=None, siblings=())"
     assert str(inspect.signature(PsiTop)) == "()" and PsiTop() == PsiTop()
-    assert hash(PsiTop()) == hash(()) and hash(PsiNot(PsiTop())) == hash((PsiTop(),))
+    assert hash(PsiTop()) == hash((PsiTop,)) and hash(PsiNot(PsiTop())) == hash((PsiNot, PsiTop()))
     assert sh.QualifiedValue(q, max_count=1) == sh.QualifiedValue(q, None, 1, ())
     assert RelAtom(name=Iri("http://ex/p")) == RelAtom(Iri("http://ex/p"), False)
     with pytest.raises(TypeError):
@@ -139,7 +157,7 @@ def test_fields_keep_declaration_order_with_inherited_ones_first():
     assert Derived._fields == ("a", "b", "c")
     assert (d.a, d.b, d.c) == (1, 2, 3)
     assert repr(d).endswith(".<locals>.Derived(a=1, b=2, c=3)")  # the qualified name, as dataclasses print
-    assert hash(d) == hash((1, 2, 3))
+    assert hash(d) == hash((Derived, 1, 2, 3))
     assert d != Base(1, 2)
     assert isinstance(d, Base) and isinstance(d, Value) and type(Derived) is type
 
@@ -177,3 +195,51 @@ def test_a_value_holding_a_graph_compares_and_hashes_it():
     assert built != SatResult("sat", witness_graph=Graph(()))
     with pytest.raises(AttributeError):
         parsed.witness_graph.triples = frozenset()
+
+
+def test_copy_pickle_and_deepcopy_return_the_interned_term():
+    for term in (Iri("http://ex/a"), Literal("x", language="en"), Literal("1", XSD_INTEGER), Blank("b7")):
+        for twin in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+            assert twin is term
+    triple = Triple(Blank("b0"), Iri("http://ex/p"), Literal("1", XSD_INTEGER))
+    assert all(a is b for a, b in zip(pickle.loads(pickle.dumps(triple)), triple))
+
+
+def test_the_term_table_forgets_freed_terms():
+    gc.collect()
+    before = len(rdf._TERMS)
+    fresh = [Iri(f"http://ex/forgotten/{n}") for n in range(10_000)]
+    assert len(rdf._TERMS) == before + 10_000
+    del fresh
+    assert len(rdf._TERMS) == before
+    assert Iri("http://ex/forgotten/0").value == "http://ex/forgotten/0"
+
+
+def test_threads_minting_one_key_get_one_term():
+    # each of five rounds races 8 threads over 1,000 IRIs that no term has yet
+    def race(tag: int) -> list:
+        barrier = threading.Barrier(8, timeout=30)
+        built = [None] * 8
+
+        def mint(slot):
+            barrier.wait()
+            built[slot] = [Iri(f"http://ex/raced/{tag}/{n}") for n in range(1_000)]
+
+        threads = [threading.Thread(target=mint, args=(slot,)) for slot in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        return built
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rounds = [race(tag) for tag in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for built in rounds:
+        assert all(terms is not None for terms in built)
+        for terms in built[1:]:
+            assert all(a is b for a, b in zip(terms, built[0]))
