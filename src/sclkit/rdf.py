@@ -67,7 +67,7 @@ class Literal:
     datatype: Iri
     language: Optional[str]
     __slots__ = ("__weakref__",)
-    __eq__, __hash__ = object.__eq__, object.__hash__
+    __init__, __eq__, __hash__ = object.__init__, object.__eq__, object.__hash__
 
     def __new__(cls, lexical: str, datatype: Optional[Iri] = None, language: Optional[str] = None):
         # Simple literals carry xsd:string; tagged ones carry rdf:langString.
@@ -82,9 +82,6 @@ class Literal:
         key = (lexical, datatype, language)
         entry = _TERMS.get(key)
         return entry and entry() or _intern(cls, key, key)
-
-    def __init__(self, *args, **kwargs):
-        """Nothing: `__new__` made the term.  It can be wrapped to count calls."""
 
     def __repr__(self) -> str:
         if self.language:

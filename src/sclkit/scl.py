@@ -139,22 +139,22 @@ def psi_or(left: Psi, right: Psi) -> Psi:
     return PsiNot(PsiAnd(PsiNot(left), PsiNot(right)))
 
 
+def balanced(join, items: list):
+    """The items of a non-empty list joined neighbour by neighbour, level by
+    level, so n items nest ⌈log2 n⌉ deep and no walker of the result recurses
+    far.  Up to three items give the left chain ((a ∘ b) ∘ c)."""
+    while len(items) > 1:
+        pairs = [join(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
+        items = pairs + items[2 * len(pairs):]
+    return items[0]
+
+
 def psi_and_all(items: list) -> Psi:
-    if not items:
-        return PsiTop()
-    out = items[0]
-    for item in items[1:]:
-        out = PsiAnd(out, item)
-    return out
+    return balanced(PsiAnd, items) if items else PsiTop()
 
 
 def psi_or_all(items: list) -> Psi:
-    if not items:
-        return PsiNot(PsiTop())
-    out = items[0]
-    for item in items[1:]:
-        out = psi_or(out, item)
-    return out
+    return balanced(psi_or, items) if items else PsiNot(PsiTop())
 
 
 def psi_forall(path: Pi, body: Psi) -> Psi:

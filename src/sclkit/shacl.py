@@ -12,6 +12,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterator, Optional
 
 from .rdf import (
+    MAX_NESTING,
     RDF_FIRST,
     RDF_NIL,
     RDF_REST,
@@ -439,17 +440,20 @@ def eliminate_xone(m: Document) -> Document:
     mint = NameMint(set(m.names()))
     extra: list[Shape] = []
 
+    def xone2(a: Iri, b: Iri) -> Constraint:
+        return Or((And((Ref(a), Not(Ref(b)))), And((Not(Ref(a)), Ref(b)))))
+
     def expand(names: tuple) -> Constraint:
-        if len(names) == 0:
-            return Not(Top())
-        if len(names) == 1:
-            return Ref(names[0])
-        if len(names) == 2:
-            a, b = names
-            return Or((And((Ref(a), Not(Ref(b)))), And((Not(Ref(a)), Ref(b)))))
-        head = mint.fresh()
-        extra.append(Shape(head, (), None, expand(names[:-1])))
-        return expand((head, names[-1]))
+        if len(names) < 2:
+            return Ref(names[0]) if names else Not(Top())
+        # heads[k] is the xone of names[:-1 - k]: minted outermost first,
+        # defined innermost first, each by the next-inner head and one name
+        heads = [mint.fresh() for _ in names[2:]]
+        head = names[0]
+        for fresh, name in zip(reversed(heads), names[1:-1]):
+            extra.append(Shape(fresh, (), None, xone2(head, name)))
+            head = fresh
+        return xone2(head, names[-1])
 
     def leaf(c: Constraint) -> Constraint:
         return expand(c.names) if isinstance(c, Xone) else c
@@ -577,6 +581,7 @@ class _DocumentReader:
         # than one)} over the sh: predicates, in local-name order
         self.sh_terms: dict = {}
         self.lists: dict = {}  # head -> items: each RDF list is read once
+        self.path_depth = 0  # the blank path nodes being read, one inside the next
         # a shape is typed, the subject of sh:path or of a term a shape
         # carries, or named by such a term; list and path helpers are not
         nodes = {n for cls in _SHAPE_CLASSES for n in g.subjects(RDF_TYPE, cls)}
@@ -737,20 +742,27 @@ class _DocumentReader:
     def read_path(self, node: Term) -> PathExpr:
         if isinstance(node, Iri):
             return PredPath(node)
-        terms = self.sh_terms.get(node, _NO_TERMS)
-        for local, cls in _PATHS.items():  # in the order the forms are tried
-            if local in terms:
-                inner = one_of(terms[local], node, sh(local))
-                if cls is InversePath:
-                    if not isinstance(inner, Iri):
-                        raise DocumentError("sh:inversePath applies only to a plain IRI")
-                    return InversePath(inner)
-                if cls is AltPath:
-                    return AltPath(tuple(self.read_path(p) for p in self.read_list(inner)))
-                return cls(self.read_path(inner))
-        if self.g.objects(node, RDF_FIRST):
-            return SeqPath(tuple(self.read_path(p) for p in self.read_list(node)))
-        raise DocumentError(f"unsupported sh:path value {node!r}")
+        # capped as Turtle brackets are, which also ends a path that contains itself
+        if self.path_depth == MAX_NESTING:
+            raise DocumentError(f"sh:path nested deeper than {MAX_NESTING}")
+        self.path_depth += 1
+        try:
+            terms = self.sh_terms.get(node, _NO_TERMS)
+            for local, cls in _PATHS.items():  # in the order the forms are tried
+                if local in terms:
+                    inner = one_of(terms[local], node, sh(local))
+                    if cls is InversePath:
+                        if not isinstance(inner, Iri):
+                            raise DocumentError("sh:inversePath applies only to a plain IRI")
+                        return InversePath(inner)
+                    if cls is AltPath:
+                        return AltPath(tuple(self.read_path(p) for p in self.read_list(inner)))
+                    return cls(self.read_path(inner))
+            if self.g.objects(node, RDF_FIRST):
+                return SeqPath(tuple(self.read_path(p) for p in self.read_list(node)))
+            raise DocumentError(f"unsupported sh:path value {node!r}")
+        finally:
+            self.path_depth -= 1
 
 
 def document_from_graph(g: Graph) -> Document:

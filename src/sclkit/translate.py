@@ -7,7 +7,6 @@ document, minting fresh names for anonymous subformulae.
 """
 from __future__ import annotations
 
-from functools import reduce
 from typing import Optional
 
 from .rdf import Graph, Iri, Literal, RDF_TYPE, term_key
@@ -49,6 +48,7 @@ from .scl import (
     TargetNodeAxiom,
     TargetObjectsAxiom,
     TargetSubjectsAxiom,
+    balanced,
     psi_and_all,
     psi_forall,
     psi_or_all,
@@ -73,7 +73,7 @@ def path_to_pi(path: sh.PathExpr) -> Pi:
         return RelStep(RelAtom(path.iri, inverted=True))
     if isinstance(path, (sh.SeqPath, sh.AltPath)):
         join = PiSeq if isinstance(path, sh.SeqPath) else PiAlt
-        return reduce(join, [path_to_pi(p) for p in path.parts])
+        return balanced(join, [path_to_pi(p) for p in path.parts])
     if isinstance(path, sh.ZeroOrMorePath):
         return PiStar(path_to_pi(path.inner))
     if isinstance(path, sh.OneOrMorePath):
@@ -292,7 +292,7 @@ def tau(m: sh.Document, extra_documents: tuple = ()) -> SclSentence:
 
 
 class _InverseContext:
-    __slots__ = ("sentence", "mint", "named_bodies", "built", "memo", "in_progress")
+    __slots__ = ("sentence", "mint", "named_bodies", "built", "memo")
 
     def __init__(self, sentence: SclSentence, mint: sh.NameMint, named_bodies: dict):
         self.sentence = sentence
@@ -300,7 +300,6 @@ class _InverseContext:
         self.named_bodies = named_bodies
         self.built: dict = {}  # Iri -> Shape
         self.memo: dict = {}  # Psi -> Iri
-        self.in_progress: set = set()
 
     def all_relation_names(self) -> set:
         return {r for r in relation_names(self.sentence) if isinstance(r, Iri)}
@@ -426,12 +425,7 @@ def _psi_to_shape_parts(psi: Psi, ctx: _InverseContext):
 def _iota(psi: Psi, ctx: _InverseContext) -> Iri:
     """Shape name of a subformula; structural sharing keeps output minimal."""
     if isinstance(psi, PsiShape):
-        name = psi.rel.name
-        if name in ctx.named_bodies and name not in ctx.built:
-            _build_shape(name, ctx)
-        if name in ctx.built or name in ctx.named_bodies:
-            return name
-        raise TranslationError(f"shape relation {name!r} has no constraint axiom")
+        return psi.rel.name  # well-formed: `tau_inverse` builds each named shape
     if psi in ctx.memo:
         return ctx.memo[psi]
     name = ctx.mint.fresh()
@@ -439,16 +433,6 @@ def _iota(psi: Psi, ctx: _InverseContext) -> Iri:
     path, constraint = _psi_to_shape_parts(psi, ctx)
     ctx.built[name] = sh.Shape(name, (), path, constraint)
     return name
-
-
-def _build_shape(name: Iri, ctx: _InverseContext) -> None:
-    if name in ctx.built or name in ctx.in_progress:
-        return
-    ctx.in_progress.add(name)
-    body = ctx.named_bodies[name]
-    path, constraint = _psi_to_shape_parts(body, ctx)
-    ctx.built[name] = sh.Shape(name, (), path, constraint)
-    ctx.in_progress.discard(name)
 
 
 def tau_inverse(phi: SclSentence) -> sh.Document:
@@ -467,8 +451,9 @@ def tau_inverse(phi: SclSentence) -> sh.Document:
         mint=sh.NameMint(set(named_bodies)),
         named_bodies=named_bodies,
     )
-    for name in named_bodies:
-        _build_shape(name, ctx)
+    for name, body in named_bodies.items():
+        path, constraint = _psi_to_shape_parts(body, ctx)
+        ctx.built[name] = sh.Shape(name, (), path, constraint)
 
     targets: dict = {}
     for axiom in phi.axioms:

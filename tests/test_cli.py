@@ -224,13 +224,16 @@ def test_deep_nesting_is_an_error_not_a_crash(tmp_path):
     shapes.write_text(pre + ":s a sh:NodeShape ; sh:targetNode :a ; sh:not "
                       + "[ sh:not " * 1200 + ":t" + " ]" * 1200 + " .")
     src = os.path.dirname(os.path.dirname(sclkit.__file__))
-    argv = [sys.executable, "-m", "sclkit.cli", "validate",
-            "--graph", fx("fig1-graph.ttl"), "--doc", str(shapes)]
-    done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 1
-    assert "nested deeper" in done.stderr
-    assert "Traceback" not in done.stderr
+    # a path that contains itself is nested without end
+    for doc, error in ((str(shapes), "error: brackets nested deeper"),
+                       (fx("cyclic-path.ttl"), "error: sh:path nested deeper than 128")):
+        argv = [sys.executable, "-m", "sclkit.cli", "validate",
+                "--graph", fx("fig1-graph.ttl"), "--doc", doc]
+        done = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert error in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def test_deepest_accepted_nesting_runs_every_command(capsys, tmp_path):
@@ -238,6 +241,10 @@ def test_deepest_accepted_nesting_runs_every_command(capsys, tmp_path):
 
     pre = "@prefix : <http://ex/> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
     half = MAX_NESTING // 2
+
+    def members(prefix, n):
+        return " ".join(f"{prefix}{i}" for i in range(n))
+
     documents = {
         "not": ":s a sh:NodeShape ; sh:targetNode :a ; sh:not "
                + "[ sh:not " * MAX_NESTING + ":s" + " ]" * MAX_NESTING + " .",
@@ -245,6 +252,14 @@ def test_deepest_accepted_nesting_runs_every_command(capsys, tmp_path):
                     + "[ sh:path :p ; sh:node [ sh:property " * (half - 1)
                     + "[ sh:path [ sh:zeroOrMorePath :p ] ; sh:node :s ]"
                     + " ] ]" * (half - 1) + " .",
+        # SHACL lists are n-ary and SCL's joins binary: long lists, and the
+        # long chains of shapes that sh:xone and sh:node make
+        "in": ":s a sh:NodeShape ; sh:targetNode :a ; sh:in ( " + members(":v", 400) + " ) .",
+        "or": ":s a sh:NodeShape ; sh:targetNode :a ; sh:or ( " + members(":m", 400) + " ) .",
+        "and": ":s a sh:NodeShape ; sh:targetNode :a ; sh:and ( " + members(":m", 1200) + " ) .",
+        "xone": ":s a sh:NodeShape ; sh:targetNode :a ; sh:xone ( " + members(":m", 1100) + " ) .",
+        "node chain": ":s a sh:NodeShape ; sh:targetNode :a ; sh:node :m0 . "
+                      + " ".join(f":m{i} sh:node :m{i + 1} ." for i in range(1199)),
     }
     graph = tmp_path / "graph.ttl"
     graph.write_text(pre + ":a :p :b . :b :p :a .")
@@ -269,6 +284,12 @@ def test_deepest_accepted_nesting_runs_every_command(capsys, tmp_path):
             code, _, err = run(capsys, "--json", *argv)
             assert code in (0, 1, 2), (name, argv)
             assert "nested deeper" not in err
+    # a closed shape forbids each of the graph's 1,100 predicates
+    closed = tmp_path / "closed.ttl"
+    closed.write_text(pre + ":s a sh:NodeShape ; sh:targetNode :a ; sh:closed true .")
+    graph.write_text(pre + " ".join(f":a :p{i} :b ." for i in range(1100)))
+    code, out, _ = run(capsys, "--json", "validate", "--graph", str(graph), "--doc", str(closed))
+    assert code == 0 and json.loads(out)["result"] is False
 
 
 def test_axiomatise(capsys):

@@ -175,8 +175,9 @@ def test_digit_length_count_builds_no_unlisted_witnesses(monkeypatch):
     big = combo(Pos(DatatypeAtom(XSD_INTEGER)), Pos(MaxLengthAtom(3)),
                 Pos(OrderCmp(">=", Literal("0", XSD_INTEGER))))
     made = []
-    init = Literal.__init__
-    monkeypatch.setattr(Literal, "__init__", lambda self, *args: made.append(args) or init(self, *args))
+    new = Literal.__new__
+    monkeypatch.setattr(Literal, "__new__",
+                        lambda cls, *args, **kwargs: made.append((args, kwargs)) or new(cls, *args, **kwargs))
     assert combo_cardinality(big) == Finite(1000)
     assert combo_witnesses(big) is None
     assert made == []

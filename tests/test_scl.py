@@ -2,7 +2,8 @@ import random
 
 from sclkit.rdf import Iri, parse_turtle
 from sclkit.shacl import document_from_graph
-from sclkit.translate import tau
+from sclkit import shacl as sh
+from sclkit.translate import path_to_pi, tau
 from sclkit.scl import (
     ConstraintAxiom,
     PiAlt,
@@ -12,6 +13,7 @@ from sclkit.scl import (
     PsiAnd,
     PsiCount,
     PsiDisjoint,
+    PsiEq,
     PsiEquals,
     PsiExists,
     PsiNot,
@@ -26,6 +28,9 @@ from sclkit.scl import (
     features_of,
     normalize,
     pretty,
+    psi_and_all,
+    psi_or,
+    psi_or_all,
     walk_psi,
     well_formed,
 )
@@ -274,3 +279,36 @@ def test_walk_psi_walks_a_deep_chain_without_recursion():
     nodes = list(walk_psi(psi))
     assert len(nodes) == 10_001
     assert isinstance(nodes[-1], PsiTop)
+
+
+def _join_depth(node):
+    """The most joins on a path from the root: PsiAnd (one per ∨ too), PiSeq, PiAlt."""
+    if isinstance(node, PsiNot):
+        return _join_depth(node.inner)
+    if isinstance(node, (PsiAnd, PiSeq, PiAlt)):
+        return 1 + max(_join_depth(node.left), _join_depth(node.right))
+    return 0
+
+
+def test_lists_join_into_balanced_trees():
+    atoms = [PsiEq(Iri(f"{EX}v{i}")) for i in range(1200)]
+    steps = [sh.PredPath(Iri(f"{EX}p{i}")) for i in range(1200)]
+    for n in (2, 3, 4, 5, 7, 8, 9, 400, 1200):
+        log2 = (n - 1).bit_length()  # ⌈log2 n⌉
+        assert _join_depth(psi_and_all(atoms[:n])) == log2
+        assert _join_depth(psi_or_all(atoms[:n])) == log2
+        assert _join_depth(path_to_pi(sh.SeqPath(tuple(steps[:n])))) == log2
+        assert _join_depth(path_to_pi(sh.AltPath(tuple(steps[:n])))) == log2
+
+
+def test_lists_of_three_or_fewer_join_into_the_left_chain():
+    a, b, c = (PsiEq(Iri(EX + x)) for x in "abc")
+    assert psi_and_all([]) == PsiTop() and psi_or_all([]) == PsiNot(PsiTop())
+    assert psi_and_all([a]) == psi_or_all([a]) == a
+    assert psi_and_all([a, b]) == PsiAnd(a, b)
+    assert psi_or_all([a, b]) == psi_or(a, b)
+    assert psi_and_all([a, b, c]) == PsiAnd(PsiAnd(a, b), c)
+    assert psi_or_all([a, b, c]) == psi_or(psi_or(a, b), c)
+    p, q, r = (RelStep(RelAtom(Iri(EX + x))) for x in "pqr")
+    assert path_to_pi(sh.SeqPath(tuple(sh.PredPath(Iri(EX + x)) for x in "pqr"))) == PiSeq(PiSeq(p, q), r)
+    assert path_to_pi(sh.AltPath(tuple(sh.PredPath(Iri(EX + x)) for x in "pqr"))) == PiAlt(PiAlt(p, q), r)

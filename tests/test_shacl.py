@@ -127,6 +127,20 @@ def test_xone_binary_expansion():
     ))
 
 
+def test_xone_of_four_folds_into_two_fresh_binary_xones():
+    m = doc(":x a sh:NodeShape ; sh:xone ( :s1 :s2 :s3 :s4 ) ."
+            + "".join(f" :s{i} a sh:NodeShape ." for i in range(1, 5)))
+    out = sh.eliminate_xone(m)
+
+    def xone2(a, b):
+        return sh.Or((sh.And((sh.Ref(a), sh.Not(sh.Ref(b)))), sh.And((sh.Not(sh.Ref(a)), sh.Ref(b)))))
+
+    outer, inner = Iri(sh.FRESH_NS + "0"), Iri(sh.FRESH_NS + "1")
+    assert out.shape(iri("x")).constraint == xone2(outer, iri("s4"))
+    assert [(s.name, s.constraint) for s in out.shapes[len(m.shapes):]] == [
+        (inner, xone2(iri("s1"), iri("s2"))), (outer, xone2(inner, iri("s3")))]
+
+
 def test_xone_free_document_unchanged():
     m = doc(FIG1)
     assert sh.eliminate_xone(m) == m
@@ -301,6 +315,22 @@ RDF_PREFIX = "@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .\n"
 # sh:and item, a qualified value shape) and of the property-only terms (also
 # in a nested node shape) pin checks that only the reader makes.  A repeated
 # single-valued term raises the ValueError of Graph.one_object.
+def test_path_nesting_is_capped_as_turtle_brackets_are():
+    from sclkit.rdf import MAX_NESTING
+
+    def nested(n):
+        return (":s a sh:PropertyShape ; sh:path _:p0 . "
+                + " ".join(f"_:p{i} sh:zeroOrOnePath _:p{i + 1} ." for i in range(n - 1))
+                + f" _:p{n - 1} sh:zeroOrOnePath :q .")
+
+    path, depth = doc(nested(MAX_NESTING)).shape(iri("s")).path, 0
+    while isinstance(path, sh.ZeroOrOnePath):
+        path, depth = path.inner, depth + 1
+    assert (depth, path) == (MAX_NESTING, sh.PredPath(iri("q")))
+    with pytest.raises(sh.DocumentError, match="sh:path nested deeper than 128"):
+        doc(nested(MAX_NESTING + 1))
+
+
 _READER_ERROR_TABLE = (
     (":s a sh:NodeShape ; sh:in _:l . _:l rdf:first :a ; rdf:rest _:l .",
      sh.DocumentError, "cyclic RDF list"),
@@ -344,6 +374,10 @@ _READER_ERROR_TABLE = (
     (":s a sh:PropertyShape ; sh:path [ sh:inversePath :p, :q ] .", ValueError,
      "expected at most one value of <http://www.w3.org/ns/shacl#inversePath> on _:b0"),
     (':s a sh:PropertyShape ; sh:path "x" .', sh.DocumentError, 'unsupported sh:path value "x"'),
+    (":s a sh:PropertyShape ; sh:path _:p . _:p sh:zeroOrMorePath _:p .", sh.DocumentError,
+     "sh:path nested deeper than 128"),
+    (":s a sh:PropertyShape ; sh:path _:l . _:l rdf:first _:l ; rdf:rest () .", sh.DocumentError,
+     "sh:path nested deeper than 128"),
     (":s a sh:PropertyShape ; sh:path [ :q :r ] .", sh.DocumentError, "unsupported sh:path value _:b0"),
     (":s a sh:PropertyShape ; sh:path :p ; sh:qualifiedValueShape :t ; sh:qualifiedMaxCount :x . "
      ":t a sh:NodeShape .", sh.DocumentError, "sh:qualifiedMaxCount expects an integer, got <http://ex/x>"),
