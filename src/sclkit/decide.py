@@ -74,8 +74,8 @@ from .scl import (
     walk_psi,
 )
 from .sat import _Cnf, _dpll
-from .semantics import (Assignment, SemanticsMode, compile_document, gamma_pos_name, gamma_transform,
-                        validate, validation_witness)
+from .semantics import (AbstractContext, Assignment, SemanticsMode, compile_document, gamma_pos_name,
+                        gamma_transform, validate, validation_witness)
 from .translate import CLOSED_RELATION, tau
 from .value import value_class
 
@@ -207,12 +207,15 @@ class SearchBudget:
 
 @value_class
 class SatResult:
-    status: str  # "sat" or "unknown"; no search claims "unsat"
+    status: str  # "sat" from a search, "unsat" from refutation, else "unknown"
     witness_graph: Optional[Graph] = None
     witness_assignment: Optional[Assignment] = None
     witness_node: Optional[Term] = None
     approximate: bool = False
     reason: Optional[str] = None
+    # an "unsat"'s (document, pairs, value): each (node, shape) pair reads the
+    # value over the document's AbstractContext; not in the report
+    certificate: Optional[tuple] = None
 
     @property
     def is_sat(self) -> bool:
@@ -343,9 +346,32 @@ def _graph_search(m: sh.Document, budget: SearchBudget, verdict, exhausted: str,
     return SatResult("unknown", reason=exhausted)
 
 
+# --- refutation: AbstractContext values hold in every graph, so claims hold at any size ---
+
+def _claim(ctx: AbstractContext, pairs: list, value: bool, reason: str) -> Optional[SatResult]:
+    """"unsat" when every (node, shape) pair reads the value, else None."""
+    if all(ctx.sign.get(pair) is value for pair in pairs):
+        return SatResult("unsat", reason=reason, certificate=(ctx.document, tuple(pairs), value))
+
+
+def _refuted(ctx: AbstractContext, prefix: str = "") -> Optional[SatResult]:
+    """"unsat" when an sh:targetNode pair reads false, else None: a faithful
+    assignment, which every valid graph has in every mode, would make it both
+    false and true."""
+    for shape in ctx.document.shapes:
+        for t in shape.targets:
+            if isinstance(t, sh.NodeTarget) and ctx.sign.get((t.node, shape.name)) is False:
+                return _claim(ctx, [(t.node, shape.name)], False,
+                              f"{prefix}refuted: {shape.name!r} fails at {t.node!r}")
+
+
 def bounded_sat(m: sh.Document, mode: SemanticsMode, budget: SearchBudget) -> SatResult:
-    """Search for a graph the document validates."""
-    m = compile_document(m).document
+    """Refutation, else search for a graph the document validates."""
+    compiled = compile_document(m)
+    refuted = _refuted(AbstractContext(compiled.document, compiled.bodies))
+    if refuted is not None:
+        return refuted
+    m = compiled.document
 
     def witness(g: Graph) -> Optional[SatResult]:
         sigma = validation_witness(g, m, mode)
@@ -393,9 +419,19 @@ def containment_sentence(m1: sh.Document, m2: sh.Document):
 def check_containment(m1: sh.Document, m2: sh.Document, mode: SemanticsMode,
                       budget: SearchBudget) -> SatResult:
     """Counterexample search: sat means NOT contained, with the separating
-    graph as witness."""
-    m1 = compile_document(m1).document
-    m2 = compile_document(m2).document
+    graph as witness.  "unsat" (contained) comes first, from refutation of
+    m1, or from every target of m2 reading true where every graph has a
+    faithful assignment of m2 (partial modes, or m2 not recursive)."""
+    compiled1, compiled2 = compile_document(m1), compile_document(m2)
+    refuted = _refuted(AbstractContext(compiled1.document, compiled1.bodies), "doc1 ")
+    if refuted is None and (not mode.total or compiled2.order is not None):
+        ctx = AbstractContext(compiled2.document, compiled2.bodies)
+        pairs = [(node, s.name) for s in compiled2.document.shapes for t in s.targets
+                 for node in ([t.node] if isinstance(t, sh.NodeTarget) else ctx.elements)]
+        refuted = _claim(ctx, pairs, True, "doc2 holds everywhere")
+    if refuted is not None:
+        return refuted
+    m1, m2 = compiled1.document, compiled2.document
 
     def counterexample(g: Graph) -> Optional[SatResult]:
         separates = validate(g, m1, mode) and not validate(g, m2, mode)
@@ -408,9 +444,9 @@ def check_containment(m1: sh.Document, m2: sh.Document, mode: SemanticsMode,
 def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
                  budget: SearchBudget, mode: SemanticsMode = SemanticsMode.BRAVE_TOTAL,
                  path: Optional[sh.PathExpr] = None) -> SatResult:
-    """Is there a node that can be forced to conform to a fresh shape?
-
-    Reduced to uninterpreted-model search over the translated document plus
+    """Is there a node that can be forced to conform to a fresh shape?  "unsat"
+    when refutation shows that none can, in a graph of any size; otherwise,
+    reduced to uninterpreted-model search over the translated document plus
     its bounded filter axiomatisation: the fresh target constant ranges over
     the sentence's constants plus one unknown, which symmetry makes generic.
     A sentence without filter atoms goes without the axiomatisation: its "at
@@ -424,11 +460,16 @@ def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
     if not mode.brave:
         raise DecisionError("template satisfiability is defined for the brave modes")
     doc = m.with_shape(sh.Shape(name, (), path, constraint))
+    phi = tau(doc)
+    ctx = AbstractContext(doc, {a.shape.name: a.body for a in phi.constraint_axioms()})
+    refuted = _refuted(ctx) or _claim(ctx, [(e, name) for e in ctx.elements], False,
+                                      f"refuted: {name!r} fails everywhere")
+    if refuted is not None:
+        return refuted
     probe = ShapeRel(name)
     if mode is SemanticsMode.BRAVE_PARTIAL:
-        doc = gamma_transform(doc)
+        phi = tau(gamma_transform(doc))
         probe = ShapeRel(gamma_pos_name(name))
-    phi = tau(doc)
     deadline = _Deadline(budget.max_seconds)
     # property-pair order atoms must still raise FilterAxiomError
     ax = AxiomatisationResult(SclSentence(()), False)

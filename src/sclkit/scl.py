@@ -469,7 +469,8 @@ def _var(depth: int) -> str:
 
 
 class PrettyPrinter:
-    """Mathematical-notation rendering (UTF-8) for golden tests and the CLI."""
+    """Mathematical-notation rendering (UTF-8) for golden tests and the CLI.
+    A quantifier's body is bracketed, so it ends where its bracket does."""
 
     def __init__(self, prefixes: Optional[dict] = None):
         self.prefixes = dict(prefixes or {})
@@ -500,7 +501,7 @@ class PrettyPrinter:
             return f"{self.rel(pi.rel)}({x}, {y})"
         if isinstance(pi, PiSeq):
             z = _var(depth)
-            return f"∃{z}. {self.pi(pi.left, x, z, depth + 1)} ∧ {self.pi(pi.right, z, y, depth + 1)}"
+            return f"∃{z}. ({self.pi(pi.left, x, z, depth + 1)} ∧ {self.pi(pi.right, z, y, depth + 1)})"
         if isinstance(pi, PiZeroOrOne):
             return f"({x} = {y} ∨ {self.pi(pi.inner, x, y, depth)})"
         if isinstance(pi, PiAlt):
@@ -522,19 +523,19 @@ class PrettyPrinter:
             return f"{self.shape(psi.rel)}({x})"
         if isinstance(psi, PsiExists):
             y = _var(depth)
-            return f"∃{y}. {self.pi(psi.path, x, y, depth + 1)} ∧ {self.psi(psi.body, y, depth + 1)}"
+            return f"∃{y}. ({self.pi(psi.path, x, y, depth + 1)} ∧ {self.psi(psi.body, y, depth + 1)})"
         if isinstance(psi, PsiDisjoint):
             y = _var(depth)
-            return f"¬∃{y}. {self.pi(psi.path, x, y, depth + 1)} ∧ {self.rel(psi.rel)}({x}, {y})"
+            return f"¬∃{y}. ({self.pi(psi.path, x, y, depth + 1)} ∧ {self.rel(psi.rel)}({x}, {y}))"
         if isinstance(psi, PsiEquals):
             y = _var(depth)
-            return f"∀{y}. {self.pi(psi.path, x, y, depth + 1)} ↔ {self.rel(psi.rel)}({x}, {y})"
+            return f"∀{y}. ({self.pi(psi.path, x, y, depth + 1)} ↔ {self.rel(psi.rel)}({x}, {y}))"
         if isinstance(psi, PsiOrder):
             y, z = _var(depth), _var(depth + 1)
-            return (f"∀{y}, {z}. {self.pi(psi.path, x, y, depth + 2)} ∧ "
-                    f"{self.rel(psi.rel)}({x}, {z}) → {y} {psi.op.replace('<=', '≤').replace('>=', '≥')} {z}")
+            return (f"∀{y}, {z}. ({self.pi(psi.path, x, y, depth + 2)} ∧ "
+                    f"{self.rel(psi.rel)}({x}, {z}) → {y} {psi.op.replace('<=', '≤').replace('>=', '≥')} {z})")
         y = _var(depth)
-        return f"∃≥{psi.n}{y}. {self.pi(psi.path, x, y, depth + 1)} ∧ {self.psi(psi.body, y, depth + 1)}"
+        return f"∃≥{psi.n}{y}. ({self.pi(psi.path, x, y, depth + 1)} ∧ {self.psi(psi.body, y, depth + 1)})"
 
     def axiom(self, axiom: Axiom) -> str:
         if isinstance(axiom, TargetNodeAxiom):

@@ -27,6 +27,7 @@ from .scl import (
     Pi,
     PiAlt,
     PiSeq,
+    PiStar,
     PiZeroOrOne,
     Psi,
     PsiAnd,
@@ -37,6 +38,7 @@ from .scl import (
     PsiExists,
     PsiFilter,
     PsiNot,
+    PsiOrder,
     PsiShape,
     PsiTop,
     RelAtom,
@@ -45,6 +47,7 @@ from .scl import (
     TargetNodeAxiom,
     TargetObjectsAxiom,
     TargetSubjectsAxiom,
+    walk_psi,
 )
 from .translate import _declared_property_relations, shape_bodies
 
@@ -262,6 +265,58 @@ class EvalContext:
         # compare within one partition; incomparable pairs fail the atom
         zs = self.rel_values(node, psi.rel)
         return all(compare(psi.op, y, z) for y in self.eval_path(psi.path, node) for z in zs)
+
+
+# the element of the abstract structure that stands for every node no constant names
+OTHER = Iri("urn:sclkit:model:other")
+
+
+def _nullable(pi: Pi) -> bool:
+    """Whether the path can be empty, so that it reaches its start node in every graph."""
+    if isinstance(pi, PiSeq):
+        return _nullable(pi.left) and _nullable(pi.right)
+    if isinstance(pi, PiAlt):
+        return _nullable(pi.left) or _nullable(pi.right)
+    return isinstance(pi, (PiZeroOrOne, PiStar))
+
+
+class AbstractContext(EvalContext):
+    """The least strong-Kleene fixpoint of a document's shape bodies, in `sign`,
+    over one abstract structure that every graph embeds into: the constants
+    of its bodies and node targets, and `OTHER` for every other node, as
+    many as needed.  Relation, disjointness, equality and order atoms are
+    unknown, and so is a filter at `OTHER`.  Kleene logic is monotone, so a
+    definite value holds at every node its element stands for, in every
+    graph and faithful assignment (Sagiv, Reps & Wilhelm, TOPLAS 2002).  A
+    graph adds conjuncts to sh:closed and sh:uniqueLang, each unknown here."""
+
+    def __init__(self, document: sh.Document, bodies: dict):
+        super().__init__(Graph(()))
+        self.document = document
+        constants = {t.node for s in document.shapes for t in s.targets if isinstance(t, sh.NodeTarget)}
+        constants.update(p.constant for b in bodies.values() for p in walk_psi(b) if isinstance(p, PsiEq))
+        self.elements = sorted(constants, key=term_key) + [OTHER]
+        self.scans: dict = {}  # (quantifier id, size of `sign`) -> n witnesses possible
+        _least_fixpoint(self, bodies, self.elements, [])
+
+    def eval(self, psi: Psi, node: Term) -> Optional[bool]:
+        if isinstance(psi, (PsiExists, PsiCount)):
+            n = psi.n if isinstance(psi, PsiCount) else 1
+            if n == 1 and _nullable(psi.path) and self.eval(psi.body, node):
+                return True  # the node is its own witness
+            key = (id(psi), len(self.sign))  # `sign` only grows, so its size dates it
+            if key not in self.scans:
+                possible = 0  # witnesses; OTHER, read first, counts as n of them
+                for y in reversed(self.elements):
+                    possible += (n if y is OTHER else 1) * (self.eval(psi.body, y) is not False)
+                    if possible >= n:
+                        break
+                self.scans[key] = possible >= n
+            return None if self.scans[key] else False
+        if isinstance(psi, (PsiDisjoint, PsiEquals, PsiOrder)) or (
+                isinstance(psi, PsiFilter) and node is OTHER):
+            return None
+        return super().eval(psi, node)
 
 
 def eval_path(pi: Pi, node: Term, g: Graph) -> frozenset:

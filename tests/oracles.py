@@ -12,7 +12,10 @@ reference bounded axiomatisation counts every filter combination afresh with
 the bounds of its equality and Nu combinations from that count.  The
 reference subset construction partitions every subset state's edge labels
 afresh, duplicates included, and rescans all the state's edges for each
-atom; the library partitions each set of distinct labels once.
+atom; the library partitions each set of distinct labels once.  The
+reference abstract values take whole-assignment rounds over vectors of
+values, one per element, where the library sweeps (element, shape) pairs
+with its validator's fixpoint and evaluates each formula top-down.
 """
 from __future__ import annotations
 
@@ -51,16 +54,26 @@ from sclkit.filters import (
     _combo_psi,
     _gather,
     combo_cardinality,
+    eval_filter,
 )
 from sclkit.scl import (
     AtMostAxiom,
     ConstraintAxiom,
+    PiAlt,
+    PiSeq,
+    PiStar,
+    PiZeroOrOne,
     PsiAnd,
     PsiCount,
+    PsiDisjoint,
     PsiEq,
+    PsiEquals,
     PsiExists,
+    PsiFilter,
     PsiNot,
     PsiOrder,
+    PsiShape,
+    PsiTop,
     SclSentence,
     ShapeRel,
     constants_of,
@@ -68,6 +81,7 @@ from sclkit.scl import (
     walk_psi,
 )
 from sclkit.semantics import (
+    OTHER,
     Assignment,
     EvalContext,
     SemanticsMode,
@@ -126,6 +140,73 @@ def brute_force_validate(g: Graph, m: sh.Document, mode: SemanticsMode) -> bool:
                         ok = False
         targeted_ok.append(ok)
     return all(targeted_ok)
+
+
+def _reaches_itself(pi) -> bool:
+    """Whether the path accepts the empty word."""
+    if isinstance(pi, (PiZeroOrOne, PiStar)):
+        return True
+    parts = [_reaches_itself(pi.left), _reaches_itself(pi.right)] if isinstance(pi, (PiSeq, PiAlt)) else [False]
+    return all(parts) if isinstance(pi, PiSeq) else any(parts)
+
+
+def _kleene_and(a, b):
+    if a is False or b is False:
+        return False
+    return None if a is None or b is None else True
+
+
+def _abstract_vector(psi, elements: list, values: dict) -> list:
+    """The formula's value at each element, given the shape values."""
+    if isinstance(psi, PsiTop):
+        return [True] * len(elements)
+    if isinstance(psi, PsiNot):
+        return [None if v is None else not v for v in _abstract_vector(psi.inner, elements, values)]
+    if isinstance(psi, PsiAnd):
+        return list(map(_kleene_and, _abstract_vector(psi.left, elements, values),
+                        _abstract_vector(psi.right, elements, values)))
+    if isinstance(psi, PsiEq):
+        return [e == psi.constant for e in elements]
+    if isinstance(psi, PsiFilter):
+        return [None if e == OTHER else eval_filter(psi.atom, e) for e in elements]
+    if isinstance(psi, PsiShape):
+        return [values.get((e, psi.rel.name)) for e in elements]
+    if isinstance(psi, (PsiDisjoint, PsiEquals, PsiOrder)):
+        return [None] * len(elements)
+    n = psi.n if isinstance(psi, PsiCount) else 1
+    body = _abstract_vector(psi.body, elements, values)
+    # every element can be a successor; OTHER stands for as many as needed
+    possible = sum(1 for e, v in zip(elements, body) if v is not False and e != OTHER)
+    if body[elements.index(OTHER)] is not False:
+        possible = float("inf")
+    out = []
+    for v in body:
+        sure = 1 if v is True and _reaches_itself(psi.path) else 0
+        out.append(True if sure >= n else False if possible < n else None)
+    return out
+
+
+def reference_abstract_values(m: sh.Document) -> tuple:
+    """(elements, values): the least strong-Kleene fixpoint of the shapes over
+    `AbstractContext`'s structure (the node targets and the constants of the
+    bodies, then `OTHER`); `values` maps (element, shape) to True or False and
+    leaves unknown pairs out."""
+    m = sh.eliminate_xone(m)
+    bodies = shape_bodies(m)
+    consts = {t.node for s in m.shapes for t in s.targets if isinstance(t, sh.NodeTarget)}
+    consts |= {p.constant for b in bodies.values() for p in walk_psi(b) if isinstance(p, PsiEq)}
+    elements = sorted(consts, key=term_key) + [OTHER]
+    names = [s.name for s in m.shapes]
+    values: dict = {}
+    while True:
+        new = {}
+        for name in names:
+            for e, v in zip(elements, _abstract_vector(bodies[name], elements, values)):
+                if v is not None:
+                    new[(e, name)] = v
+        if new == values:
+            return elements, values
+        values = new
 
 
 def reference_nfa_to_dfa(nfa: Nfa) -> Dfa:

@@ -137,8 +137,10 @@ def _json_commands() -> list:
         *(("validate", "--graph", fx("fig1-graph.ttl"), *fig1, "--mode", mode)
           for mode in ("brave-partial", "brave-total", "cautious-partial", "cautious-total")),
         ("sat", *fig1, "--triples", "2", "--fresh", "1"),
+        ("sat", "--doc", fx("refutable.ttl")),
         ("contains", "--doc1", fx("fig1-shapes.ttl"), "--doc2", fx("filtered.ttl"),
          "--triples", "2", "--fresh", "1"),
+        ("contains", "--doc1", fx("refutable.ttl"), "--doc2", fx("fig1-shapes.ttl")),
         ("classify", *fig1),
         ("template-sat", "--doc", fx("template.ttl"), "--template", "http://ex/probe", "--fresh", "1"),
         ("shape-contains", *fig1, "--shape1", "http://ex/studentShape",
@@ -146,16 +148,15 @@ def _json_commands() -> list:
     ]
 
 
-def test_json_output_is_hash_seed_independent():
-    # value classes hash their fields, whose strings hash by PYTHONHASHSEED,
-    # so set iteration order follows it; no command's output may follow it
+def _json_under_hash_seeds(commands: list) -> list:
+    """The `--json` output and exit codes of the commands, run in one
+    subprocess per hash seed, 0 and 1."""
     import subprocess
     import sys
 
     import sclkit
 
     src = os.path.dirname(os.path.dirname(sclkit.__file__))
-    commands = _json_commands()
     driver = ("import json, sys\nfrom sclkit.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n    print('exit', main(['--json', *argv]))\n")
     outs = []
@@ -164,9 +165,42 @@ def test_json_output_is_hash_seed_independent():
         done = subprocess.run([sys.executable, "-c", driver, json.dumps(commands)], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+        assert done.stdout.count("exit ") == len(commands)
         outs.append(done.stdout)
+    return outs
+
+
+def test_json_output_is_hash_seed_independent():
+    # value classes hash their fields, whose strings hash by PYTHONHASHSEED,
+    # so set iteration order follows it; no command's output may follow it
+    outs = _json_under_hash_seeds(_json_commands())
     assert outs[0] == outs[1]
-    assert outs[0].count("exit ") == len(commands)
+
+
+def test_sat_and_contains_json_is_hash_seed_independent(tmp_path):
+    # sat-contains' own documents: answers refutation gives and answers the
+    # search decides; one triple and one fresh node bound every search, so
+    # none is cut by the clock
+    import random
+
+    from sclkit.corpus import random_document
+    from sclkit.rdf import serialize_turtle
+    from sclkit.shacl import document_to_graph
+
+    rng = random.Random(3)
+    docs = []
+    for i in range(16):
+        m = random_document(rng, max_shapes=2, features=("Z", "A", "D", "C"))
+        (tmp_path / f"d{i}.ttl").write_text(serialize_turtle(document_to_graph(m)), encoding="utf-8")
+        docs.append(str(tmp_path / f"d{i}.ttl"))
+    budget = ("--triples", "1", "--fresh", "1")
+    commands = [argv for i, doc in enumerate(docs) for mode in ("brave-total", "cautious-partial")
+                for argv in (("sat", "--doc", doc, "--mode", mode, *budget),
+                             ("contains", "--doc1", doc, "--doc2", docs[i - 1], "--mode", mode, *budget))]
+    outs = _json_under_hash_seeds(commands)
+    assert outs[0] == outs[1]
+    assert outs[0].count('"result": "unsat"') >= 8 and outs[0].count('"result": "sat"') >= 8
+    assert "time budget exhausted" not in outs[0]
 
 
 def test_json_output_is_independent_of_term_addresses(capsys, tmp_path):

@@ -118,9 +118,12 @@ def test_untranslate_validates_the_same_graphs_in_every_mode():
 def test_pretty_printer_writes_every_path_and_target():
     text = pretty(tau(every_constraint()))
     knows = f"R<{EX}knows>"
-    assert f"∀y. R<{EX}name>(x, y) ↔ R<{EX}nick>(x, y)" in text  # sh:equals
-    assert f"R<{EX}deathAge>(x, z) → y < z" in text  # sh:lessThan
-    assert f"R<{EX}retireAge>(x, z) → y ≤ z" in text  # sh:lessThanOrEquals
+    assert f"∀y. (R<{EX}name>(x, y) ↔ R<{EX}nick>(x, y))" in text  # sh:equals
+    assert f"∀y, z. (R<{EX}age>(x, y) ∧ R<{EX}deathAge>(x, z) → y < z)" in text  # sh:lessThan
+    assert f"R<{EX}retireAge>(x, z) → y ≤ z)" in text  # sh:lessThanOrEquals
+    # a quantifier's body is bracketed: the maxCount's ∃≥2 ends before the next conjunct
+    assert f"(¬∃≥2y. (R<{EX}age>(x, y) ∧ ⊤) ∧ ¬∃y. (R<{EX}age>(x, y) ∧ ¬F<=150(y)))" in text
+    assert f"¬∃y. ((R<{EX}knows>(x, y) ∨ R<{EX}knows>⁻(x, y)) ∧ R<{EX}name>(x, y))" in text  # sh:disjoint
     assert f"({knows}(x, y) ∨ {knows}⁻(x, y))" in text  # alternative and inverse
     assert f"({knows}(w, z))*" in text  # zero or more
     assert f"(z = y ∨ {knows}(z, y))" in text  # zero or one

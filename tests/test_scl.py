@@ -199,8 +199,8 @@ def test_pretty_fig2_golden():
     # axiom precedes the target/constraint axioms of the student shape
     text = pretty(fig2_sentence(), {"": EX})
     assert text == (
-        "∀x. Σ:disjFacultyShape(x) ↔ ¬∃y. ∃z. R:hasSupervisor(x, z) ∧ "
-        "R:hasFaculty(z, y) ∧ R:hasFaculty(x, y)\n"
+        "∀x. Σ:disjFacultyShape(x) ↔ ¬∃y. (∃z. (R:hasSupervisor(x, z) ∧ "
+        "R:hasFaculty(z, y)) ∧ R:hasFaculty(x, y))\n"
         "∧ ∀x. isA(x, :Student) → Σ:studentShape(x)\n"
         "∧ ∀x. Σ:studentShape(x) ↔ ¬Σ:disjFacultyShape(x)"
     )

@@ -118,7 +118,7 @@ def test_repr_is_the_dataclass_text():
         "body=PsiNot(inner=PsiTop()))")
     assert repr(SatResult("unknown", reason="no model within budget")) == (
         "SatResult(status='unknown', witness_graph=None, witness_assignment=None, "
-        "witness_node=None, approximate=False, reason='no model within budget')")
+        "witness_node=None, approximate=False, reason='no model within budget', certificate=None)")
 
 
 def test_keywords_defaults_and_argument_errors():
