@@ -11,7 +11,6 @@ from .shacl import (
     document_to_graph,
     eliminate_xone,
     is_recursive,
-    referenced_shapes_closure,
     strip_targets,
 )
 from .scl import FeatureSet, SclSentence, features_of, normalize, pretty, well_formed
@@ -21,10 +20,8 @@ from .semantics import (
     SemanticsMode,
     eval_path,
     eval_psi,
-    gamma_assignment,
     gamma_transform,
     is_faithful,
-    sentence_holds,
     stratified_assignment,
     validate,
 )
@@ -38,7 +35,6 @@ from .filters import (
     combo_cardinality,
     eval_filter,
     naive_axiomatisation,
-    truncate_combination,
 )
 from .decide import (
     SatResult,
@@ -47,7 +43,6 @@ from .decide import (
     bounded_sat,
     check_containment,
     classify,
-    constraint_satisfiability,
     containment_sentence,
     emit,
     emit_smtlib,

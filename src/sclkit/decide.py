@@ -244,13 +244,12 @@ class _Deadline:
 
 # --- graph-level bounded search ---------------------------------------------------
 
-def _filter_sample_terms(m: sh.Document) -> list[Term]:
-    """Deterministic candidate literals that satisfy the document's filter
-    constraints, so graph search can build filter-conforming witnesses."""
+def _filter_sample_terms(sentence: SclSentence) -> list[Term]:
+    """Deterministic candidate literals that satisfy the filter constraints of a
+    document's sentence, so graph search can build filter-conforming witnesses."""
     atoms: list[FilterAtom] = []
     per_shape: list[list[FilterAtom]] = []
-    bodies = tau(m)
-    for axiom in bodies.constraint_axioms():
+    for axiom in sentence.constraint_axioms():
         shape_atoms = [n.atom for n in walk_psi(axiom.body) if isinstance(n, PsiFilter)]
         if shape_atoms:
             per_shape.append(shape_atoms)
@@ -310,8 +309,9 @@ def candidate_graphs(m: sh.Document, budget: SearchBudget,
                      extra_constants: Iterable[Term] = (),
                      extra_relations: Iterable[Iri] = ()) -> Iterator[Graph]:
     """Ascending enumeration of graphs over the document's vocabulary."""
-    consts = sorted(set(sh.document_constants(m)) | set(extra_constants), key=term_key)
-    consts += [t for t in _filter_sample_terms(m) if t not in set(consts)]
+    sentence = compile_document(m).sentence
+    consts = sorted(constants_of(sentence) | set(extra_constants), key=term_key)
+    consts += [t for t in _filter_sample_terms(sentence) if t not in set(consts)]
     rels = sh.document_vocabulary(m)[0] | set(extra_relations)
     if any(isinstance(node, sh.Closed) for s in m.shapes for node in sh.walk(s.constraint)):
         rels.add(CLOSED_RELATION)
@@ -438,7 +438,7 @@ def check_containment(m1: sh.Document, m2: sh.Document, mode: SemanticsMode,
         return SatResult("sat", witness_graph=g) if separates else None
 
     return _graph_search(m1, budget, counterexample, "no counterexample within budget",
-                         sh.document_constants(m2), sh.document_vocabulary(m2)[0])
+                         constants_of(compiled2.sentence), sh.document_vocabulary(m2)[0])
 
 
 def template_sat(m: sh.Document, name: Iri, constraint: sh.Constraint,
@@ -500,13 +500,6 @@ def shape_containment(m: sh.Document, s: Iri, s_prime: Iri, mode: SemanticsMode,
     star = mint.fresh()
     counterexample = sh.And((sh.Ref(s), sh.Not(sh.Ref(s_prime))))
     return template_sat(m, star, counterexample, budget, mode)
-
-
-def constraint_satisfiability(m: sh.Document, constraint: sh.Constraint,
-                              mode: SemanticsMode, budget: SearchBudget,
-                              path: Optional[sh.PathExpr] = None) -> SatResult:
-    mint = sh.NameMint(set(m.names()))
-    return template_sat(m, mint.fresh(), constraint, budget, mode, path)
 
 
 # --- uninterpreted bounded model search -------------------------------------------

@@ -215,12 +215,6 @@ def _atom_type(atom: FilterAtom) -> str:
     return "order"
 
 
-def conjunct_type(c: Conjunct) -> str:
-    if isinstance(c, (Eq, NotEq, Nu)):
-        return "equality"
-    return _atom_type(c.atom)
-
-
 # per-type maximum non-redundant capacity; pattern has none
 MNRC_CAPS = {"datatype": 2, "language": 2, "order": 2, "length": 2, "nodekind": 3, "equality": 1}
 
@@ -256,16 +250,6 @@ class FilterCombination:
     def of(conjuncts: Iterable[Conjunct]) -> "FilterCombination":
         return FilterCombination(tuple(sorted(set(conjuncts), key=_conjunct_key)))
 
-    def without(self, c: Conjunct) -> "FilterCombination":
-        return FilterCombination(tuple(x for x in self.conjuncts if x != c))
-
-    def type_counts(self) -> dict:
-        counts: dict = {}
-        for c in self.conjuncts:
-            t = conjunct_type(c)
-            counts[t] = counts.get(t, 0) + 1
-        return counts
-
     def describe(self) -> str:
         return " ∧ ".join(_describe_conjunct(c) for c in self.conjuncts) or "⊤"
 
@@ -288,13 +272,6 @@ class Huge:
 
 
 CardinalityBound = Union[Finite, Infinite, Huge]
-
-
-def bound_le(a: CardinalityBound, b: CardinalityBound) -> bool:
-    rank = {Finite: 0, Huge: 1, Infinite: 2}
-    if isinstance(a, Finite) and isinstance(b, Finite):
-        return a.n <= b.n
-    return rank[type(a)] <= rank[type(b)]
 
 
 class _IntegerForms:
@@ -881,33 +858,6 @@ def combo_witnesses(combo: FilterCombination, known_constants: Iterable[Term] = 
     if dropped:
         witnesses = [t for t in witnesses if t not in dropped]
     return sorted(witnesses, key=term_key)
-
-
-def truncate_combination(combo: FilterCombination, known_constants: Iterable[Term] = ()) -> FilterCombination:
-    """Drop conjuncts beyond each type's capacity without changing |γ|.
-
-    The capacity lemmas guarantee some conjunct of an over-full type whose
-    removal preserves the cardinality; raises if none exists.
-    """
-    known = frozenset(known_constants)
-    current = combo
-    while True:
-        counts = current.type_counts()
-        over = sorted(t for t, n in counts.items() if t in MNRC_CAPS and n > MNRC_CAPS[t])
-        if not over:
-            return current
-        reference = combo_cardinality(current, known)
-        for c in current.conjuncts:
-            if conjunct_type(c) != over[0]:
-                continue
-            candidate = current.without(c)
-            if combo_cardinality(candidate, known) == reference:
-                current = candidate
-                break
-        else:
-            raise FilterAxiomError(
-                f"no capacity-preserving truncation for {current.describe()} (type {over[0]})"
-            )
 
 
 # --- axiomatisations ------------------------------------------------------------

@@ -22,8 +22,6 @@ from . import shacl as sh
 from .filters import compare, eval_filter
 from .sat import _Cnf, _dpll
 from .scl import (
-    AtMostAxiom,
-    ConstraintAxiom,
     Pi,
     PiAlt,
     PiSeq,
@@ -43,13 +41,9 @@ from .scl import (
     PsiTop,
     RelAtom,
     RelStep,
-    TargetClassAxiom,
-    TargetNodeAxiom,
-    TargetObjectsAxiom,
-    TargetSubjectsAxiom,
     walk_psi,
 )
-from .translate import _declared_property_relations, shape_bodies
+from .translate import _declared_property_relations, shape_bodies, tau
 
 
 class SemanticsMode(Enum):
@@ -65,9 +59,6 @@ class SemanticsMode(Enum):
     @property
     def total(self) -> bool:
         return self in (SemanticsMode.BRAVE_TOTAL, SemanticsMode.CAUTIOUS_TOTAL)
-
-
-ALL_MODES = tuple(SemanticsMode)
 
 
 class Assignment:
@@ -118,21 +109,24 @@ class SemanticsError(ValueError):
 
 @lru_cache(maxsize=128)
 def compile_document(m: sh.Document):
-    """The xone-free document, its shape bodies (in evaluation order if any) and that
-    order (None if recursive); the cache finds the returned `document` by identity."""
+    """The xone-free document, its sentence, the shape bodies of that sentence (in
+    evaluation order if any) and that order (None if recursive); the cache finds
+    the returned `document` by identity."""
     plain = sh.eliminate_xone(m)
     if plain is not m:
         return compile_document(plain)
-    bodies = shape_bodies(m)
+    sentence = tau(m)
+    bodies = {a.shape.name: a.body for a in sentence.constraint_axioms()}
     order = sh.evaluation_order({s.name: sh.referenced_names(s.constraint) for s in m.shapes})
-    return _Compiled(m, {name: bodies[name] for name in order} if order else bodies, order)
+    return _Compiled(m, sentence, {name: bodies[name] for name in order} if order else bodies, order)
 
 
 class _Compiled:
-    __slots__ = ("document", "bodies", "order", "per_graph", "vocabulary")
+    __slots__ = ("document", "sentence", "bodies", "order", "per_graph", "vocabulary")
 
-    def __init__(self, document: sh.Document, bodies: dict, order: Optional[list]):
+    def __init__(self, document: sh.Document, sentence, bodies: dict, order: Optional[list]):
         self.document = document
+        self.sentence = sentence
         self.bodies = bodies
         self.order = order
         # the shapes with sh:closed or sh:uniqueLang, which range over the graph's names
@@ -496,56 +490,6 @@ def validate(g: Graph, m: sh.Document, mode: SemanticsMode, use_fast_path: bool 
     return validation_witness(g, m, mode, use_fast_path) is not None
 
 
-def sentence_holds(phi, g: Graph, sigma: Assignment) -> bool:
-    """Whether a sentence holds over the structure induced by a graph and a
-    total assignment: quantifiers range over the structure's domain (the
-    assignment's node scope), constants outside it denote nothing."""
-    if not sigma.is_total():
-        raise SemanticsError("sentence evaluation needs a total assignment")
-    ctx = EvalContext(g)
-    ctx.sign = dict(sigma.signs)
-    known_shapes = set(sigma.shapes)
-
-    def shape_sign(node: Term, name: Iri) -> bool:
-        # relations the assignment does not cover hold nowhere
-        return bool(ctx.sign.get((node, name)))
-
-    def holds(v: Optional[bool]) -> bool:
-        if v is None:
-            raise SemanticsError("undefined truth value over a total structure")
-        return v
-
-    domain = sigma.nodes
-    for axiom in phi.axioms:
-        if isinstance(axiom, TargetNodeAxiom):
-            if axiom.constant not in set(domain) or not shape_sign(axiom.constant, axiom.shape.name):
-                return False
-        elif isinstance(axiom, TargetClassAxiom):
-            for n in domain:
-                if g.has(n, RDF_TYPE, axiom.cls) and not shape_sign(n, axiom.shape.name):
-                    return False
-        elif isinstance(axiom, TargetSubjectsAxiom):
-            for n in domain:
-                if g.objects(n, axiom.rel) and not shape_sign(n, axiom.shape.name):
-                    return False
-        elif isinstance(axiom, TargetObjectsAxiom):
-            for n in domain:
-                if g.subjects(axiom.rel, n) and not shape_sign(n, axiom.shape.name):
-                    return False
-        elif isinstance(axiom, ConstraintAxiom):
-            if axiom.shape.name not in known_shapes:
-                raise SemanticsError(f"assignment does not cover {axiom.shape.name!r}")
-            for n in domain:
-                v = holds(ctx.eval(axiom.body, n))
-                if v != shape_sign(n, axiom.shape.name):
-                    return False
-        elif isinstance(axiom, AtMostAxiom):
-            count = sum(1 for n in domain if holds(ctx.eval(axiom.body, n)))
-            if count > axiom.n:
-                return False
-    return True
-
-
 # --- partial-to-total transformation ---------------------------------------------
 
 GAMMA_POS_NS = "urn:sclkit:gamma:pos:"
@@ -643,37 +587,3 @@ def gamma_transform(m: sh.Document) -> sh.Document:
         shapes.append(sh.Shape(gamma_pos_name(shape.name), shape.targets, shape.path, rw.split(c, True)))
         shapes.append(sh.Shape(gamma_neg_name(shape.name), (), shape.path, rw.split(c, False)))
     return sh.Document(tuple(shapes) + tuple(rw.aux_shapes))
-
-
-def gamma_assignment(sigma: Assignment) -> Assignment:
-    """The total assignment over the split shape names: conformance maps to
-    (+pos, -neg), violation to (-pos, +neg), undefined to (-pos, -neg)."""
-    shapes = []
-    for name in sigma.shapes:
-        shapes.extend((gamma_pos_name(name), gamma_neg_name(name)))
-    signs = {}
-    for node in sigma.nodes:
-        for name in sigma.shapes:
-            s = sigma.sign(node, name)
-            signs[(node, gamma_pos_name(name))] = s is True
-            signs[(node, gamma_neg_name(name))] = s is False
-    return Assignment(sigma.nodes, shapes, signs)
-
-
-def complete_gamma_assignment(sigma_gamma: Assignment, gm: sh.Document, g: Graph) -> Assignment:
-    """Extend a split assignment over the auxiliary shapes of the transformed
-    document; their constraints are two-valued given the split signs."""
-    aux_names = [n for n in gm.names() if n.value.startswith(GAMMA_AUX_NS)]
-    if not aux_names:
-        return sigma_gamma
-    compiled = compile_document(gm)
-    ctx = EvalContext(g)
-    ctx.sign = dict(sigma_gamma.signs)
-    signs = dict(sigma_gamma.signs)
-    for name in aux_names:
-        for node in sigma_gamma.nodes:
-            v = ctx.eval(compiled.bodies[name], node)
-            if v is None:
-                raise SemanticsError("auxiliary shape evaluation must be two-valued")
-            signs[(node, name)] = v
-    return Assignment(sigma_gamma.nodes, list(sigma_gamma.shapes) + aux_names, signs)

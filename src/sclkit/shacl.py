@@ -388,20 +388,6 @@ class Document:
         return Document(self.shapes + (shape,))
 
 
-def referenced_shapes_closure(m: Document, name: Iri) -> set[Iri]:
-    """Least fixpoint of the directly-referenced-shapes expansion."""
-    start = m.shape(name)
-    seen: set[Iri] = set()
-    frontier = list(referenced_names(start.constraint))
-    while frontier:
-        n = frontier.pop()
-        if n in seen:
-            continue
-        seen.add(n)
-        frontier.extend(referenced_names(m.shape(n).constraint))
-    return seen
-
-
 def evaluation_order(references: dict) -> Optional[list]:
     """The shapes of `references`, a map from each shape to the shapes it
     references, each after all it references; None when the references form
@@ -768,25 +754,6 @@ class _DocumentReader:
 def document_from_graph(g: Graph) -> Document:
     """Build the shape-document object model from its triple encoding."""
     return _DocumentReader(g).read()
-
-
-def document_constants(m: Document) -> set[Term]:
-    """All constants a document mentions (targets, values, classes)."""
-    out: set[Term] = set()
-    for s in m.shapes:
-        for t in s.targets:
-            if isinstance(t, NodeTarget):
-                out.add(t.node)
-            elif isinstance(t, ClassTarget):
-                out.add(t.cls)
-        for node in walk(s.constraint):
-            if isinstance(node, HasValue):
-                out.add(node.value)
-            elif isinstance(node, InSet):
-                out.update(node.values)
-            elif isinstance(node, ClassConstraint):
-                out.add(node.cls)
-    return out
 
 
 def document_vocabulary(*documents: Document) -> tuple[set[Iri], set[str]]:

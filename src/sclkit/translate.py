@@ -74,11 +74,16 @@ def path_to_pi(path: sh.PathExpr) -> Pi:
     if isinstance(path, (sh.SeqPath, sh.AltPath)):
         join = PiSeq if isinstance(path, sh.SeqPath) else PiAlt
         return balanced(join, [path_to_pi(p) for p in path.parts])
-    if isinstance(path, sh.ZeroOrMorePath):
-        return PiStar(path_to_pi(path.inner))
-    if isinstance(path, sh.OneOrMorePath):
-        inner = path_to_pi(path.inner)
-        return PiSeq(inner, PiStar(inner))
+    if isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath)):
+        # a closure directly inside another adds nothing: (π+)+ = π+ and
+        # (π*)+ = (π+)* = (π*)* = π*; π+ holds π twice, so k nested closures
+        # would hold 2^k copies
+        star = False
+        while isinstance(path, (sh.ZeroOrMorePath, sh.OneOrMorePath)):
+            star = star or isinstance(path, sh.ZeroOrMorePath)
+            path = path.inner
+        inner = path_to_pi(path)
+        return PiStar(inner) if star else PiSeq(inner, PiStar(inner))
     return PiZeroOrOne(path_to_pi(path.inner))
 
 

@@ -16,10 +16,16 @@ atom; the library partitions each set of distinct labels once.  The
 reference abstract values take whole-assignment rounds over vectors of
 values, one per element, where the library sweeps (element, shape) pairs
 with its validator's fixpoint and evaluates each formula top-down.
+`sentence_holds` is the reference for `tau`: it evaluates a sentence over a
+graph and a total assignment axiom by axiom.  The Γ assignments map an
+assignment onto the split shapes of `gamma_transform`, and
+`truncate_combination` applies the capacity lemmas that the bounded
+axiomatisation's caps rest on.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Iterable, Optional
 
 from sclkit.rdf import (
     MAX_NESTING,
@@ -44,12 +50,21 @@ from sclkit import shacl as sh
 from sclkit.automata import Dfa, Nfa, _partition
 from sclkit.decide import SatResult, _Cnf, _Grounder, _dpll
 from sclkit.filters import (
+    MNRC_CAPS,
     NU_NAME,
     AxiomatisationResult,
+    CardinalityBound,
+    Conjunct,
+    Eq,
     FilterAxiomError,
+    FilterCombination,
+    Finite,
     Huge,
     Infinite,
+    NotEq,
+    Nu,
     PatternAtom,
+    _atom_type,
     _bounded_combos,
     _combo_psi,
     _gather,
@@ -76,15 +91,24 @@ from sclkit.scl import (
     PsiTop,
     SclSentence,
     ShapeRel,
+    TargetClassAxiom,
+    TargetNodeAxiom,
+    TargetObjectsAxiom,
+    TargetSubjectsAxiom,
     constants_of,
     psi_and_all,
     walk_psi,
 )
 from sclkit.semantics import (
+    GAMMA_AUX_NS,
     OTHER,
     Assignment,
     EvalContext,
+    SemanticsError,
     SemanticsMode,
+    compile_document,
+    gamma_neg_name,
+    gamma_pos_name,
     target_holds,
 )
 from sclkit.translate import shape_bodies
@@ -140,6 +164,93 @@ def brute_force_validate(g: Graph, m: sh.Document, mode: SemanticsMode) -> bool:
                         ok = False
         targeted_ok.append(ok)
     return all(targeted_ok)
+
+
+def sentence_holds(phi, g: Graph, sigma: Assignment) -> bool:
+    """Whether a sentence holds over the structure induced by a graph and a
+    total assignment: quantifiers range over the structure's domain (the
+    assignment's node scope), constants outside it denote nothing.  The
+    reference for `tau`: faithfulness of an assignment is truth of the
+    document's sentence."""
+    if not sigma.is_total():
+        raise SemanticsError("sentence evaluation needs a total assignment")
+    ctx = EvalContext(g)
+    ctx.sign = dict(sigma.signs)
+    known_shapes = set(sigma.shapes)
+
+    def shape_sign(node: Term, name: Iri) -> bool:
+        # relations the assignment does not cover hold nowhere
+        return bool(ctx.sign.get((node, name)))
+
+    def holds(v: Optional[bool]) -> bool:
+        if v is None:
+            raise SemanticsError("undefined truth value over a total structure")
+        return v
+
+    domain = sigma.nodes
+    for axiom in phi.axioms:
+        if isinstance(axiom, TargetNodeAxiom):
+            if axiom.constant not in set(domain) or not shape_sign(axiom.constant, axiom.shape.name):
+                return False
+        elif isinstance(axiom, TargetClassAxiom):
+            for n in domain:
+                if g.has(n, RDF_TYPE, axiom.cls) and not shape_sign(n, axiom.shape.name):
+                    return False
+        elif isinstance(axiom, TargetSubjectsAxiom):
+            for n in domain:
+                if g.objects(n, axiom.rel) and not shape_sign(n, axiom.shape.name):
+                    return False
+        elif isinstance(axiom, TargetObjectsAxiom):
+            for n in domain:
+                if g.subjects(axiom.rel, n) and not shape_sign(n, axiom.shape.name):
+                    return False
+        elif isinstance(axiom, ConstraintAxiom):
+            if axiom.shape.name not in known_shapes:
+                raise SemanticsError(f"assignment does not cover {axiom.shape.name!r}")
+            for n in domain:
+                v = holds(ctx.eval(axiom.body, n))
+                if v != shape_sign(n, axiom.shape.name):
+                    return False
+        elif isinstance(axiom, AtMostAxiom):
+            count = sum(1 for n in domain if holds(ctx.eval(axiom.body, n)))
+            if count > axiom.n:
+                return False
+    return True
+
+
+def gamma_assignment(sigma: Assignment) -> Assignment:
+    """The total assignment over the split shape names of `gamma_transform`:
+    conformance maps to (+pos, -neg), violation to (-pos, +neg), undefined to
+    (-pos, -neg)."""
+    shapes = []
+    for name in sigma.shapes:
+        shapes.extend((gamma_pos_name(name), gamma_neg_name(name)))
+    signs = {}
+    for node in sigma.nodes:
+        for name in sigma.shapes:
+            s = sigma.sign(node, name)
+            signs[(node, gamma_pos_name(name))] = s is True
+            signs[(node, gamma_neg_name(name))] = s is False
+    return Assignment(sigma.nodes, shapes, signs)
+
+
+def complete_gamma_assignment(sigma_gamma: Assignment, gm: sh.Document, g: Graph) -> Assignment:
+    """Extend a split assignment over the auxiliary shapes of the transformed
+    document; their constraints are two-valued given the split signs."""
+    aux_names = [n for n in gm.names() if n.value.startswith(GAMMA_AUX_NS)]
+    if not aux_names:
+        return sigma_gamma
+    compiled = compile_document(gm)
+    ctx = EvalContext(g)
+    ctx.sign = dict(sigma_gamma.signs)
+    signs = dict(sigma_gamma.signs)
+    for name in aux_names:
+        for node in sigma_gamma.nodes:
+            v = ctx.eval(compiled.bodies[name], node)
+            if v is None:
+                raise SemanticsError("auxiliary shape evaluation must be two-valued")
+            signs[(node, name)] = v
+    return Assignment(sigma_gamma.nodes, list(sigma_gamma.shapes) + aux_names, signs)
 
 
 def _reaches_itself(pi) -> bool:
@@ -303,6 +414,54 @@ def reference_bounded_axiomatisation(phi) -> AxiomatisationResult:
             continue
         axioms.append(AtMostAxiom(bound.n, _combo_psi(combo, nu_rel)))
     return AxiomatisationResult(SclSentence(tuple(axioms)), approximate, tuple(skipped))
+
+
+def conjunct_type(c: Conjunct) -> str:
+    if isinstance(c, (Eq, NotEq, Nu)):
+        return "equality"
+    return _atom_type(c.atom)
+
+
+def type_counts(combo: FilterCombination) -> dict:
+    counts: dict = {}
+    for c in combo.conjuncts:
+        t = conjunct_type(c)
+        counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
+def bound_le(a: CardinalityBound, b: CardinalityBound) -> bool:
+    rank = {Finite: 0, Huge: 1, Infinite: 2}
+    if isinstance(a, Finite) and isinstance(b, Finite):
+        return a.n <= b.n
+    return rank[type(a)] <= rank[type(b)]
+
+
+def truncate_combination(combo: FilterCombination, known_constants: Iterable[Term] = ()) -> FilterCombination:
+    """Drop conjuncts beyond each type's capacity without changing |γ|.
+
+    The capacity lemmas guarantee some conjunct of an over-full type whose
+    removal preserves the cardinality; raises if none exists.
+    """
+    known = frozenset(known_constants)
+    current = combo
+    while True:
+        counts = type_counts(current)
+        over = sorted(t for t, n in counts.items() if t in MNRC_CAPS and n > MNRC_CAPS[t])
+        if not over:
+            return current
+        reference = combo_cardinality(current, known)
+        for c in current.conjuncts:
+            if conjunct_type(c) != over[0]:
+                continue
+            candidate = FilterCombination(tuple(x for x in current.conjuncts if x != c))
+            if combo_cardinality(candidate, known) == reference:
+                current = candidate
+                break
+        else:
+            raise FilterAxiomError(
+                f"no capacity-preserving truncation for {current.describe()} (type {over[0]})"
+            )
 
 
 def reference_walk_psi(psi):

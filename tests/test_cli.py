@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import time
 
 import pytest
 
@@ -325,6 +326,32 @@ def test_deepest_accepted_nesting_runs_every_command(capsys, tmp_path):
     code, out, _ = run(capsys, "--json", "validate", "--graph", str(graph), "--doc", str(closed))
     assert code == 0 and json.loads(out)["result"] is False
 
+
+def test_nested_closures_translate_to_one_closure(capsys, tmp_path):
+    # π+ holds π twice, so 127 directly nested sh:oneOrMorePath, the deepest
+    # the reader takes, would hold 2^127 copies of the step if not collapsed
+    from sclkit.rdf import MAX_NESTING
+
+    pre = "@prefix : <http://ex/> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+    k = MAX_NESTING - 1
+    doc = tmp_path / "nested.ttl"
+    doc.write_text(pre + ":s a sh:NodeShape ; sh:targetNode :a ; sh:property [ sh:path "
+                   + "[ sh:oneOrMorePath " * k + ":p" + " ]" * k + " ; sh:minCount 2 ] .")
+    graph = tmp_path / "graph.ttl"
+    graph.write_text(pre + ":a :p :b . :b :p :a .")
+    d = str(doc)
+    started = time.perf_counter()
+    for argv in (("translate", "--doc", d), ("untranslate", "--doc", d), ("classify", "--doc", d),
+                 ("validate", "--graph", str(graph), "--doc", d)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert len(out) < 10_000, argv
+    for fmt in ("smtlib2", "tptp"):
+        code, _, err = run(capsys, "emit", "--doc", d, "--format", fmt)
+        assert code == 1 and "transitive closure is not first-order expressible" in err
+    assert time.perf_counter() - started < 2.0
+    code, out, _ = run(capsys, "--json", "validate", "--graph", str(graph), "--doc", d)
+    assert json.loads(out)["result"] is True  # :a reaches :b and itself
 
 def test_axiomatise(capsys):
     code, out, _ = run(capsys, "axiomatise", "--doc", fx("filtered.ttl"), "--mode", "bounded")

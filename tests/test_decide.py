@@ -10,7 +10,7 @@ from sclkit.scl import SclSentence
 from sclkit.semantics import SemanticsMode, validate
 from sclkit.translate import tau
 from sclkit.value import Value
-from sclkit.corpus import domino_witness, feature_witness, random_document
+from sclkit.corpus import random_document
 from sclkit.decide import (
     DECIDABLE,
     DecisionError,
@@ -27,7 +27,6 @@ from sclkit.decide import (
     bounded_sat,
     check_containment,
     classify,
-    constraint_satisfiability,
     containment_sentence,
     emit,
     emit_smtlib,
@@ -36,6 +35,7 @@ from sclkit.decide import (
     shape_containment,
     template_sat,
 )
+from generators import domino_witness, feature_witness
 
 EX = "http://ex/"
 PRE = f"@prefix : <{EX}> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
@@ -275,13 +275,13 @@ def test_count_contradiction_with_two_targets_is_refuted_quickly():
 
 
 def test_constraint_satisfiability_examples():
+    # a constraint is satisfiable when a fresh shape holding it is
     empty = sh.Document(())
-    assert constraint_satisfiability(empty, sh.Top(), SemanticsMode.BRAVE_TOTAL, BUDGET).is_sat
+    assert template_sat(empty, iri("T"), sh.Top(), BUDGET).is_sat
     contradiction = sh.And((sh.DatatypeConstraint(XSD_INT), sh.NodeKindConstraint("IRI")))
-    r = constraint_satisfiability(empty, contradiction, SemanticsMode.BRAVE_TOTAL, BUDGET)
+    r = template_sat(empty, iri("T"), contradiction, BUDGET)
     assert not r.is_sat
-    some = constraint_satisfiability(empty, sh.MinCount(1), SemanticsMode.BRAVE_TOTAL, BUDGET,
-                                     path=sh.PredPath(iri("r")))
+    some = template_sat(empty, iri("T"), sh.MinCount(1), BUDGET, path=sh.PredPath(iri("r")))
     assert some.is_sat
     assert len(some.witness_graph) >= 1
 

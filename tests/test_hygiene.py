@@ -1,6 +1,6 @@
 """Hygiene guards on the library modules: no unused import, no private
 module-level name that nothing references beyond its own definition, no
-`dataclasses` import, no regex syntax that an older supported Python rejects,
+public one that only the tests name, no `dataclasses` import, no regex syntax that an older supported Python rejects,
 and an import structure without cycles.  Also the two shape-dependency analyses against plain
 reachability, and a failing property test that reports itself under this
 repository's pytest settings."""
@@ -89,6 +89,23 @@ def test_every_private_module_name_is_referenced():
                 if private and readers[name] - (name in refs) == 0:
                     unreferenced.append(f"{path.name}:{stmt.lineno} {name}")
     assert not unreferenced, unreferenced
+
+
+def test_every_public_library_name_is_reached_outside_tests():
+    # a public name that only the tests name is a test helper: it belongs in tests/
+    texts = [p.read_text(encoding="utf-8") for d in ("src", "perfbench", "demos")
+             for p in sorted((ROOT / d).rglob("*.py")) if p.name != "__init__.py"]
+    words = Counter(re.findall(r"\w+", "\n".join(texts + [(ROOT / "README.md").read_text(encoding="utf-8")])))
+    unreached = []
+    for path in LIBRARY:
+        lines = path.read_text().splitlines()
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            own = Counter(re.findall(r"\w+", "\n".join(lines[stmt.lineno - 1:stmt.end_lineno])))
+            unreached += [f"{path.name}:{stmt.lineno} {name}" for name in _bound_names(stmt)
+                          if not name.startswith("_") and words[name] == own[name]]
+    assert not unreached, unreached
 
 
 def test_no_library_module_imports_dataclasses():
@@ -228,7 +245,6 @@ def test_recursion_tests_agree_with_reachability():
         expected = _on_a_cycle(edges)
         m = _document(edges)
         assert sh.is_recursive(m) == expected
-        assert sh.is_recursive(m) == any(s.name in sh.referenced_shapes_closure(m, s.name) for s in m.shapes)
         # a sentence may also mention shapes it does not define; they close no cycle
         undefined = {n for n in names if rng.random() < 0.2}
         defined = {n: refs for n, refs in edges.items() if n not in undefined}

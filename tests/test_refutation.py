@@ -8,11 +8,13 @@ and on the recursive corpus, in all four modes."""
 import random
 
 from sclkit import shacl as sh
-from sclkit.corpus import corpus_seed, random_document, random_graph
+from sclkit.corpus import random_document, random_graph
 from sclkit.decide import (SearchBudget, bounded_sat, candidate_graphs, check_containment,
                            shape_containment, template_sat)
 from sclkit.rdf import Iri, nodes_of, parse_turtle
-from sclkit.semantics import ALL_MODES, OTHER, AbstractContext, SemanticsMode, compile_document, validate
+from sclkit.scl import constants_of
+from sclkit.semantics import OTHER, AbstractContext, SemanticsMode, compile_document, validate
+from generators import corpus_seed
 from oracles import brute_force_faithful, brute_force_validate, reference_abstract_values
 
 # refutation runs before any search, so a spent budget leaves its answers alone
@@ -72,9 +74,9 @@ def _sat_claims_hold(m, g, seen: dict) -> None:
     document; each document once."""
     if m not in seen:
         seen[m] = True
-        assert not any(_valid(g, m, mode) for mode in ALL_MODES), m
+        assert not any(_valid(g, m, mode) for mode in SemanticsMode), m
         for h in candidate_graphs(m, EXHAUSTIVE):
-            assert not any(validate(h, m, mode) for mode in ALL_MODES), (m, sorted(map(repr, h)))
+            assert not any(validate(h, m, mode) for mode in SemanticsMode), (m, sorted(map(repr, h)))
 
 
 def _contains_claim_holds(m1, m2, mode, graphs) -> None:
@@ -88,7 +90,7 @@ def _check_pairs(pairs: list) -> dict:
     counts = {"sat": 0, "contains": 0}
     refuted: dict = {}
     for m1, g1, m2 in pairs:
-        for mode in ALL_MODES:
+        for mode in SemanticsMode:
             sat = bounded_sat(m1, mode, NO_SEARCH)
             if sat.status == "unsat":
                 counts["sat"] += 1
@@ -98,7 +100,7 @@ def _check_pairs(pairs: list) -> dict:
             if contains.status == "unsat":
                 counts["contains"] += 1
                 assert_certified(contains, mode)
-                graphs = candidate_graphs(m1, EXHAUSTIVE, sh.document_constants(m2),
+                graphs = candidate_graphs(m1, EXHAUSTIVE, constants_of(compile_document(m2).sentence),
                                           sh.document_vocabulary(m2)[0])
                 _contains_claim_holds(m1, m2, mode, [g1, *graphs])
                 assert not (_valid(g1, m1, mode) and not _valid(g1, m2, mode))
@@ -159,7 +161,7 @@ def test_refuted_answers_name_their_pair():
     m = sh.document_from_graph(parse_turtle(
         f"@prefix : <{ex}> . @prefix sh: <http://www.w3.org/ns/shacl#> .\n"
         ":s a sh:NodeShape ; sh:targetNode :n2 ; sh:hasValue :n3 ."))
-    for mode in ALL_MODES:
+    for mode in SemanticsMode:
         result = bounded_sat(m, mode, SearchBudget())
         assert (result.status, result.reason) == ("unsat", f"refuted: <{ex}s> fails at <{ex}n2>")
         assert result.to_json() == {"result": "unsat", "approximate": False, "reason": result.reason}
@@ -189,7 +191,7 @@ WITNESSED = [
 def test_filters_and_graph_dependent_bodies_refute_no_valid_document():
     for shapes, data in WITNESSED:
         m, g = sh.document_from_graph(_read(shapes)), _read(data)
-        for mode in ALL_MODES:
+        for mode in SemanticsMode:
             assert validate(g, m, mode), (shapes, mode)
             assert bounded_sat(m, mode, NO_SEARCH).status != "unsat", (shapes, mode)
 
@@ -222,7 +224,7 @@ def test_a_quantifier_read_before_its_body_is_decided_is_read_again():
         ":t a sh:NodeShape ; sh:targetNode :a ; sh:property [ sh:path :r ;"
         " sh:qualifiedValueShape [ sh:hasValue :a, :b ] ; sh:qualifiedMinCount 1 ] ."
         " :u a sh:NodeShape ; sh:not :u ."))
-    for mode in ALL_MODES:
+    for mode in SemanticsMode:
         result = bounded_sat(m, mode, NO_SEARCH)
         assert result.reason == "refuted: <http://ex/t> fails at <http://ex/a>", mode
         assert_certified(result, mode)
@@ -234,7 +236,7 @@ def test_every_target_holding_is_claimed_only_where_every_graph_has_a_faithful_a
     # :t undefined, and :s's one target holds
     m2 = sh.document_from_graph(_read(":s a sh:NodeShape ; sh:targetNode :a ."
                                       " :t a sh:NodeShape ; sh:not :t ."))
-    for mode in ALL_MODES:
+    for mode in SemanticsMode:
         result = check_containment(sh.Document(()), m2, mode, SearchBudget(max_fresh=0, max_triples=0))
         if mode.total:
             assert result.status == "sat" and not validate(result.witness_graph, m2, mode)

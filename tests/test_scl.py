@@ -34,10 +34,11 @@ from sclkit.scl import (
     walk_psi,
     well_formed,
 )
-from sclkit.corpus import feature_witness, random_document
+from sclkit.corpus import random_document
 from sclkit.decide import SearchBudget, scl_bounded_sat
 from sclkit.filters import bounded_axiomatisation
 
+from generators import feature_witness
 from oracles import reference_walk_psi
 
 EX = "http://ex/"

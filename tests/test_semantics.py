@@ -9,20 +9,16 @@ from sclkit.rdf import Graph, Iri, Triple, parse_turtle, nodes_of
 from sclkit import shacl as sh
 from sclkit.scl import PiAlt, PiSeq, PiStar, PiZeroOrOne, RelAtom, RelStep
 from sclkit.semantics import (
-    ALL_MODES,
     Assignment,
     SemanticsMode,
     SemanticsError,
     compile_document,
-    complete_gamma_assignment,
     eval_path,
     eval_psi,
-    gamma_assignment,
     gamma_neg_name,
     gamma_pos_name,
     gamma_transform,
     is_faithful,
-    sentence_holds,
     stratified_assignment,
     target_holds,
     validate,
@@ -30,7 +26,13 @@ from sclkit.semantics import (
 )
 from sclkit.translate import shape_bodies, tau
 from sclkit.corpus import CLASSES, random_document, random_graph
-from oracles import brute_force_faithful, brute_force_validate
+from oracles import (
+    brute_force_faithful,
+    brute_force_validate,
+    complete_gamma_assignment,
+    gamma_assignment,
+    sentence_holds,
+)
 
 EX = "http://ex/"
 PRE = f"@prefix : <{EX}> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
@@ -220,11 +222,11 @@ def test_stratified_two_strata_complementary():
 
 def test_validate_fig1_all_modes_and_invalid_variant():
     g, m = fig1()
-    for mode in ALL_MODES:
+    for mode in SemanticsMode:
         assert validate(g, m, mode)
         assert validate(g, m, mode, use_fast_path=False)
     bad = parse_turtle(PRE + FIG1_DATA.replace(":Jane :hasFaculty :CS", ":Jane :hasFaculty :Math"))
-    for mode in ALL_MODES:
+    for mode in SemanticsMode:
         assert not validate(bad, m, mode)
         assert not validate(bad, m, mode, use_fast_path=False)
 
@@ -250,7 +252,7 @@ def test_search_matches_brute_force_and_fast_path():
     for _ in range(40):
         m = random_document(rng, max_shapes=2, recursive=rng.random() < 0.5)
         g = random_graph(rng, max_nodes=2)
-        for mode in ALL_MODES:
+        for mode in SemanticsMode:
             witness = validation_witness(g, m, mode, use_fast_path=False)
             assert validate(g, m, mode) == (witness is not None) == brute_force_validate(g, m, mode)
             if witness is not None:
@@ -282,7 +284,7 @@ def _corpus_slice(seed, count, limit=20000, recursive=True, xone=False):
 def test_validation_matches_brute_force_on_recursive_corpus():
     # the fast path (least fixpoint first) and the full SAT route
     for g, m in _corpus_slice(71, 30) + _corpus_slice(83, 40):
-        for mode in ALL_MODES:
+        for mode in SemanticsMode:
             expected = brute_force_validate(g, m, mode)
             for fast in (True, False):
                 witness = validation_witness(g, m, mode, use_fast_path=fast)
@@ -297,7 +299,7 @@ def test_non_recursive_validation_is_the_least_fixpoint_alone(monkeypatch):
 
     cases = _corpus_slice(97, 40, recursive=False, xone=True)
     assert sum(any(isinstance(s.constraint, sh.Xone) for s in m.shapes) for _, m in cases) >= 5
-    expected = [{mode: brute_force_validate(g, m, mode) for mode in ALL_MODES} for g, m in cases]
+    expected = [{mode: brute_force_validate(g, m, mode) for mode in SemanticsMode} for g, m in cases]
 
     def no_solver(*args):
         raise AssertionError("the solver was called")
@@ -306,7 +308,7 @@ def test_non_recursive_validation_is_the_least_fixpoint_alone(monkeypatch):
     valid = 0
     for (g, m), verdicts in zip(cases, expected):
         rho = stratified_assignment(g, m)
-        for mode in ALL_MODES:
+        for mode in SemanticsMode:
             witness = validation_witness(g, m, mode)
             assert (witness is not None) == verdicts[mode], (m, mode)
             if witness is not None:
@@ -461,7 +463,7 @@ def test_mode_monotonicity_lattice():
     for _ in range(60):
         m = random_document(rng, max_shapes=3, recursive=rng.random() < 0.4)
         g = random_graph(rng, max_nodes=3)
-        results = {mode: validate(g, m, mode, use_fast_path=False) for mode in ALL_MODES}
+        results = {mode: validate(g, m, mode, use_fast_path=False) for mode in SemanticsMode}
         if results[SemanticsMode.BRAVE_TOTAL]:
             assert results[SemanticsMode.BRAVE_PARTIAL]
         if results[SemanticsMode.CAUTIOUS_TOTAL]:
@@ -507,7 +509,7 @@ def test_cautious_covers_absent_target_nodes():
     assert validate(g, m, SemanticsMode.BRAVE_TOTAL, use_fast_path=False)
     assert not validate(g, m, SemanticsMode.CAUTIOUS_PARTIAL, use_fast_path=False)
     assert validate(g, m, SemanticsMode.CAUTIOUS_TOTAL, use_fast_path=False)
-    for mode in ALL_MODES:
+    for mode in SemanticsMode:
         assert validate(g, m, mode, use_fast_path=False) == brute_force_validate(g, m, mode)
 
 
@@ -520,7 +522,7 @@ def test_false_sign_free_target_body_skips_the_solver(monkeypatch):
     cases = []
     for r in (":r a sh:NodeShape ; sh:not :r .", ":r a sh:NodeShape ; sh:class :C ."):
         m = doc(":s a sh:NodeShape ; sh:targetNode :a ; sh:hasValue :b . " + r)
-        cases.append((m, {mode: brute_force_validate(g, m, mode) for mode in ALL_MODES}))
+        cases.append((m, {mode: brute_force_validate(g, m, mode) for mode in SemanticsMode}))
     assert [sh.is_recursive(m) for m, _ in cases] == [True, False]
 
     def no_solver(*args):
@@ -528,7 +530,7 @@ def test_false_sign_free_target_body_skips_the_solver(monkeypatch):
 
     monkeypatch.setattr(sclkit.semantics, "_dpll", no_solver)
     for m, expected in cases:
-        for mode in ALL_MODES:
+        for mode in SemanticsMode:
             assert validation_witness(g, m, mode) is None
             assert not expected[mode]
 
@@ -556,7 +558,7 @@ def test_false_target_ends_non_recursive_validation_early(monkeypatch):
             depth[0] -= 1
 
     monkeypatch.setattr(EvalContext, "eval", counting)
-    for mode in ALL_MODES:
+    for mode in SemanticsMode:
         top_level.clear()
         assert validation_witness(g, m, mode) is None
         assert 0 < sum(top_level) < pairs, mode
@@ -587,7 +589,7 @@ def test_witness_recheck_catches_a_wrong_fixpoint_sign(monkeypatch):
     m = doc(":s a sh:NodeShape ; sh:targetNode :a ; sh:class :C . :t a sh:NodeShape ; sh:not :s .")
     g = parse_turtle(PRE + ":a a :C ; :p :b .")
     assert not sh.is_recursive(m)
-    assert all(validation_witness(g, m, mode) is not None for mode in ALL_MODES)
+    assert all(validation_witness(g, m, mode) is not None for mode in SemanticsMode)
     sweep = sclkit.semantics._least_fixpoint
 
     def flipped(ctx, *args):
@@ -596,7 +598,7 @@ def test_witness_recheck_catches_a_wrong_fixpoint_sign(monkeypatch):
         return done
 
     monkeypatch.setattr(sclkit.semantics, "_least_fixpoint", flipped)
-    for mode in ALL_MODES:
+    for mode in SemanticsMode:
         with pytest.raises(SemanticsError, match="not a faithful assignment"):
             validation_witness(g, m, mode)
 
@@ -636,7 +638,7 @@ def test_fixpoint_decisions_skip_the_solver(monkeypatch):
         target_signs = [least.sign(n, s.name) for s in sh.eliminate_xone(m).shapes
                         for t in s.targets for n in least.nodes if target_holds(g, t, n)]
         decided = least.is_total() or False in target_signs
-        cases.append((g, m, decided, {mode: brute_force_validate(g, m, mode) for mode in ALL_MODES}))
+        cases.append((g, m, decided, {mode: brute_force_validate(g, m, mode) for mode in SemanticsMode}))
     assert 10 <= sum(decided for _, _, decided, _ in cases) < len(cases)
 
     def no_solver(*args):
@@ -644,7 +646,7 @@ def test_fixpoint_decisions_skip_the_solver(monkeypatch):
 
     monkeypatch.setattr(sclkit.semantics, "_dpll", no_solver)
     for g, m, decided, expected in cases:
-        for mode in ALL_MODES if decided else (SemanticsMode.CAUTIOUS_PARTIAL,):
+        for mode in SemanticsMode if decided else (SemanticsMode.CAUTIOUS_PARTIAL,):
             assert validate(g, m, mode) == expected[mode], (m, mode)
 
 
@@ -688,7 +690,7 @@ def test_closed_and_unique_lang_range_over_the_graph_vocabulary():
     unique = doc(":S a sh:PropertyShape ; sh:targetNode :a ; sh:path :label ; sh:uniqueLang true .")
     closed_bad = parse_turtle(PRE + ":a :p :b ; :q :c .")
     unique_bad = parse_turtle(PRE + ':a :label "chat"@fr, "chatte"@fr .')
-    for mode in ALL_MODES:
+    for mode in SemanticsMode:
         assert not validate(closed_bad, closed, mode)
         assert not validate(unique_bad, unique, mode)
         assert validate(parse_turtle(PRE + ":a :p :b ."), closed, mode)
@@ -723,7 +725,7 @@ def test_graph_bodies_translate_again_only_the_shapes_over_the_graph_names():
         assert bodies == {name: wide[name] for name in bodies}
 
 
-@pytest.mark.parametrize("mode", ALL_MODES)
+@pytest.mark.parametrize("mode", list(SemanticsMode))
 def test_only_a_property_value_declares_a_path_of_a_closed_shape(mode):
     # sh:closed allows the paths of its sh:property values; a property shape
     # reached through sh:not, sh:or or sh:and declares nothing, so :p is

@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from sclkit.rdf import Iri, Literal, XSD_INTEGER, parse_turtle
+from sclkit.rdf import Iri, Literal, XSD_INTEGER, parse_turtle, term_key
 from sclkit import shacl as sh
 from sclkit.scl import (
+    PiSeq,
+    PiStar,
     PsiCount,
     PsiExists,
     PsiNot,
@@ -23,12 +25,13 @@ from sclkit.translate import (
     CLOSED_RELATION,
     TranslationError,
     UNIQUE_LANG_TAG,
+    path_to_pi,
     shape_bodies,
     tau,
     tau_inverse,
 )
-from sclkit.corpus import random_document, random_graph
-from sclkit.semantics import ALL_MODES, validate
+from sclkit.corpus import RELATIONS, random_document, random_graph
+from sclkit.semantics import EvalContext, SemanticsMode, validate
 
 EX = "http://ex/"
 PRE = f"@prefix : <{EX}> .\n@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
@@ -223,7 +226,7 @@ def test_roundtrip_preserves_validation_on_corpus():
         back = tau_inverse(tau(m))
         for _ in range(2):
             g = random_graph(rng, max_nodes=3)
-            for mode in ALL_MODES:
+            for mode in SemanticsMode:
                 assert validate(g, m, mode) == validate(g, back, mode)
 
 
@@ -258,3 +261,42 @@ def test_vocabulary_widens_across_compared_documents():
     forbidden = {n.path.rel.name for a in joint_closed.constraint_axioms()
                  for n in _walk(a.body) if isinstance(n, PsiExists)}
     assert iri("elsewhere") in forbidden
+
+
+def _uncollapsed_pi(path: sh.PathExpr):
+    """`path_to_pi` without collapsing nested closures: π+ as π·π*."""
+    if isinstance(path, sh.ZeroOrMorePath):
+        return PiStar(_uncollapsed_pi(path.inner))
+    if isinstance(path, sh.OneOrMorePath):
+        inner = _uncollapsed_pi(path.inner)
+        return PiSeq(inner, PiStar(inner))
+    return path_to_pi(path)
+
+
+def test_directly_nested_closures_collapse():
+    p = sh.PredPath(iri("p"))
+    plus, star = path_to_pi(sh.OneOrMorePath(p)), path_to_pi(sh.ZeroOrMorePath(p))
+    assert plus == PiSeq(RelStep(RelAtom(iri("p"))), PiStar(RelStep(RelAtom(iri("p")))))
+    assert path_to_pi(sh.OneOrMorePath(sh.OneOrMorePath(p))) == plus
+    for outer, inner in ((sh.OneOrMorePath, sh.ZeroOrMorePath), (sh.ZeroOrMorePath, sh.OneOrMorePath),
+                         (sh.ZeroOrMorePath, sh.ZeroOrMorePath)):
+        assert path_to_pi(outer(inner(p))) == star
+    # a closure under a sequence is not directly nested
+    seq = sh.OneOrMorePath(sh.SeqPath((sh.OneOrMorePath(p), p)))
+    assert path_to_pi(seq) == _uncollapsed_pi(seq)
+
+
+def test_collapsed_closures_reach_what_the_nested_ones_reach():
+    rng = random.Random(30)
+    for _ in range(60):
+        path: sh.PathExpr = rng.choice([sh.PredPath(rng.choice(RELATIONS)), sh.InversePath(rng.choice(RELATIONS)),
+                                        sh.SeqPath((sh.PredPath(rng.choice(RELATIONS)),
+                                                    sh.InversePath(rng.choice(RELATIONS))))])
+        for _ in range(rng.randint(1, 4)):
+            path = rng.choice([sh.OneOrMorePath, sh.ZeroOrMorePath])(path)
+        nested, collapsed = _uncollapsed_pi(path), path_to_pi(path)
+        for _ in range(5):
+            g = random_graph(rng)
+            ctx = EvalContext(g)
+            for node in sorted(g.nodes(), key=term_key):
+                assert ctx.eval_path(collapsed, node) == ctx.eval_path(nested, node), path
