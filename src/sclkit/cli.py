@@ -14,7 +14,7 @@ from .rdf import Iri, parse_turtle, serialize_turtle, TurtleError
 from .shacl import Document, DocumentError, document_from_graph, document_to_graph
 from .scl import normalize, pretty
 from .translate import TranslationError, tau, tau_inverse
-from .semantics import SemanticsMode, validation_witness
+from .semantics import SemanticsMode, compile_document, validation_witness
 from .decide import (
     DecisionError,
     SatResult,
@@ -104,7 +104,8 @@ def cmd_sat(args) -> int:
     m = _read_document(args.doc)
     mode = SemanticsMode(args.mode)
     result = bounded_sat(m, mode, _budget(args))
-    payload = {**classify(tau(m)).to_json(), **result.to_json()}
+    # bounded_sat has compiled m, so this finds its sentence in the cache
+    payload = {**classify(compile_document(m).sentence).to_json(), **result.to_json()}
     text = f"satisfiable={result.status}"
     if result.is_sat and result.witness_graph is not None:
         text += f" (witness: {len(result.witness_graph)} triples)"

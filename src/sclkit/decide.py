@@ -572,28 +572,17 @@ class _Grounder:
         return out
 
     def _star(self, pi: PiStar, i: int, j: int) -> int:
-        d = len(self.domain)
-        levels = max(1, d.bit_length())
-        key0 = ("star", id(pi), 0)
-        if key0 not in self.pi_memo:
-            for a in range(d):
-                for b in range(d):
-                    base = self.cnf.TRUE if a == b else self.pi(pi.inner, a, b)
-                    self.pi_memo[("starv", id(pi), 0, a, b)] = base
-            self.pi_memo[key0] = True
-            for level in range(1, levels + 1):
-                for a in range(d):
-                    for b in range(d):
-                        prev = self.pi_memo[("starv", id(pi), level - 1, a, b)]
-                        hops = [
-                            self.cnf.and_([
-                                self.pi_memo[("starv", id(pi), level - 1, a, k)],
-                                self.pi_memo[("starv", id(pi), level - 1, k, b)],
-                            ])
-                            for k in range(d)
-                        ]
-                        self.pi_memo[("starv", id(pi), level, a, b)] = self.cnf.or_([prev] + hops)
-        return self.pi_memo[("starv", id(pi), levels, i, j)]
+        """Reachability by squaring: after level l, reach[a][b] holds when b
+        is within 2^l steps of a."""
+        key = ("star", id(pi))
+        if key not in self.pi_memo:
+            cnf, d = self.cnf, len(self.domain)
+            reach = [[cnf.TRUE if a == b else self.pi(pi.inner, a, b) for b in range(d)] for a in range(d)]
+            for _ in range(max(1, d.bit_length())):
+                reach = [[cnf.or_([reach[a][b]] + [cnf.and_([reach[a][k], reach[k][b]]) for k in range(d)])
+                          for b in range(d)] for a in range(d)]
+            self.pi_memo[key] = reach
+        return self.pi_memo[key][i][j]
 
     def psi(self, psi: Psi, i: int) -> int:
         key = (id(psi), i)

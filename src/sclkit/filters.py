@@ -12,6 +12,7 @@ comparisons across partitions are false.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -34,8 +35,8 @@ from .rdf import (
     term_key,
 )
 from .scl import (AtMostAxiom, ConstraintAxiom, PsiEq, PsiFilter, PsiNot, PsiOrder, PsiShape, PsiTop,
-                  SclSentence, ShapeRel, constants_of, filter_atoms_of, psi_and_all, psi_or_all,
-                  shape_rels_of, walk_psi)
+                  SclSentence, ShapeRel, _subformulas, constants_of, filter_atoms_of, psi_and_all,
+                  psi_or_all, shape_rels_of)
 from .shacl import NameMint
 from .value import value_class
 
@@ -201,18 +202,12 @@ class Neg:
 Conjunct = Union[Eq, NotEq, Nu, Pos, Neg]
 
 
+_ATOM_TYPES = {KindAtom: "nodekind", DatatypeAtom: "datatype", LanguageTagAtom: "language",
+               MinLengthAtom: "length", MaxLengthAtom: "length", PatternAtom: "pattern", OrderCmp: "order"}
+
+
 def _atom_type(atom: FilterAtom) -> str:
-    if isinstance(atom, KindAtom):
-        return "nodekind"
-    if isinstance(atom, DatatypeAtom):
-        return "datatype"
-    if isinstance(atom, LanguageTagAtom):
-        return "language"
-    if isinstance(atom, (MinLengthAtom, MaxLengthAtom)):
-        return "length"
-    if isinstance(atom, PatternAtom):
-        return "pattern"
-    return "order"
+    return _ATOM_TYPES[type(atom)]
 
 
 # per-type maximum non-redundant capacity; pattern has none
@@ -397,37 +392,26 @@ class _Atoms:
         self.pos_patterns: list = []
         self.neg_patterns: list = []
         self.all_conjuncts = [Pos(x) for x in pos] + [Neg(x) for x in neg]
-        for atom in pos:
-            if isinstance(atom, KindAtom):
-                self.pos_kinds.append(atom.kind)
-            elif isinstance(atom, DatatypeAtom):
-                self.pos_dts.append(atom.datatype)
-            elif isinstance(atom, LanguageTagAtom):
-                self.pos_tags.append(atom.tag.lower())
-            elif isinstance(atom, MinLengthAtom):
-                self.min_len = max(self.min_len, atom.length)
-            elif isinstance(atom, MaxLengthAtom):
-                self.max_len = atom.length if self.max_len is None else min(self.max_len, atom.length)
-            elif isinstance(atom, PatternAtom):
-                self.pos_patterns.append(atom.regex)
-            else:
-                self.orders.append((atom.op, atom.limit, True))
-        for atom in neg:
-            if isinstance(atom, KindAtom):
-                self.neg_kinds.append(atom.kind)
-            elif isinstance(atom, DatatypeAtom):
-                self.neg_dts.append(atom.datatype)
-            elif isinstance(atom, LanguageTagAtom):
-                self.neg_tags.append(atom.tag.lower())
-            elif isinstance(atom, MinLengthAtom):
-                # not(length >= n): length <= n - 1
-                self.max_len = atom.length - 1 if self.max_len is None else min(self.max_len, atom.length - 1)
-            elif isinstance(atom, MaxLengthAtom):
-                self.min_len = max(self.min_len, atom.length + 1)
-            elif isinstance(atom, PatternAtom):
-                self.neg_patterns.append(atom.regex)
-            else:
-                self.orders.append((atom.op, atom.limit, False))
+        for positive, atoms in ((True, pos), (False, neg)):
+            for atom in atoms:
+                cls = type(atom)
+                if cls is KindAtom:
+                    (self.pos_kinds if positive else self.neg_kinds).append(atom.kind)
+                elif cls is DatatypeAtom:
+                    (self.pos_dts if positive else self.neg_dts).append(atom.datatype)
+                elif cls is LanguageTagAtom:
+                    (self.pos_tags if positive else self.neg_tags).append(atom.tag.lower())
+                elif cls is PatternAtom:
+                    (self.pos_patterns if positive else self.neg_patterns).append(atom.regex)
+                elif cls is OrderCmp:
+                    self.orders.append((atom.op, atom.limit, positive))
+                elif (cls is MinLengthAtom) == positive:
+                    # length >= n; not(length <= n) is length >= n + 1
+                    self.min_len = max(self.min_len, atom.length if positive else atom.length + 1)
+                else:
+                    # length <= n; not(length >= n) is length <= n - 1
+                    n = atom.length if positive else atom.length - 1
+                    self.max_len = n if self.max_len is None else min(self.max_len, n)
 
     def kind_allows(self, kind: str) -> bool:
         if any(k != kind for k in self.pos_kinds):
@@ -469,6 +453,14 @@ def _count_forms(atoms: _Atoms) -> _Count:
     if total <= 1:
         return _Count.exactly([""] * total)
     return _Count.counted(total)
+
+
+def _forms_as(atoms: _Atoms, term) -> _Count:
+    """The count of `_count_forms`, with each listed form made a term by `term`."""
+    count = _count_forms(atoms)
+    if count.parts is not None:
+        return _Count.exactly([term(w) for w in count.witnesses])
+    return count
 
 
 def _pattern_value_forms(atoms: _Atoms, canonical: str) -> _Count:
@@ -576,10 +568,7 @@ def _iri_branch(atoms: _Atoms) -> _Count:
         return _Count.zero()
     if atoms.pos_dts or atoms.pos_tags or atoms.has_positive_order():
         return _Count.zero()
-    count = _count_forms(atoms)
-    if count.parts is not None:
-        return _Count.exactly([Iri(w) for w in count.witnesses])
-    return count
+    return _forms_as(atoms, Iri)
 
 
 def _digit_length_count(atoms: _Atoms, lo: Optional[int], hi: Optional[int], dt: Iri) -> _Count:
@@ -727,20 +716,14 @@ def _langstring_branch(atoms: _Atoms, tag: Optional[str]) -> _Count:
         return _Count.infinite()
     if tag in atoms.neg_tags:
         return _Count.zero()
-    count = _count_forms(atoms)
-    if count.parts is not None:
-        return _Count.exactly([Literal(w, language=tag) for w in count.witnesses])
-    return count
+    return _forms_as(atoms, lambda w: Literal(w, language=tag))
 
 
 def _plain_datatype_branch(atoms: _Atoms, dt: Iri) -> _Count:
     """A datatype with an uninterpreted value space: any lexical form."""
     if atoms.has_positive_order() or atoms.pos_tags:
         return _Count.zero()
-    count = _count_forms(atoms)
-    if count.parts is not None:
-        return _Count.exactly([Literal(w, dt) for w in count.witnesses])
-    return count
+    return _forms_as(atoms, lambda w: Literal(w, dt))
 
 
 def _fresh_datatype_branch(atoms: _Atoms) -> _Count:
@@ -851,7 +834,11 @@ def combo_cardinality(combo: FilterCombination, known_constants: Iterable[Term] 
 def combo_witnesses(combo: FilterCombination, known_constants: Iterable[Term] = (),
                     limit: int = WITNESS_LIMIT) -> Optional[list]:
     """The satisfying terms when finite and enumerable, else None."""
-    count, dropped = _combo_count(combo, frozenset(known_constants))
+    return _witnesses(*_combo_count(combo, frozenset(known_constants)), limit)
+
+
+def _witnesses(count: _Count, dropped: list, limit: int = WITNESS_LIMIT) -> Optional[list]:
+    """`combo_witnesses` of a `_combo_count` result."""
     if count.kind != "finite" or count.parts is None or count.n - len(dropped) > limit:
         return None
     witnesses = count.witnesses
@@ -911,35 +898,26 @@ def naive_axiomatisation(phi: SclSentence) -> AxiomatisationResult:
     mint = NameMint(taken)
     known = frozenset(constants)
     axioms = []
-    approximate = False
     skipped = []
-    options: list[list] = [[None, Eq(c), NotEq(c)] for c in constants]
-    options += [[None, Pos(a), Neg(a)] for a in atoms]
-
-    def expand(i: int, acc: list) -> None:
-        nonlocal approximate
-        if i == len(options):
-            if not acc:
-                return
-            combo = FilterCombination.of(acc)
-            bound = combo_cardinality(combo, known)
-            if isinstance(bound, Infinite):
-                return
-            wit = combo_witnesses(combo, known)
-            if wit is None:
-                approximate = True
-                skipped.append(combo)
-                return
-            rel = ShapeRel(mint.fresh())
-            enumeration = psi_or_all([PsiEq(w) for w in wit]) if wit else PsiNot(PsiTop())
-            axioms.append(ConstraintAxiom(rel, _combo_psi(combo, None)))
-            axioms.append(ConstraintAxiom(rel, enumeration))
-            return
-        for choice in options[i]:
-            expand(i + 1, acc + ([choice] if choice is not None else []))
-
-    expand(0, [])
-    return AxiomatisationResult(SclSentence(tuple(axioms)), approximate, tuple(skipped))
+    options = [(None, Eq(c), NotEq(c)) for c in constants]
+    options += [(None, Pos(a), Neg(a)) for a in atoms]
+    for choice in itertools.product(*options):
+        conjuncts = [c for c in choice if c is not None]
+        if not conjuncts:
+            continue
+        combo = FilterCombination.of(conjuncts)
+        count, dropped = _combo_count(combo, known)
+        if count.kind == "infinite":
+            continue
+        wit = _witnesses(count, dropped)
+        if wit is None:
+            skipped.append(combo)
+            continue
+        rel = ShapeRel(mint.fresh())
+        enumeration = psi_or_all([PsiEq(w) for w in wit]) if wit else PsiNot(PsiTop())
+        axioms.append(ConstraintAxiom(rel, _combo_psi(combo, None)))
+        axioms.append(ConstraintAxiom(rel, enumeration))
+    return AxiomatisationResult(SclSentence(tuple(axioms)), bool(skipped), tuple(skipped))
 
 
 def _bounded_combos(constants: list, atoms: list, deadline=None) -> Optional[list]:
@@ -982,13 +960,8 @@ def bounded_axiomatisation(phi: SclSentence, deadline=None) -> AxiomatisationRes
     for atom in atoms:
         if isinstance(atom, PatternAtom):
             raise FilterAxiomError("bounded axiomatisation excludes sh:pattern filters")
-    for axiom in phi.axioms:
-        if hasattr(axiom, "body"):
-            for node in walk_psi(axiom.body):
-                if isinstance(node, PsiOrder):
-                    raise FilterAxiomError(
-                        "bounded axiomatisation excludes property-pair order atoms"
-                    )
+    if any(isinstance(node, PsiOrder) for node in _subformulas(phi)):
+        raise FilterAxiomError("bounded axiomatisation excludes property-pair order atoms")
 
     nu_name = NU_NAME if NU_NAME not in taken else NameMint(taken, NU_NAME.value + ":").fresh()
     nu_rel = ShapeRel(nu_name)

@@ -252,13 +252,18 @@ def walk_pi(pi: Pi) -> Iterator[Pi]:
         yield from walk_pi(pi.inner)
 
 
+def _subformulas(sentence: SclSentence) -> Iterator[Psi]:
+    """Every subformula of the bodies of the constraint and counting axioms."""
+    for axiom in sentence.axioms:
+        if isinstance(axiom, (ConstraintAxiom, AtMostAxiom)):
+            yield from walk_psi(axiom.body)
+
+
 def shape_rels_of(sentence: SclSentence) -> set[ShapeRel]:
-    rels: set[ShapeRel] = set()
+    rels = {p.rel for p in _subformulas(sentence) if isinstance(p, PsiShape)}
     for axiom in sentence.axioms:
         if not isinstance(axiom, AtMostAxiom):
             rels.add(axiom.shape)
-        if not isinstance(axiom, TargetAxiom):
-            rels |= {p.rel for p in walk_psi(axiom.body) if isinstance(p, PsiShape)}
     return rels
 
 
@@ -270,37 +275,28 @@ def relation_names(sentence: SclSentence) -> set[Term]:
             names.add(RDF_TYPE)
         elif isinstance(axiom, (TargetSubjectsAxiom, TargetObjectsAxiom)):
             names.add(axiom.rel)
-        elif isinstance(axiom, (ConstraintAxiom, AtMostAxiom)):
-            for node in walk_psi(axiom.body):
-                if isinstance(node, (PsiDisjoint, PsiEquals, PsiOrder)):
-                    names.add(node.rel.name)
-                if isinstance(node, (PsiExists, PsiCount, PsiDisjoint, PsiEquals, PsiOrder)):
-                    for step in walk_pi(node.path):
-                        if isinstance(step, RelStep):
-                            names.add(step.rel.name)
+    for node in _subformulas(sentence):
+        if isinstance(node, (PsiDisjoint, PsiEquals, PsiOrder)):
+            names.add(node.rel.name)
+        if isinstance(node, (PsiExists, PsiCount, PsiDisjoint, PsiEquals, PsiOrder)):
+            for step in walk_pi(node.path):
+                if isinstance(step, RelStep):
+                    names.add(step.rel.name)
     return names
 
 
 def constants_of(sentence: SclSentence) -> set[Term]:
-    consts: set[Term] = set()
+    consts = {node.constant for node in _subformulas(sentence) if isinstance(node, PsiEq)}
     for axiom in sentence.axioms:
         if isinstance(axiom, TargetNodeAxiom):
             consts.add(axiom.constant)
         elif isinstance(axiom, TargetClassAxiom):
             consts.add(axiom.cls)
-        elif isinstance(axiom, (ConstraintAxiom, AtMostAxiom)):
-            for node in walk_psi(axiom.body):
-                if isinstance(node, PsiEq):
-                    consts.add(node.constant)
     return consts
 
 
 def filter_atoms_of(sentence: SclSentence) -> set[FilterAtom]:
-    atoms: set[FilterAtom] = set()
-    for axiom in sentence.axioms:
-        if isinstance(axiom, (ConstraintAxiom, AtMostAxiom)):
-            atoms |= {n.atom for n in walk_psi(axiom.body) if isinstance(n, PsiFilter)}
-    return atoms
+    return {node.atom for node in _subformulas(sentence) if isinstance(node, PsiFilter)}
 
 
 # --- feature profiling -------------------------------------------------------
@@ -332,22 +328,19 @@ def _pi_flags(pi: Pi, flags: set) -> None:
 
 def features_of(sentence: SclSentence) -> FeatureSet:
     flags: set = set()
-    for axiom in sentence.axioms:
-        if not isinstance(axiom, (ConstraintAxiom, AtMostAxiom)):
-            continue
-        for node in walk_psi(axiom.body):
-            if isinstance(node, PsiDisjoint):
-                flags.add("D")
-            elif isinstance(node, PsiEquals):
-                flags.add("E")
-            elif isinstance(node, PsiOrder):
-                flags.add("O" if node.op in (">", ">=") else "O'")
-            elif isinstance(node, PsiCount) and node.n >= 2:
-                flags.add("C")
-            if isinstance(node, (PsiExists, PsiCount, PsiDisjoint, PsiEquals, PsiOrder)):
-                _pi_flags(node.path, flags)
-        if isinstance(axiom, AtMostAxiom) and axiom.n >= 1:
+    for node in _subformulas(sentence):
+        if isinstance(node, PsiDisjoint):
+            flags.add("D")
+        elif isinstance(node, PsiEquals):
+            flags.add("E")
+        elif isinstance(node, PsiOrder):
+            flags.add("O" if node.op in (">", ">=") else "O'")
+        elif isinstance(node, PsiCount) and node.n >= 2:
             flags.add("C")
+        if isinstance(node, (PsiExists, PsiCount, PsiDisjoint, PsiEquals, PsiOrder)):
+            _pi_flags(node.path, flags)
+    if any(isinstance(axiom, AtMostAxiom) and axiom.n >= 1 for axiom in sentence.axioms):
+        flags.add("C")
     return FeatureSet(frozenset(flags), recursive=is_recursive_sentence(sentence))
 
 
@@ -473,10 +466,11 @@ class PrettyPrinter:
     A quantifier's body is bracketed, so it ends where its bracket does."""
 
     def __init__(self, prefixes: Optional[dict] = None):
-        self.prefixes = dict(prefixes or {})
+        # longest namespace first
+        self.prefixes = sorted((prefixes or {}).items(), key=lambda kv: -len(kv[1]))
 
     def iri(self, iri: Iri) -> str:
-        for name, ns in sorted(self.prefixes.items(), key=lambda kv: -len(kv[1])):
+        for name, ns in self.prefixes:
             if iri.value.startswith(ns):
                 return f"{name}:{iri.value[len(ns):]}"
         return f"<{iri.value}>"

@@ -90,6 +90,8 @@ def path_to_pi(path: sh.PathExpr) -> Pi:
 def pi_to_path(pi: Pi) -> sh.PathExpr:
     if isinstance(pi, RelStep):
         return sh.InversePath(pi.rel.name) if pi.rel.inverted else sh.PredPath(pi.rel.name)
+    if isinstance(pi, PiSeq) and isinstance(pi.right, PiStar) and pi.right.inner == pi.left:
+        return sh.OneOrMorePath(pi_to_path(pi.left))  # `path_to_pi`'s π·π*
     if isinstance(pi, (PiSeq, PiAlt)):
         cls = sh.SeqPath if isinstance(pi, PiSeq) else sh.AltPath
         parts: tuple = ()
@@ -143,27 +145,39 @@ def _declared_property_relations(shape: sh.Shape, m: sh.Document) -> set[Iri]:
     return out
 
 
+# each one-field filter constraint, with the filter atom of the same field;
+# `tau` reads it forward and `tau_inverse` backward
+_FILTER_ATOMS = {
+    sh.DatatypeConstraint: DatatypeAtom,
+    sh.NodeKindConstraint: KindAtom,  # forward through _NODE_KIND_FILTERS
+    sh.MinLengthConstraint: MinLengthAtom,
+    sh.MaxLengthConstraint: MaxLengthAtom,
+    sh.PatternConstraint: PatternAtom,
+}
+# each value-range constraint, with the op its limit is compared by
+_ORDER_OPS = {sh.MinExclusive: ">", sh.MinInclusive: ">=", sh.MaxExclusive: "<", sh.MaxInclusive: "<="}
+# each property-pair constraint: its formula, the op of an order formula,
+# and what a read-back error calls it
+_PAIRS = {
+    sh.EqualsRel: (PsiEquals, None, "sh:equals"),
+    sh.DisjointRel: (PsiDisjoint, None, "sh:disjoint"),
+    sh.LessThanRel: (PsiOrder, "<", "property-pair order"),
+    sh.LessThanOrEqualsRel: (PsiOrder, "<=", "property-pair order"),
+}
+# each target declaration, with the target axiom of the same field
+_TARGET_AXIOMS = {sh.NodeTarget: TargetNodeAxiom, sh.ClassTarget: TargetClassAxiom,
+                  sh.SubjectsOfTarget: TargetSubjectsAxiom, sh.ObjectsOfTarget: TargetObjectsAxiom}
+
+
 def _filter_psi_node(c: sh.Constraint) -> Optional[Psi]:
-    if isinstance(c, sh.DatatypeConstraint):
-        return PsiFilter(DatatypeAtom(c.datatype))
     if isinstance(c, sh.NodeKindConstraint):
         if c.kind not in _NODE_KIND_FILTERS:
             raise TranslationError(f"unknown node kind {c.kind!r}")
         return _NODE_KIND_FILTERS[c.kind]
-    if isinstance(c, sh.MinExclusive):
-        return PsiFilter(OrderCmp(">", c.limit))
-    if isinstance(c, sh.MinInclusive):
-        return PsiFilter(OrderCmp(">=", c.limit))
-    if isinstance(c, sh.MaxExclusive):
-        return PsiFilter(OrderCmp("<", c.limit))
-    if isinstance(c, sh.MaxInclusive):
-        return PsiFilter(OrderCmp("<=", c.limit))
-    if isinstance(c, sh.MinLengthConstraint):
-        return PsiFilter(MinLengthAtom(c.length))
-    if isinstance(c, sh.MaxLengthConstraint):
-        return PsiFilter(MaxLengthAtom(c.length))
-    if isinstance(c, sh.PatternConstraint):
-        return PsiFilter(PatternAtom(c.regex))
+    if type(c) in _FILTER_ATOMS:
+        return PsiFilter(_FILTER_ATOMS[type(c)](getattr(c, c._fields[0])))
+    if type(c) in _ORDER_OPS:
+        return PsiFilter(OrderCmp(_ORDER_OPS[type(c)], c.limit))
     if isinstance(c, sh.LanguageIn):
         return psi_or_all([PsiFilter(LanguageTagAtom(t)) for t in c.tags])
     return None
@@ -227,14 +241,9 @@ def _property_psi(c: sh.Constraint, pi: Pi, ctx: _TauContext, shape: sh.Shape) -
             PsiNot(PsiCount(2, pi, PsiFilter(LanguageTagAtom(tag))))
             for tag in ctx.language_tags
         ])
-    if isinstance(c, sh.EqualsRel):
-        return PsiEquals(pi, RelAtom(c.rel))
-    if isinstance(c, sh.DisjointRel):
-        return PsiDisjoint(pi, RelAtom(c.rel))
-    if isinstance(c, sh.LessThanRel):
-        return PsiOrder(pi, RelAtom(c.rel), "<")
-    if isinstance(c, sh.LessThanOrEqualsRel):
-        return PsiOrder(pi, RelAtom(c.rel), "<=")
+    if type(c) in _PAIRS:
+        formula, op, _ = _PAIRS[type(c)]
+        return formula(pi, RelAtom(c.rel), *([op] if op else []))
     if isinstance(c, sh.QualifiedValue):
         value_ok = psi_and_all(
             [PsiShape(ShapeRel(c.ref))]
@@ -268,16 +277,6 @@ def shape_bodies(m: sh.Document, g: Optional[Graph] = None, shapes: Optional[tup
     return {shape.name: constraint_psi(shape, ctx) for shape in (m.shapes if shapes is None else shapes)}
 
 
-def _target_axiom(t: sh.TargetDecl, rel: ShapeRel):
-    if isinstance(t, sh.NodeTarget):
-        return TargetNodeAxiom(rel, t.node)
-    if isinstance(t, sh.ClassTarget):
-        return TargetClassAxiom(rel, t.cls)
-    if isinstance(t, sh.SubjectsOfTarget):
-        return TargetSubjectsAxiom(rel, t.rel)
-    return TargetObjectsAxiom(rel, t.rel)
-
-
 def tau(m: sh.Document, extra_documents: tuple = ()) -> SclSentence:
     """Compile a document to its sentence.  `extra_documents` widen the
     language-tag and closed-relation universes when two documents are
@@ -288,7 +287,7 @@ def tau(m: sh.Document, extra_documents: tuple = ()) -> SclSentence:
     for shape in m.shapes:
         rel = ShapeRel(shape.name)
         for t in shape.targets:
-            axioms.append(_target_axiom(t, rel))
+            axioms.append(_TARGET_AXIOMS[type(t)](rel, getattr(t, t._fields[0])))
         axioms.append(ConstraintAxiom(rel, constraint_psi(shape, ctx)))
     return SclSentence(tuple(axioms))
 
@@ -357,21 +356,10 @@ def _match_closed(psi: Psi):
     return rels
 
 
-_FILTER_CONSTRAINTS = {
-    DatatypeAtom: lambda a: sh.DatatypeConstraint(a.datatype),
-    KindAtom: lambda a: sh.NodeKindConstraint(a.kind),
-    LanguageTagAtom: lambda a: sh.LanguageIn((a.tag,)),
-    MinLengthAtom: lambda a: sh.MinLengthConstraint(a.length),
-    MaxLengthAtom: lambda a: sh.MaxLengthConstraint(a.length),
-    PatternAtom: lambda a: sh.PatternConstraint(a.regex),
-}
-
-_ORDER_CONSTRAINTS = {
-    ">": sh.MinExclusive,
-    ">=": sh.MinInclusive,
-    "<": sh.MaxExclusive,
-    "<=": sh.MaxInclusive,
-}
+_FILTER_CONSTRAINTS = {atom: c for c, atom in _FILTER_ATOMS.items()}
+_ORDER_CONSTRAINTS = {op: c for c, op in _ORDER_OPS.items()}
+_PAIR_CONSTRAINTS = {(formula, op): c for c, (formula, op, _) in _PAIRS.items()}
+_TARGET_DECLS = {axiom: decl for decl, axiom in _TARGET_AXIOMS.items()}
 
 
 def _psi_to_shape_parts(psi: Psi, ctx: _InverseContext):
@@ -391,7 +379,9 @@ def _psi_to_shape_parts(psi: Psi, ctx: _InverseContext):
         atom = psi.atom
         if isinstance(atom, OrderCmp):
             return (None, _ORDER_CONSTRAINTS[atom.op](atom.limit))
-        return (None, _FILTER_CONSTRAINTS[type(atom)](atom))
+        if isinstance(atom, LanguageTagAtom):
+            return (None, sh.LanguageIn((atom.tag,)))
+        return (None, _FILTER_CONSTRAINTS[type(atom)](getattr(atom, atom._fields[0])))
     if isinstance(psi, PsiShape):
         return (None, sh.Ref(_iota(psi, ctx)))
     closed_rels = _match_closed(psi)
@@ -406,23 +396,16 @@ def _psi_to_shape_parts(psi: Psi, ctx: _InverseContext):
         return (pi_to_path(psi.path), sh.QualifiedValue(_iota(psi.body, ctx), min_count=1))
     if isinstance(psi, PsiCount):
         return (pi_to_path(psi.path), sh.QualifiedValue(_iota(psi.body, ctx), min_count=psi.n))
-    if isinstance(psi, PsiEquals):
-        if psi.rel.inverted or not isinstance(psi.rel.name, Iri):
-            raise TranslationError("sh:equals requires a plain relation name")
-        return (pi_to_path(psi.path), sh.EqualsRel(psi.rel.name))
-    if isinstance(psi, PsiDisjoint):
-        if psi.rel.inverted or not isinstance(psi.rel.name, Iri):
-            raise TranslationError("sh:disjoint requires a plain relation name")
-        return (pi_to_path(psi.path), sh.DisjointRel(psi.rel.name))
-    if isinstance(psi, PsiOrder):
-        if psi.op in (">", ">="):
+    if isinstance(psi, (PsiEquals, PsiDisjoint, PsiOrder)):
+        op = getattr(psi, "op", None)
+        if op in (">", ">="):
             raise TranslationError(
                 "order atom with an inverted comparison has no shape counterpart "
-                f"(op {psi.op!r}); only less-than forms exist"
+                f"(op {op!r}); only less-than forms exist"
             )
+        cls = _PAIR_CONSTRAINTS[type(psi), op]
         if psi.rel.inverted or not isinstance(psi.rel.name, Iri):
-            raise TranslationError("property-pair order requires a plain relation name")
-        cls = sh.LessThanRel if psi.op == "<" else sh.LessThanOrEqualsRel
+            raise TranslationError(f"{_PAIRS[cls][2]} requires a plain relation name")
         return (pi_to_path(psi.path), cls(psi.rel.name))
     raise TranslationError(f"no inverse-translation rule matches {type(psi).__name__}")
 
@@ -467,15 +450,7 @@ def tau_inverse(phi: SclSentence) -> sh.Document:
         name = axiom.shape.name
         if name not in ctx.built:
             raise TranslationError(f"target for undefined shape relation {name!r}")
-        decl: sh.TargetDecl
-        if isinstance(axiom, TargetNodeAxiom):
-            decl = sh.NodeTarget(axiom.constant)
-        elif isinstance(axiom, TargetClassAxiom):
-            decl = sh.ClassTarget(axiom.cls)
-        elif isinstance(axiom, TargetSubjectsAxiom):
-            decl = sh.SubjectsOfTarget(axiom.rel)
-        else:
-            decl = sh.ObjectsOfTarget(axiom.rel)
+        decl = _TARGET_DECLS[type(axiom)](getattr(axiom, axiom._fields[1]))
         targets.setdefault(name, []).append(decl)
 
     shapes = []

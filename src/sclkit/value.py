@@ -13,8 +13,9 @@ is `hash((cls, field1, field2, ...))`, computed once at construction, so a
 lookup costs O(1) at any depth and values of two classes with equal fields
 do not collide.  Equality compares class and fields with an explicit stack;
 `repr` is the dataclass text.  Every field must be hashable.  A class may
-write its own `__init__` (calling `super().__init__`, or setting each field
-and `_hash`) and its own `__eq__`, which keeps the stored hash.  The RDF
+write its own `__init__`, which binds its own keywords and defaults and then
+calls `super().__init__` with every field in order (or sets each field and
+`_hash`), and its own `__eq__`, which keeps the stored hash.  The RDF
 terms are interned, and hash and compare with `object`'s identity methods.
 """
 from __future__ import annotations
@@ -28,30 +29,13 @@ class Value:
     _defaults: dict = {}
     _setters: tuple = ()
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args):
         cls = type(self)
-        if kwargs or len(args) != len(cls._fields):
-            args = cls._bind(args, kwargs)
+        if len(args) != len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments, got {len(args)}")
         for set_field, value in zip(cls._setters, args):
             set_field(self, value)
         _set_hash(self, hash((cls, *args)))
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values of a call with keywords or defaulted fields."""
-        if len(args) > len(cls._fields):
-            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments, got {len(args)}")
-        values = list(args)
-        for field in cls._fields[len(args):]:
-            if field in kwargs:
-                values.append(kwargs.pop(field))
-            elif field in cls._defaults:
-                values.append(cls._defaults[field])
-            else:
-                raise TypeError(f"{cls.__name__}() missing argument {field!r}")
-        if kwargs:
-            raise TypeError(f"{cls.__name__}() got an unexpected or repeated argument {next(iter(kwargs))!r}")
-        return tuple(values)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -97,8 +81,8 @@ _stored_hash = Value.__hash__
 def _generated_init(cls: type):
     """An `__init__` that takes the fields of `cls`, with their defaults, and
     sets each in a line of its own, generated as dataclasses generate theirs:
-    `Value.__init__`, with its argument binding and loop, takes about half as
-    long again, and some classes are built in hot loops."""
+    `Value.__init__`'s loop is slower, and some classes are built in hot
+    loops."""
     fields, defaults = cls._fields, cls._defaults
     namespace = {"_set_hash_": _set_hash, "_hash_": hash, "_cls_": cls,
                  **{f"_default_{f}_": value for f, value in defaults.items()},

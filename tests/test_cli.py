@@ -1,11 +1,16 @@
 import argparse
 import json
 import os
+import random
 import time
 
 import pytest
 
 from sclkit.cli import build_parser, main
+from sclkit.corpus import random_graph
+from sclkit.rdf import parse_turtle
+from sclkit.semantics import SemanticsMode, validation_witness
+from sclkit.shacl import document_from_graph
 
 HERE = os.path.dirname(__file__)
 
@@ -352,6 +357,28 @@ def test_nested_closures_translate_to_one_closure(capsys, tmp_path):
     assert time.perf_counter() - started < 2.0
     code, out, _ = run(capsys, "--json", "validate", "--graph", str(graph), "--doc", d)
     assert json.loads(out)["result"] is True  # :a reaches :b and itself
+
+
+def test_closures_nested_through_a_sequence_untranslate_linearly(capsys):
+    # the sentence holds π·π* at each of 14 levels, 2^14 copies of the
+    # innermost step in all; untranslate reads each π·π* back as one closure
+    d = fx("nested-sequence-closure.ttl")
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "untranslate", "--doc", d)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0 and len(out) < 10_000 and out.count("oneOrMorePath") == 14
+    with open(d, encoding="utf-8") as fh:
+        m = document_from_graph(parse_turtle(fh.read()))
+    back = document_from_graph(parse_turtle(out))
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(20):
+        g = random_graph(rng)
+        for mode in SemanticsMode:
+            valid = validation_witness(g, m, mode) is not None
+            assert (validation_witness(g, back, mode) is not None) == valid, mode
+            seen.add(valid)
+    assert seen == {True, False}
 
 def test_axiomatise(capsys):
     code, out, _ = run(capsys, "axiomatise", "--doc", fx("filtered.ttl"), "--mode", "bounded")

@@ -143,6 +143,21 @@ def test_keywords_defaults_and_argument_errors():
         PsiCount(0, RelStep(RelAtom(Iri("http://ex/p"))), PsiTop())
 
 
+def test_own_init_passing_the_wrong_number_of_fields_raises():
+    @value_class
+    class Pair:
+        left: int
+        right: int
+
+        def __init__(self, left: int, *rest):
+            super().__init__(left, *rest)
+
+    assert Pair(1, 2) == Pair(1, 2) and hash(Pair(1, 2)) == hash((Pair, 1, 2))
+    for args in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError, match=r"Pair\(\) takes 2 arguments, got"):
+            Pair(*args)
+
+
 def test_fields_keep_declaration_order_with_inherited_ones_first():
     @value_class
     class Base:
